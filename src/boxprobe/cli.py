@@ -5,6 +5,11 @@ writes a single output document (JSON with the full stage trace, or bare
 CSV data).  Runs are deterministic: the same configuration and seed yield
 byte-identical output, whatever ``--threads`` says.
 
+Each subcommand is one entry of ``_METHODS``: its help text, its flag
+declarations (the only place a default lives) and a runner.  The click
+commands and :class:`RunConfig`'s parameter check are generated from that
+table.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric or capacity
 error.
 """
@@ -12,8 +17,8 @@ error.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple
 
 import click
 
@@ -21,6 +26,7 @@ from .core import default_step, loss_by_name
 from .data import Dataset
 from .dataio import emit_json, emit_points_csv, emit_score_csv, load_csv
 from .effects import (
+    EffectCurve,
     ale_first_order,
     average_marginal_effect,
     equidistant_grid,
@@ -72,27 +78,15 @@ _NUMERIC_ERRORS = (
     UndefinedVarianceError,
 )
 
-_METHOD_PARAM_KEYS = {
-    "ice": {"row", "grid_points"},
-    "pd": {"grid_points"},
-    "ale": {"intervals"},
-    "me": {"row", "h"},
-    "ame": {"h"},
-    "shapley": {"row", "samples"},
-    "lime": {"row", "samples", "kernel_width"},
-    "pd-importance": set(),
-    "firm": set(),
-    "pfi": {"loss", "mode", "repeats", "threshold"},
-    "ici": {"row", "loss", "threshold"},
-    "pi": {"loss", "threshold"},
-    "sfimp": {"loss", "mode", "threshold"},
-    "fit": {"kind", "k"},
-}
-
 
 @dataclass
 class RunConfig:
-    """One fully specified analysis run; unknown methods/params are rejected."""
+    """One fully specified analysis run.
+
+    Unknown methods and parameters, and missing required flags, are
+    rejected.  ``params`` is completed from the method's flag declarations:
+    absent values take the flag default, given ones the flag's type.
+    """
 
     method: str
     data_path: str
@@ -107,9 +101,11 @@ class RunConfig:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.method not in _METHOD_PARAM_KEYS:
+        if self.method not in _METHODS:
             raise InvalidArgumentError(f"unknown method {self.method!r}")
-        unknown = set(self.params) - _METHOD_PARAM_KEYS[self.method]
+        flags = _METHODS[self.method].flags
+        declared = {opt.name: opt for opt in flags if opt.name not in _NOT_PARAMS}
+        unknown = set(self.params) - set(declared)
         if unknown:
             raise InvalidArgumentError(
                 f"unknown parameters for {self.method}: {sorted(unknown)}"
@@ -118,6 +114,23 @@ class RunConfig:
             raise InvalidArgumentError("threads must be at least 1")
         if self.fmt not in ("json", "csv"):
             raise InvalidArgumentError(f"unknown output format {self.fmt!r}")
+        for opt in flags:
+            source = self.params if opt.name in declared else vars(self)
+            if opt.required and source.get(opt.name) is None:
+                raise InvalidArgumentError(f"{self.method} needs {opt.opts[0]}")
+        self.params = {
+            name: _convert(opt, self.params.get(name, opt.default))
+            for name, opt in declared.items()
+        }
+
+
+def _convert(opt: click.Option, value: Any) -> Any:
+    if value is None:
+        return None
+    try:
+        return opt.type.convert(value, opt, None)
+    except click.BadParameter as exc:
+        raise InvalidArgumentError(exc.format_message()) from exc
 
 
 def _exit_code(exc: BoxprobeError) -> int:
@@ -136,6 +149,22 @@ def _resolve_feature(data: Dataset, spec: str) -> int:
         return data.feature_index(int(spec))
     except ValueError:
         return data.feature_index(spec)
+
+
+# ---------------------------------------------------------------------------
+# Runners: (config, data, predictor, feature index) -> (document params,
+# result, seed used).  A result is an EffectCurve or a (score, trace) pair.
+# Runners call estimators through this module's global names, looked up at
+# call time, so tooling that swaps those names sees every call.
+# ---------------------------------------------------------------------------
+
+
+def _grid(data: Dataset, j: int, points: int | None):
+    return observed_grid(data, j) if points is None else equidistant_grid(data, j, points)
+
+
+def _loss(params: dict[str, Any]):
+    return loss_by_name(params["loss"], params["threshold"])
 
 
 def _fd_records(predictor, feature_name: str, h: float, batches: int, rows: int, averaged: bool):
@@ -159,194 +188,267 @@ def _fd_records(predictor, feature_name: str, h: float, batches: int, rows: int,
     )
 
 
-def _execute(config: RunConfig, data: Dataset, predictor) -> dict[str, Any]:
-    """Dispatch one method and return the output document."""
-    method = config.method
-    params = config.params
-    threads = config.threads
-    # pd accepts a comma-separated feature set and resolves inside its branch
-    j = (
-        _resolve_feature(data, config.feature)
-        if config.feature is not None and method != "pd"
-        else None
-    )
-    feature_name: Any = data.meta[j].name if j is not None else None
-    seed_used: int | None = None
-    doc_params: dict[str, Any] = {}
+def _ice(config, data, predictor, j):
+    row, points = config.params["row"], config.params["grid_points"]
+    if not 0 <= row < data.n_rows:
+        raise InvalidArgumentError(f"row {row} out of range for {data.n_rows} observations")
+    grid = _grid(data, j, points)
+    curve = ice_curves(predictor, data, j, grid=grid, threads=config.threads)[row]
+    return {"row": row, "grid": grid.source, "grid_points": len(grid)}, curve, None
 
-    if method == "ice":
-        row = int(params["row"])
-        k = params.get("grid_points")
-        grid = equidistant_grid(data, j, int(k)) if k is not None else observed_grid(data, j)
-        curves = ice_curves(predictor, data, j, grid=grid, threads=threads)
-        if not 0 <= row < len(curves):
-            raise InvalidArgumentError(f"row {row} out of range for {len(curves)} observations")
-        curve = curves[row]
-        doc_params = {"row": row, "grid": grid.source, "grid_points": len(grid)}
-        payload = ("points", curve.xs, curve.ys, curve.trace)
 
-    elif method == "pd":
-        specs = [s for s in str(config.feature).split(",") if s.strip()]
-        features = [_resolve_feature(data, s) for s in specs]
-        k = params.get("grid_points")
-        if len(features) == 1:
-            grid = (
-                equidistant_grid(data, features[0], int(k))
-                if k is not None
-                else observed_grid(data, features[0])
-            )
-            curve = pd_curve(predictor, data, features[0], grid=grid, threads=threads)
-            doc_params = {"grid": grid.source, "grid_points": len(grid)}
-            feature_name = data.meta[features[0]].name
-        else:
-            if k is not None:
-                raise InvalidArgumentError("--grid-points applies to single-feature runs")
-            curve = pd_curve(predictor, data, features, threads=threads)
-            doc_params = {"grid": "observed_values", "grid_points": len(curve.xs)}
-            feature_name = [data.meta[f].name for f in features]
-        payload = ("points", curve.xs, curve.ys, curve.trace)
+def _pd(config, data, predictor, j):
+    features = [_resolve_feature(data, s) for s in config.feature.split(",") if s.strip()]
+    points = config.params["grid_points"]
+    if len(features) == 1:
+        grid = _grid(data, features[0], points)
+        curve = pd_curve(predictor, data, features[0], grid=grid, threads=config.threads)
+        return {"grid": grid.source, "grid_points": len(grid)}, curve, None
+    if points is not None:
+        raise InvalidArgumentError("--grid-points applies to single-feature runs")
+    curve = pd_curve(predictor, data, features, threads=config.threads)
+    return {"grid": "observed_values", "grid_points": len(curve.xs)}, curve, None
 
-    elif method == "ale":
-        intervals = int(params.get("intervals", 10))
-        curve = ale_first_order(predictor, data, j, intervals, threads=threads)
-        doc_params = {"intervals": intervals}
-        payload = ("points", curve.xs, curve.ys, curve.trace)
 
-    elif method == "me":
-        row = int(params["row"])
-        x = data.row(row)
-        h = params.get("h")
-        h = float(h) if h is not None else default_step(data, j)
-        value = marginal_effect(predictor, x, j, h)
-        trace = assemble_trace(
-            data.provenance, _fd_records(predictor, feature_name, h, 1, 2, averaged=False)
-        )
-        doc_params = {"row": row, "h": h}
-        payload = ("score", value, trace)
+def _ale(config, data, predictor, j):
+    intervals = config.params["intervals"]
+    curve = ale_first_order(predictor, data, j, intervals, threads=config.threads)
+    return {"intervals": intervals}, curve, None
 
-    elif method == "ame":
-        h = params.get("h")
-        h = float(h) if h is not None else default_step(data, j)
-        value = average_marginal_effect(predictor, data, j, h=h, threads=threads)
-        trace = assemble_trace(
-            data.provenance,
-            _fd_records(predictor, feature_name, h, 2, 2 * data.n_rows, averaged=True),
-        )
-        doc_params = {"h": h}
-        payload = ("score", value, trace)
 
-    elif method == "shapley":
-        row = int(params["row"])
-        x = data.row(row)
-        samples = params.get("samples")
-        if samples is not None:
-            result = shapley_mc(predictor, data, x, j, int(samples), config.seed, threads=threads)
-            seed_used = config.seed
-        else:
-            result = shapley_exact(predictor, data, x, j, threads=threads)
-        doc_params = {
-            "row": row,
-            "mode": result.mode,
-            "iterations": result.iterations,
-            "full_coalition_payout": result.full_coalition_payout,
-            "standard_error": result.standard_error,
-        }
-        payload = ("score", result.value, result.trace)
+def _me(config, data, predictor, j):
+    row, h = config.params["row"], config.params["h"]
+    x = data.row(row)
+    h = h if h is not None else default_step(data, j)
+    value = marginal_effect(predictor, x, j, h)
+    records = _fd_records(predictor, data.meta[j].name, h, 1, 2, averaged=False)
+    return {"row": row, "h": h}, (value, assemble_trace(data.provenance, records)), None
 
-    elif method == "lime":
-        row = int(params["row"])
-        x = data.row(row)
-        result = lime_explain(
-            predictor,
-            data,
-            x,
-            j,
-            num_samples=int(params.get("samples", 100)),
-            kernel_width=params.get("kernel_width"),
-            seed=config.seed,
-            threads=threads,
-        )
-        seed_used = config.seed
-        doc_params = {
-            "row": row,
-            "num_samples": result.num_samples,
-            "kernel_width": result.kernel_width,
-            "perturbation_sd": result.perturbation_sd,
-            "intercept": result.intercept,
-        }
-        payload = ("score", result.slope, result.trace)
 
-    elif method == "pd-importance":
-        score = pd_importance(predictor, data, j, threads=threads)
-        payload = ("score", score.value, score.trace)
+def _ame(config, data, predictor, j):
+    h = config.params["h"]
+    h = h if h is not None else default_step(data, j)
+    value = average_marginal_effect(predictor, data, j, h=h, threads=config.threads)
+    records = _fd_records(predictor, data.meta[j].name, h, 2, 2 * data.n_rows, averaged=True)
+    return {"h": h}, (value, assemble_trace(data.provenance, records)), None
 
-    elif method == "firm":
-        score = firm(predictor, data, j, threads=threads)
-        payload = ("score", score.value, score.trace)
 
-    elif method == "pfi":
-        loss = loss_by_name(params.get("loss", "squared"), float(params.get("threshold", 0.5)))
-        mode = params.get("mode", "permutation")
-        if mode == "permutation":
-            repeats = int(params.get("repeats", 5))
-            score = pfi_permutation(
-                predictor, data, j, loss, repeats=repeats, seed=config.seed, threads=threads
-            )
-            seed_used = config.seed
-            doc_params = {"loss": loss.tag, "mode": mode, "repeats": repeats}
-        elif mode == "exhaustive":
-            score = pfi_exhaustive(predictor, data, j, loss, threads=threads)
-            doc_params = {"loss": loss.tag, "mode": mode, "repeats": None}
-        else:
-            raise InvalidArgumentError(f"unknown pfi mode {mode!r}")
-        payload = ("score", score.value, score.trace)
-
-    elif method == "ici":
-        loss = loss_by_name(params.get("loss", "squared"), float(params.get("threshold", 0.5)))
-        row = int(params["row"])
-        curve = ici_curve(predictor, data, row, j, loss, threads=threads)
-        doc_params = {"row": row, "loss": loss.tag}
-        payload = ("points", curve.xs, curve.ys, curve.trace)
-
-    elif method == "pi":
-        loss = loss_by_name(params.get("loss", "squared"), float(params.get("threshold", 0.5)))
-        curve = pi_curve(predictor, data, j, loss, threads=threads)
-        doc_params = {"loss": loss.tag}
-        payload = ("points", curve.xs, curve.ys, curve.trace)
-
-    elif method == "sfimp":
-        loss = loss_by_name(params.get("loss", "squared"), float(params.get("threshold", 0.5)))
-        mode = params.get("mode", "exhaustive")
-        seed = config.seed if mode == "permutation" else None
-        score = sfimp(predictor, data, j, loss, mode=mode, seed=seed, threads=threads)
-        seed_used = seed
-        doc_params = {"loss": loss.tag, "mode": mode}
-        payload = ("score", score.value, score.trace)
-
-    else:  # pragma: no cover - guarded by RunConfig
-        raise InvalidArgumentError(f"unknown method {method!r}")
-
-    if params.get("loss") == "zero_one":
-        doc_params["threshold"] = float(params.get("threshold", 0.5))
-
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "method": method,
-        "feature": feature_name,
-        "params": doc_params,
-        "seed": seed_used,
-    }
-    if payload[0] == "points":
-        _, xs, ys, trace = payload
-        doc["stage_trace"] = trace.to_json_obj()
-        doc["points"] = [
-            {"x": list(x) if isinstance(x, tuple) else x, "y": y} for x, y in zip(xs, ys)
-        ]
+def _shapley(config, data, predictor, j):
+    row, samples = config.params["row"], config.params["samples"]
+    x = data.row(row)
+    if samples is None:
+        result, seed = shapley_exact(predictor, data, x, j, threads=config.threads), None
     else:
-        _, value, trace = payload
-        doc["stage_trace"] = trace.to_json_obj()
-        doc["score"] = value
-    return doc
+        seed = config.seed
+        result = shapley_mc(predictor, data, x, j, samples, seed, threads=config.threads)
+    doc_params = {
+        "row": row,
+        "mode": result.mode,
+        "iterations": result.iterations,
+        "full_coalition_payout": result.full_coalition_payout,
+        "standard_error": result.standard_error,
+    }
+    return doc_params, (result.value, result.trace), seed
+
+
+def _lime(config, data, predictor, j):
+    row = config.params["row"]
+    result = lime_explain(
+        predictor,
+        data,
+        data.row(row),
+        j,
+        num_samples=config.params["samples"],
+        kernel_width=config.params["kernel_width"],
+        seed=config.seed,
+        threads=config.threads,
+    )
+    doc_params = {
+        "row": row,
+        "num_samples": result.num_samples,
+        "kernel_width": result.kernel_width,
+        "perturbation_sd": result.perturbation_sd,
+        "intercept": result.intercept,
+    }
+    return doc_params, (result.slope, result.trace), config.seed
+
+
+def _pd_importance(config, data, predictor, j):
+    score = pd_importance(predictor, data, j, threads=config.threads)
+    return {}, (score.value, score.trace), None
+
+
+def _firm(config, data, predictor, j):
+    score = firm(predictor, data, j, threads=config.threads)
+    return {}, (score.value, score.trace), None
+
+
+def _pfi(config, data, predictor, j):
+    loss, repeats = _loss(config.params), config.params["repeats"]
+    if config.params["mode"] == "exhaustive":
+        score = pfi_exhaustive(predictor, data, j, loss, threads=config.threads)
+        doc_params = {"loss": loss.tag, "mode": "exhaustive", "repeats": None}
+        return doc_params, (score.value, score.trace), None
+    score = pfi_permutation(
+        predictor, data, j, loss, repeats=repeats, seed=config.seed, threads=config.threads
+    )
+    doc_params = {"loss": loss.tag, "mode": "permutation", "repeats": repeats}
+    return doc_params, (score.value, score.trace), config.seed
+
+
+def _ici(config, data, predictor, j):
+    row, loss = config.params["row"], _loss(config.params)
+    curve = ici_curve(predictor, data, row, j, loss, threads=config.threads)
+    return {"row": row, "loss": loss.tag}, curve, None
+
+
+def _pi(config, data, predictor, j):
+    loss = _loss(config.params)
+    return {"loss": loss.tag}, pi_curve(predictor, data, j, loss, threads=config.threads), None
+
+
+def _sfimp(config, data, predictor, j):
+    loss, mode = _loss(config.params), config.params["mode"]
+    seed = config.seed if mode == "permutation" else None
+    score = sfimp(predictor, data, j, loss, mode=mode, seed=seed, threads=config.threads)
+    return {"loss": loss.tag, "mode": mode}, (score.value, score.trace), seed
+
+
+def _fit(data: Dataset, params: dict[str, Any]):
+    if params["model_kind"] == "knn":
+        return fit_knn(data, params["k"])
+    if params["model_kind"] == "stump":
+        return fit_stump(data)
+    return fit_linear(data)
+
+
+# ---------------------------------------------------------------------------
+# The method table
+# ---------------------------------------------------------------------------
+
+
+class _Method(NamedTuple):
+    help: str
+    flags: tuple[click.Option, ...]
+    runner: Callable | None  # None for fit, which writes a model, not a document
+
+
+def _opt(decls: str, **attrs: Any) -> click.Option:
+    return click.Option(decls.split(), **attrs)
+
+
+def _mode(*choices: str) -> click.Option:
+    return _opt("--mode", type=click.Choice(choices), default=choices[0], show_default=True)
+
+
+_COMMON = (
+    _opt("--data data_path", required=True, metavar="CSV", help="Input data file."),
+    _opt("--model model_path", required=True, metavar="FILE",
+         help="Model file from `boxprobe fit`."),
+    _opt("--target", default=None, help="Name of the target column."),
+    _opt("--seed", type=int, default=0, show_default=True, help="Seed for randomized stages."),
+    _opt("--out out_path", default=None, metavar="FILE", help="Output file (default: stdout)."),
+    _opt("--format fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True),
+    _opt("--threads", type=int, default=1, show_default=True,
+         help="Prediction worker threads; never changes results."),
+    _opt("--kind kind_spec", multiple=True, metavar="NAME=KIND",
+         help="Feature kind override (continuous|categorical)."),
+    _opt("--feature", required=True, help="Feature name or zero-based index."),
+)
+_ROW = _opt("--row", type=int, required=True, help="Zero-based observation index.")
+_GRID = _opt("--grid-points grid_points", type=int, default=None,
+             help="Equidistant grid size (default: observed values).")
+_H = _opt("--h", type=float, default=None, help="Step size (default: 1e-4 of the observed range).")
+_LOSS = (
+    _opt("--loss", type=click.Choice(["squared", "absolute", "zero_one"]), default="squared",
+         show_default=True),
+    _opt("--threshold", type=float, default=0.5, show_default=True,
+         help="Classification threshold for zero_one loss."),
+)
+
+
+def _method(help_text: str, runner: Callable, *flags: click.Option) -> _Method:
+    return _Method(help_text, (*_COMMON, *flags), runner)
+
+
+_METHODS: dict[str, _Method] = {
+    "fit": _Method("Fit a reference model on a CSV file and save it.", (
+        _opt("--data data_path", required=True, metavar="CSV"),
+        _opt("--target", required=True, help="Name of the target column."),
+        _opt("--kind model_kind", type=click.Choice(["linear", "knn", "stump"]),
+             default="linear", show_default=True),
+        _opt("--k", type=int, default=3, show_default=True, help="Neighbour count for knn."),
+        _opt("--out out_path", required=True, metavar="FILE",
+             help="Where to write the model file."),
+    ), None),
+    "ice": _method("Individual conditional expectation curve for one observation.", _ice,
+                   _ROW, _GRID),
+    "pd": _method("Partial dependence curve (comma-separate features for a set).", _pd, _GRID),
+    "ale": _method("First-order accumulated local effects curve.", _ale,
+                   _opt("--intervals", type=int, default=10, show_default=True)),
+    "me": _method("Marginal effect (difference quotient) at one observation.", _me, _ROW, _H),
+    "ame": _method("Average marginal effect over all observations.", _ame, _H),
+    "shapley": _method("Shapley value of one feature (exact, or Monte Carlo with --samples).",
+                       _shapley, _ROW,
+                       _opt("--samples", type=int, default=None,
+                            help="Monte Carlo iterations (default: exact enumeration).")),
+    "lime": _method("Local surrogate line around one observation.", _lime, _ROW,
+                    _opt("--samples", type=int, default=100, show_default=True),
+                    _opt("--kernel-width kernel_width", type=float, default=None,
+                         help="Proximity kernel width (default: 0.75 sd).")),
+    "pd-importance": _method("Spread of the partial dependence (sd, or range/4 for levels).",
+                             _pd_importance),
+    "firm": _method("Importance as the spread of the conditional expected score.", _firm),
+    "pfi": _method("Permutation feature importance.", _pfi, *_LOSS,
+                   _mode("permutation", "exhaustive"),
+                   _opt("--repeats", type=int, default=5, show_default=True)),
+    "ici": _method("Individual conditional importance curve for one observation.", _ici,
+                   _ROW, *_LOSS),
+    "pi": _method("Partial importance curve (mean of all ICI curves).", _pi, *_LOSS),
+    "sfimp": _method("Shapley feature importance with a loss-based payout.", _sfimp, *_LOSS,
+                     _mode("exhaustive", "permutation")),
+}
+
+# Flags that fill RunConfig fields rather than its ``params``.
+_NOT_PARAMS = {f.name for f in fields(RunConfig)} | {"kind_spec"}
+
+
+# ---------------------------------------------------------------------------
+# Running
+# ---------------------------------------------------------------------------
+
+
+def _execute(config: RunConfig, data: Dataset, predictor) -> dict[str, Any]:
+    """Run one method and return the output document."""
+    # pd accepts a comma-separated feature set and resolves it in its runner
+    j = None if config.method == "pd" else _resolve_feature(data, config.feature)
+    doc_params, result, seed = _METHODS[config.method].runner(config, data, predictor, j)
+    if config.params.get("loss") == "zero_one":
+        doc_params["threshold"] = config.params["threshold"]
+    if isinstance(result, EffectCurve):
+        feature, trace = result.feature, result.trace
+        body = {
+            "points": [
+                {"x": list(x) if isinstance(x, tuple) else x, "y": y}
+                for x, y in zip(result.xs, result.ys)
+            ]
+        }
+    else:
+        feature, (score, trace) = j, result
+        body = {"score": score}
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "method": config.method,
+        "feature": (
+            [data.meta[f].name for f in feature]
+            if isinstance(feature, tuple)
+            else data.meta[feature].name
+        ),
+        "params": doc_params,
+        "seed": seed,
+        "stage_trace": trace.to_json_obj(),
+        **body,
+    }
 
 
 def _render(doc: dict[str, Any], fmt: str, feature_label: Any) -> str:
@@ -371,11 +473,10 @@ def _write(text: str, out_path: str | None) -> None:
 def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit code."""
     try:
-        if config.method == "fit":
-            return _run_fit(config)
-        if config.model_path is None:
-            raise InvalidArgumentError(f"{config.method} needs a model file")
         data = load_csv(config.data_path, target=config.target, kinds=config.kind_overrides)
+        if config.method == "fit":
+            save_model(_fit(data, config.params), config.out_path)
+            return EXIT_OK
         predictor = load_model(config.model_path)
         doc = _execute(config, data, predictor)
         _write(_render(doc, config.fmt, doc["feature"]), config.out_path)
@@ -385,53 +486,9 @@ def run(config: RunConfig) -> int:
         return _exit_code(exc)
 
 
-def _run_fit(config: RunConfig) -> int:
-    data = load_csv(config.data_path, target=config.target, kinds=config.kind_overrides)
-    kind = config.params.get("kind", "linear")
-    if kind == "linear":
-        model = fit_linear(data)
-    elif kind == "knn":
-        model = fit_knn(data, int(config.params.get("k", 3)))
-    elif kind == "stump":
-        model = fit_stump(data)
-    else:
-        raise InvalidArgumentError(f"unknown model kind {kind!r}")
-    if config.out_path is None:
-        raise InvalidArgumentError("fit needs --out to store the model file")
-    save_model(model, config.out_path)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Click wiring
 # ---------------------------------------------------------------------------
-
-
-def _apply(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return wrap
-
-
-_COMMON = [
-    click.option("--data", "data_path", required=True, metavar="CSV", help="Input data file."),
-    click.option("--model", "model_path", required=True, metavar="FILE", help="Model file from `boxprobe fit`."),
-    click.option("--target", default=None, help="Name of the target column."),
-    click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized stages."),
-    click.option("--out", "out_path", default=None, metavar="FILE", help="Output file (default: stdout)."),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True),
-    click.option("--threads", type=int, default=1, show_default=True, help="Prediction worker threads; never changes results."),
-    click.option("--kind", "kind_spec", multiple=True, metavar="NAME=KIND", help="Feature kind override (continuous|categorical)."),
-]
-_FEATURE = click.option("--feature", required=True, help="Feature name or zero-based index.")
-_ROW = click.option("--row", type=int, required=True, help="Zero-based observation index.")
-_LOSS = [
-    click.option("--loss", type=click.Choice(["squared", "absolute", "zero_one"]), default="squared", show_default=True),
-    click.option("--threshold", type=float, default=0.5, show_default=True, help="Classification threshold for zero_one loss."),
-]
 
 
 def _overrides(kind_spec) -> dict[str, str]:
@@ -444,125 +501,18 @@ def _overrides(kind_spec) -> dict[str, str]:
     return out
 
 
-def _config(method, data_path, model_path, target, seed, out_path, fmt, threads, kind_spec, **params):
-    return RunConfig(
-        method=method,
-        data_path=data_path,
-        model_path=model_path,
-        target=target,
-        feature=params.pop("feature", None),
-        seed=seed,
-        out_path=out_path,
-        fmt=fmt,
-        threads=threads,
-        kind_overrides=_overrides(kind_spec),
-        params={k: v for k, v in params.items() if v is not None},
-    )
+def _command(method: str, entry: _Method) -> click.Command:
+    def callback(kind_spec=(), **values):
+        config = {name: values.pop(name) for name in list(values) if name in _NOT_PARAMS}
+        kinds = _overrides(kind_spec)
+        return run(RunConfig(method, kind_overrides=kinds, params=values, **config))
+
+    return click.Command(method, callback=callback, params=list(entry.flags), help=entry.help)
 
 
-@click.group()
+@click.group(commands=[_command(name, entry) for name, entry in _METHODS.items()])
 def cli() -> None:
     """Model-agnostic effect and importance analysis for black-box models."""
-
-
-@cli.command("fit")
-@click.option("--data", "data_path", required=True, metavar="CSV")
-@click.option("--target", required=True, help="Name of the target column.")
-@click.option("--kind", "model_kind", type=click.Choice(["linear", "knn", "stump"]), default="linear", show_default=True)
-@click.option("--k", type=int, default=3, show_default=True, help="Neighbour count for knn.")
-@click.option("--out", "out_path", required=True, metavar="FILE", help="Where to write the model file.")
-def fit_command(data_path, target, model_kind, k, out_path):
-    """Fit a reference model on a CSV file and save it."""
-    config = RunConfig(
-        method="fit",
-        data_path=data_path,
-        target=target,
-        out_path=out_path,
-        params={"kind": model_kind, "k": k},
-    )
-    try:
-        return run(config)
-    except BoxprobeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return _exit_code(exc)
-
-
-def _method_command(name, help_text, extra_options):
-    def decorator(builder):
-        @cli.command(name, help=help_text)
-        @_apply(_COMMON + extra_options)
-        def command(**kwargs):
-            return run(builder(**kwargs))
-
-        command.__name__ = name.replace("-", "_")
-        return command
-
-    return decorator
-
-
-@_method_command("ice", "Individual conditional expectation curve for one observation.", [_FEATURE, _ROW, click.option("--grid-points", "grid_points", type=int, default=None, help="Equidistant grid size (default: observed values).")])
-def _ice(row, grid_points, **kw):
-    return _config("ice", row=row, grid_points=grid_points, **kw)
-
-
-@_method_command("pd", "Partial dependence curve (comma-separate features for a set).", [_FEATURE, click.option("--grid-points", "grid_points", type=int, default=None, help="Equidistant grid size (default: observed values).")])
-def _pd(grid_points, **kw):
-    return _config("pd", grid_points=grid_points, **kw)
-
-
-@_method_command("ale", "First-order accumulated local effects curve.", [_FEATURE, click.option("--intervals", type=int, default=10, show_default=True)])
-def _ale(intervals, **kw):
-    return _config("ale", intervals=intervals, **kw)
-
-
-@_method_command("me", "Marginal effect (difference quotient) at one observation.", [_FEATURE, _ROW, click.option("--h", type=float, default=None, help="Step size (default: 1e-4 of the observed range).")])
-def _me(row, h, **kw):
-    return _config("me", row=row, h=h, **kw)
-
-
-@_method_command("ame", "Average marginal effect over all observations.", [_FEATURE, click.option("--h", type=float, default=None, help="Step size (default: 1e-4 of the observed range).")])
-def _ame(h, **kw):
-    return _config("ame", h=h, **kw)
-
-
-@_method_command("shapley", "Shapley value of one feature (exact, or Monte Carlo with --samples).", [_FEATURE, _ROW, click.option("--samples", type=int, default=None, help="Monte Carlo iterations (default: exact enumeration).")])
-def _shapley(row, samples, **kw):
-    return _config("shapley", row=row, samples=samples, **kw)
-
-
-@_method_command("lime", "Local surrogate line around one observation.", [_FEATURE, _ROW, click.option("--samples", type=int, default=100, show_default=True), click.option("--kernel-width", "kernel_width", type=float, default=None, help="Proximity kernel width (default: 0.75 sd).")])
-def _lime(row, samples, kernel_width, **kw):
-    return _config("lime", row=row, samples=samples, kernel_width=kernel_width, **kw)
-
-
-@_method_command("pd-importance", "Spread of the partial dependence (sd, or range/4 for levels).", [_FEATURE])
-def _pd_importance(**kw):
-    return _config("pd-importance", **kw)
-
-
-@_method_command("firm", "Importance as the spread of the conditional expected score.", [_FEATURE])
-def _firm(**kw):
-    return _config("firm", **kw)
-
-
-@_method_command("pfi", "Permutation feature importance.", [_FEATURE, *_LOSS, click.option("--mode", type=click.Choice(["permutation", "exhaustive"]), default="permutation", show_default=True), click.option("--repeats", type=int, default=5, show_default=True)])
-def _pfi(loss, threshold, mode, repeats, **kw):
-    return _config("pfi", loss=loss, threshold=threshold, mode=mode, repeats=repeats, **kw)
-
-
-@_method_command("ici", "Individual conditional importance curve for one observation.", [_FEATURE, _ROW, *_LOSS])
-def _ici(row, loss, threshold, **kw):
-    return _config("ici", row=row, loss=loss, threshold=threshold, **kw)
-
-
-@_method_command("pi", "Partial importance curve (mean of all ICI curves).", [_FEATURE, *_LOSS])
-def _pi(loss, threshold, **kw):
-    return _config("pi", loss=loss, threshold=threshold, **kw)
-
-
-@_method_command("sfimp", "Shapley feature importance with a loss-based payout.", [_FEATURE, *_LOSS, click.option("--mode", type=click.Choice(["exhaustive", "permutation"]), default="exhaustive", show_default=True)])
-def _sfimp(loss, threshold, mode, **kw):
-    return _config("sfimp", loss=loss, threshold=threshold, mode=mode, **kw)
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,7 @@ assembled vector, so thread count never changes a result.
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -143,6 +144,15 @@ class PredictionCache:
         )
 
 
+def _worker_count(threads: int, rows: int) -> int:
+    """Pool size for one batch: at most one thread per usable CPU and per two rows."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus, rows // 2))
+
+
 def _run_predictor(predictor: PredictorHandle, matrix: np.ndarray, threads: int) -> np.ndarray:
     m = matrix.shape[0]
     if threads <= 1 or m < 2 * threads:
@@ -151,7 +161,7 @@ def _run_predictor(predictor: PredictorHandle, matrix: np.ndarray, threads: int)
     # for row-wise predictors, regardless of thread count.
     bounds = np.linspace(0, m, threads + 1).astype(int)
     chunks = [matrix[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count(threads, m)) as pool:
         parts = list(pool.map(predictor, chunks))
     return np.concatenate(parts)
 

@@ -28,7 +28,6 @@ from .core import (
 from .data import CONTINUOUS, Dataset
 from .effects import EffectCurve, _grid_prediction_matrix, _replace_record, observed_grid, pd_curve
 from .errors import (
-    BoxprobeError,
     CapacityError,
     InvalidArgumentError,
     MissingTargetError,
@@ -152,17 +151,12 @@ def firm(
 ) -> ImportanceScore:
     """Importance as the spread of the conditional expected score.
 
-    Must coincide bit-exactly with :func:`pd_importance`; the equality is
-    asserted on every call.
+    Coincides bit-exactly with :func:`pd_importance`: both apply the same
+    spread to the partial dependence over the observed-values grid.
     """
     j = data.feature_index(feature)
     curve = ces_curve(predictor, data, j, threads=threads)
     value = _pd_spread(curve.xs, curve.values(), data, j)
-    reference = pd_importance(predictor, data, j, threads=threads)
-    if value != reference.value:
-        raise BoxprobeError(
-            "internal error: FIRM diverged from the PD standard deviation"
-        )
     trace = StageTrace(
         curve.trace.records
         + (

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from boxprobe import load_csv, load_model, pd_curve, pfi_permutation, squared_loss
-from boxprobe.cli import RunConfig, main
+import boxprobe.cli
+from boxprobe import PredictorHandle, load_csv, load_model, pd_curve, pfi_permutation, squared_loss
+from boxprobe.cli import RunConfig, cli, main
 from boxprobe.dataio import emit_json
 from boxprobe.errors import InvalidArgumentError
 
@@ -287,6 +288,41 @@ def test_runconfig_rejects_unknown_method_and_params():
         RunConfig(method="pd", data_path="x.csv", threads=0)
     with pytest.raises(InvalidArgumentError):
         RunConfig(method="pd", data_path="x.csv", fmt="yaml")
+
+
+@pytest.mark.parametrize("method", sorted(set(cli.commands) - {"fit"}))
+def test_runconfig_rejects_missing_feature(method):
+    with pytest.raises(InvalidArgumentError, match="--feature"):
+        RunConfig(method=method, data_path="x.csv", model_path="m.json")
+
+
+def test_runconfig_fills_and_checks_params_from_flags():
+    config = RunConfig(method="pfi", data_path="x.csv", model_path="m.json", feature="x1",
+                       params={"repeats": "3"})
+    assert config.params == {"loss": "squared", "threshold": 0.5, "mode": "permutation",
+                             "repeats": 3}
+    fit = RunConfig(method="fit", data_path="x.csv", target="y", out_path="m.json")
+    assert fit.params == {"model_kind": "linear", "k": 3}
+    with pytest.raises(InvalidArgumentError):
+        RunConfig(method="pfi", data_path="x.csv", model_path="m.json", feature="x1",
+                  params={"mode": "bogus"})
+    with pytest.raises(InvalidArgumentError, match="--row"):
+        RunConfig(method="ice", data_path="x.csv", model_path="m.json", feature="x1")
+
+
+def test_ice_checks_row_before_predicting(workspace, monkeypatch):
+    model = load_model(workspace["model"])
+    calls = []
+
+    def counting(X):
+        calls.append(len(X))
+        return model(X)
+
+    predictor = PredictorHandle(counting, model.n_features, name="counting")
+    monkeypatch.setattr(boxprobe.cli, "load_model", lambda path: predictor)
+    code, _ = run_to_file(workspace, "x.json", "ice", "--feature", "x1", "--row", "5")
+    assert code == 1
+    assert calls == []
 
 
 def test_module_entry_point(workspace):

@@ -212,6 +212,19 @@ def test_threaded_prediction_matches_sequential():
     assert np.array_equal(sequential, threaded)
 
 
+def test_worker_count_is_bounded_by_cpus_and_rows(monkeypatch):
+    from boxprobe import core
+
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert core._worker_count(10**9, 10**9) == 4
+    assert core._worker_count(3, 10**9) == 3
+    assert core._worker_count(10**9, 7) == 3
+    assert core._worker_count(10**9, 1) == 1
+    monkeypatch.delattr(core.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+    assert core._worker_count(10**9, 10**9) == 1
+
+
 def test_predictor_output_validation():
     bad_length = handle(lambda X: np.zeros(np.asarray(X).shape[0] + 1), 1)
     with pytest.raises(ShapeError, match="returned"):

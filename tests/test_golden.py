@@ -62,12 +62,16 @@ RUN_CASES = [
     ("ale_default.json", "num", ["ale", "--feature", "x2"]),
     ("me_h.json", "num", ["me", "--feature", "x2", "--row", "3", "--h", "0.5"]),
     ("ame_h.json", "num", ["ame", "--feature", "x2", "--h", "0.25"]),
-    ("lime_width.json", "num", ["lime", "--feature", "x2", "--row", "1", "--kernel-width", "1.5", "--seed", "2"]),
+    ("lime_width.json", "num",
+     ["lime", "--feature", "x2", "--row", "1", "--kernel-width", "1.5", "--seed", "2"]),
     ("pfi_seed.json", "num", ["pfi", "--feature", "x2", "--seed", "5", "--threads", "2"]),
     ("ici_absolute.json", "num", ["ici", "--feature", "x2", "--row", "4", "--loss", "absolute"]),
-    ("sfimp_permutation.json", "num", ["sfimp", "--feature", "x2", "--mode", "permutation", "--seed", "4", "--loss", "absolute"]),
-    ("pfi_zero_one.json", "cat", ["pfi", "--feature", "c", "--loss", "zero_one", "--mode", "exhaustive"]),
-    ("pi_zero_one.json", "cat", ["pi", "--feature", "x1", "--loss", "zero_one", "--threshold", "0.4"]),
+    ("sfimp_permutation.json", "num",
+     ["sfimp", "--feature", "x2", "--mode", "permutation", "--seed", "4", "--loss", "absolute"]),
+    ("pfi_zero_one.json", "cat",
+     ["pfi", "--feature", "c", "--loss", "zero_one", "--mode", "exhaustive"]),
+    ("pi_zero_one.json", "cat",
+     ["pi", "--feature", "x1", "--loss", "zero_one", "--threshold", "0.4"]),
     ("sfimp_zero_one.json", "cat", ["sfimp", "--feature", "x1", "--loss", "zero_one"]),
     # --format csv
     ("pd.csv", "num", ["pd", "--feature", "x1", "--format", "csv"]),
