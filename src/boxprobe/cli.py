@@ -27,10 +27,10 @@ from .data import Dataset
 from .dataio import emit_json, emit_points_csv, emit_score_csv, load_csv
 from .effects import (
     EffectCurve,
+    _ice_builder,
     ale_first_order,
     average_marginal_effect,
     equidistant_grid,
-    ice_curves,
     lime_explain,
     marginal_effect,
     observed_grid,
@@ -193,7 +193,7 @@ def _ice(config, data, predictor, j):
     if not 0 <= row < data.n_rows:
         raise InvalidArgumentError(f"row {row} out of range for {data.n_rows} observations")
     grid = _grid(data, j, points)
-    curve = ice_curves(predictor, data, j, grid=grid, threads=config.threads)[row]
+    curve = _ice_builder(predictor, data, j, grid, config.threads)(row)
     return {"row": row, "grid": grid.source, "grid_points": len(grid)}, curve, None
 
 

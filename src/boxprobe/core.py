@@ -16,9 +16,7 @@ assembled vector, so thread count never changes a result.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Real
@@ -36,6 +34,7 @@ from .errors import (
 from .trace import INTERVENTION, PREDICTION, SAMPLING, StageRecord
 
 DEFAULT_STEP_FRACTION = 1e-4
+ROW_BUDGET = 1 << 14  # most rows the substitution kernel passes to one predictor call
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -60,7 +59,7 @@ class PredictorHandle:
     Wraps a callable mapping an (m x p) feature matrix to a length-m vector
     of real predictions.  The callable must be deterministic and row-wise
     (each output depends only on its own input row); both properties are
-    what make caching and chunked evaluation transparent.
+    what make deduplicated, chunked and threaded evaluation transparent.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], Any], n_features: int, name: str = "predictor"):
@@ -96,45 +95,88 @@ class PredictorHandle:
         return out
 
 
-def _matrix_key(matrix: np.ndarray) -> bytes:
-    if matrix.dtype == object:
-        payload = pickle.dumps(matrix.tolist(), protocol=4)
-    else:
-        payload = np.ascontiguousarray(matrix).tobytes()
-    digest = hashlib.blake2b(payload, digest_size=16)
-    digest.update(repr(matrix.shape).encode())
-    digest.update(matrix.dtype.str.encode())
-    return digest.digest()
-
-
 class PredictionCache:
-    """Memoizes batch predictions within one method run.
+    """Predicts the batches of one method run and counts them.
 
-    Keyed by a hash of the intervened matrix; valid because predictors are
-    pure.  Also tracks how many logical batches/rows were requested, which
-    feeds the prediction stage record (cache hits still count: they stand
-    for evaluations the method semantically performed).
+    ``batches`` and ``rows`` count the logical batches and rows the method
+    asked for and feed the prediction stage record.  The substitution
+    kernel :meth:`substitute` and the reused :meth:`baseline` count what
+    the estimator is defined to predict, while the predictor sees each
+    distinct substituted copy of the data once.  Predictors are pure, so
+    no result changes.
     """
 
     def __init__(self, threads: int = 1):
         if threads < 1:
             raise InvalidArgumentError("threads must be at least 1")
         self.threads = int(threads)
-        self._store: dict[bytes, np.ndarray] = {}
         self.batches = 0
         self.rows = 0
+        self._baseline: tuple[PredictorHandle, Dataset, np.ndarray] | None = None
 
     def predict(self, predictor: PredictorHandle, matrix: np.ndarray) -> np.ndarray:
+        """Predict one batch, counted as one logical batch."""
         matrix = np.asarray(matrix)
         self.batches += 1
         self.rows += matrix.shape[0]
-        key = _matrix_key(matrix)
-        hit = self._store.get(key)
-        if hit is None:
-            hit = _run_predictor(predictor, matrix, self.threads)
-            hit.flags.writeable = False
-            self._store[key] = hit
-        return hit
+        return _run_predictor(predictor, matrix, self.threads)
+
+    def baseline(self, predictor: PredictorHandle, data: Dataset) -> np.ndarray:
+        """Predictions on ``data`` as it is: one logical batch, evaluated once per cache."""
+        held = self._baseline
+        if held is None or held[0] is not predictor or held[1] is not data:
+            preds = _run_predictor(predictor, _feature_matrix(predictor, data), self.threads)
+            preds.flags.writeable = False
+            self._baseline = (predictor, data, preds)
+        self.batches += 1
+        self.rows += data.n_rows
+        return self._baseline[2]
+
+    def substitute(
+        self,
+        predictor: PredictorHandle,
+        data: Dataset,
+        features: Sequence[int | str],
+        value_rows: Sequence[Sequence[Any]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The substitution kernel: predict ``data`` with ``features`` set to each value row.
+
+        Returns ``(predictions, inverse)``: one row of n predictions per
+        distinct value row, and for each of the G value rows the index of
+        its distinct row, so ``predictions[inverse]`` is the (G, n) grid.
+        Aggregate per distinct row before expanding.  Each value is checked
+        once against the schema; value rows are distinct by bit pattern, so
+        0.0 and -0.0 stay apart.  Counts G logical batches of n rows.  The
+        predictor sees each distinct substituted copy of the data once, in
+        calls of at most :data:`ROW_BUDGET` rows: the batches a loop over
+        the grid would make, minus the repeats, so no prediction bit moves
+        even for a model whose bits depend on the batch.
+        """
+        js = [data.feature_index(f) for f in features]
+        if len(set(js)) != len(js):
+            raise InvalidArgumentError("a feature is substituted twice")
+        slots: dict[tuple, int] = {}
+        distinct: list[list[Any]] = []
+        inverse = np.empty(len(value_rows), dtype=np.intp)
+        for g, row in enumerate(value_rows):
+            values = [data.check_value(j, v) for j, v in zip(js, row, strict=True)]
+            key = tuple(v.hex() if isinstance(v, float) else v for v in values)
+            if key not in slots:
+                slots[key] = len(distinct)
+                distinct.append(values)
+            inverse[g] = slots[key]
+        n = data.n_rows
+        self.batches += len(value_rows)
+        self.rows += len(value_rows) * n
+        base = _feature_matrix(predictor, data)
+        out = np.empty((len(distinct), n))
+        for u, values in enumerate(distinct):
+            for start in range(0, n, ROW_BUDGET):
+                block = base[start : start + ROW_BUDGET].copy()
+                for j, v in zip(js, values):
+                    block[:, j] = v
+                out[u, start : start + len(block)] = _run_predictor(predictor, block, self.threads)
+        return out, inverse
 
     def prediction_record(self, predictor: PredictorHandle) -> StageRecord:
         return StageRecord(
@@ -166,18 +208,22 @@ def _run_predictor(predictor: PredictorHandle, matrix: np.ndarray, threads: int)
     return np.concatenate(parts)
 
 
+def _feature_matrix(predictor: PredictorHandle, data: Dataset) -> np.ndarray:
+    if data.n_features != predictor.n_features:
+        raise ShapeError(
+            f"dataset has {data.n_features} features but predictor "
+            f"{predictor.name!r} expects {predictor.n_features}"
+        )
+    return data.matrix()
+
+
 def predict_batch(
     predictor: PredictorHandle,
     data: Dataset,
     cache: PredictionCache | None = None,
 ) -> np.ndarray:
     """Predict on a dataset; pure pass-through to the black box."""
-    matrix = data.matrix()
-    if matrix.shape[1] != predictor.n_features:
-        raise ShapeError(
-            f"dataset has {matrix.shape[1]} features but predictor "
-            f"{predictor.name!r} expects {predictor.n_features}"
-        )
+    matrix = _feature_matrix(predictor, data)
     if cache is not None:
         return cache.predict(predictor, matrix)
     return _run_predictor(predictor, matrix, 1)

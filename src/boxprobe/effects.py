@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .core import (
     PredictorHandle,
     default_step,
     finite_difference,
-    intervene_replace,
     intervene_shift,
     make_rng,
     predict_batch,
@@ -117,17 +116,17 @@ class EffectCurve:
             raise InvalidArgumentError("curve needs one effect value per grid point")
         if len(self.xs) == 0:
             raise InvalidArgumentError("curve needs at least one point")
-        ys = tuple(float(v) for v in self.ys)
-        if not all(np.isfinite(ys)):
+        ys = np.asarray(self.ys, dtype=float)
+        if not np.isfinite(ys).all():
             raise InvalidArgumentError("effect values must be finite")
-        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "ys", tuple(ys.tolist()))
         if isinstance(self.feature, int) and all(
-            isinstance(v, (int, float)) for v in self.xs
+            issubclass(t, (int, float)) for t in set(map(type, self.xs))
         ):
-            xs = tuple(float(v) for v in self.xs)
-            if any(a > b for a, b in zip(xs, xs[1:])):
+            xs = np.asarray(self.xs, dtype=float)
+            if (xs[:-1] > xs[1:]).any():
                 raise InvalidArgumentError("grid values must be non-decreasing")
-            object.__setattr__(self, "xs", xs)
+            object.__setattr__(self, "xs", tuple(xs.tolist()))
 
     @property
     def points(self) -> list[tuple[Any, float]]:
@@ -140,34 +139,6 @@ class EffectCurve:
 # ---------------------------------------------------------------------------
 # ICE and PD
 # ---------------------------------------------------------------------------
-
-
-def _grid_prediction_matrix(
-    predictor: PredictorHandle,
-    data: Dataset,
-    grids: Sequence[Grid],
-    cache: PredictionCache,
-) -> tuple[list[tuple[Any, ...]], np.ndarray]:
-    """Predictions for every grid point: one row per point, one column per observation."""
-    points = list(itertools.product(*(g.points for g in grids)))
-    features = [g.feature for g in grids]
-    rows = []
-    for combo in points:
-        intervened = intervene_replace(data, dict(zip(features, combo)))
-        rows.append(predict_batch(predictor, intervened, cache=cache))
-    return points, np.vstack(rows)
-
-
-def _replace_record(data: Dataset, grids: Sequence[Grid], n_points: int) -> StageRecord:
-    return StageRecord(
-        INTERVENTION,
-        "replace feature columns with each grid value",
-        {
-            "features": [data.meta[g.feature].name for g in grids],
-            "grid_points": n_points,
-            "grid_source": [g.source for g in grids],
-        },
-    )
 
 
 def _resolve_feature_set(
@@ -197,6 +168,56 @@ def _resolve_feature_set(
     return feature_list, grids
 
 
+def _substitute_grid(
+    predictor: PredictorHandle,
+    data: Dataset,
+    features: int | str | Sequence[int | str],
+    grid: Grid | Sequence[Grid] | None,
+    threads: int,
+) -> tuple[
+    int | tuple[int, ...], tuple[Any, ...], np.ndarray, np.ndarray, tuple[StageRecord, ...]
+]:
+    """Predict every grid point of a feature or feature set.
+
+    Returns the curve's feature and grid values, the predictions per
+    distinct point (one column per observation), the inverse index from
+    grid points to distinct points, and the intervention and prediction
+    records.
+    """
+    feature_list, grids = _resolve_feature_set(data, features, grid)
+    points = list(itertools.product(*(g.points for g in grids)))
+    cache = PredictionCache(threads)
+    preds, inverse = cache.substitute(predictor, data, feature_list, points)
+    intervention = StageRecord(
+        INTERVENTION,
+        "replace feature columns with each grid value",
+        {
+            "features": [data.meta[g.feature].name for g in grids],
+            "grid_points": len(points),
+            "grid_source": [g.source for g in grids],
+        },
+    )
+    records = (intervention, cache.prediction_record(predictor))
+    if len(feature_list) == 1:
+        return feature_list[0], tuple(p[0] for p in points), preds, inverse, records
+    return tuple(feature_list), tuple(points), preds, inverse, records
+
+
+def _ice_builder(
+    predictor: PredictorHandle,
+    data: Dataset,
+    features: int | str | Sequence[int | str],
+    grid: Grid | Sequence[Grid] | None,
+    threads: int,
+) -> Callable[[int], EffectCurve]:
+    """Predict the whole ICE grid; the returned function builds the curve of one observation."""
+    feature, xs, preds, inverse, records = _substitute_grid(
+        predictor, data, features, grid, threads
+    )
+    trace = assemble_trace(data.provenance, records)
+    return lambda i: EffectCurve("ice", feature, xs, preds[inverse, i], trace, observation=i)
+
+
 def ice_curves(
     predictor: PredictorHandle,
     data: Dataset,
@@ -211,23 +232,8 @@ def ice_curves(
     at their observed values.  A feature set evaluates over the Cartesian
     product of the per-feature grids (grid values become tuples).
     """
-    feature_list, grids = _resolve_feature_set(data, features, grid)
-    cache = PredictionCache(threads)
-    points, preds = _grid_prediction_matrix(predictor, data, grids, cache)
-    trace = assemble_trace(
-        data.provenance,
-        (_replace_record(data, grids, len(points)), cache.prediction_record(predictor)),
-    )
-    if len(feature_list) == 1:
-        feature: int | tuple[int, ...] = feature_list[0]
-        xs = tuple(p[0] for p in points)
-    else:
-        feature = tuple(feature_list)
-        xs = tuple(points)
-    return [
-        EffectCurve("ice", feature, xs, tuple(preds[:, i]), trace, observation=i)
-        for i in range(data.n_rows)
-    ]
+    curve = _ice_builder(predictor, data, features, grid, threads)
+    return [curve(i) for i in range(data.n_rows)]
 
 
 def pd_curve(
@@ -247,26 +253,16 @@ def pd_curve(
     (grid values become tuples); if the set covers every feature there is
     nothing to marginalize and the curve is the prediction itself.
     """
-    feature_list, grids = _resolve_feature_set(data, features, grid)
-    cache = PredictionCache(threads)
-    points, preds = _grid_prediction_matrix(predictor, data, grids, cache)
-    ys = preds.mean(axis=1)
-    trace = assemble_trace(
-        data.provenance,
-        (
-            _replace_record(data, grids, len(points)),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "mean prediction over background rows at each grid point",
-                {"background_rows": data.n_rows},
-            ),
-        ),
+    feature, xs, preds, inverse, records = _substitute_grid(
+        predictor, data, features, grid, threads
     )
-    if len(feature_list) == 1:
-        xs = tuple(p[0] for p in points)
-        return EffectCurve(method_tag, feature_list[0], xs, tuple(ys), trace)
-    return EffectCurve(method_tag, tuple(feature_list), tuple(points), tuple(ys), trace)
+    aggregation = StageRecord(
+        AGGREGATION,
+        "mean prediction over background rows at each grid point",
+        {"background_rows": data.n_rows},
+    )
+    trace = assemble_trace(data.provenance, records + (aggregation,))
+    return EffectCurve(method_tag, feature, xs, preds.mean(axis=1)[inverse], trace)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +336,8 @@ def ale_first_order(
         members = np.flatnonzero(idx == k)
         counts[k] = members.size
         subset = data.replace_columns({}, row_subset=members)
-        upper = predict_batch(predictor, intervene_replace(subset, {j: edges[k + 1]}), cache=cache)
-        lower = predict_batch(predictor, intervene_replace(subset, {j: edges[k]}), cache=cache)
+        bounds = [[edges[k + 1]], [edges[k]]]
+        (upper, lower), _ = cache.substitute(predictor, subset, [j], bounds)
         local_effects[k] = np.mean(upper - lower)
 
     accumulated = np.cumsum(local_effects)

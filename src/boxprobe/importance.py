@@ -20,13 +20,12 @@ from .core import (
     PredictorHandle,
     estimate_generalization_error,
     intervene_permute,
-    intervene_replace,
     make_rng,
     predict_batch,
     spawn_seeds,
 )
 from .data import CONTINUOUS, Dataset
-from .effects import EffectCurve, _grid_prediction_matrix, _replace_record, observed_grid, pd_curve
+from .effects import EffectCurve, _substitute_grid, observed_grid, pd_curve
 from .errors import (
     CapacityError,
     InvalidArgumentError,
@@ -99,6 +98,11 @@ def _pd_spread(curve_xs: tuple, curve_ys: np.ndarray, data: Dataset, j: int) -> 
     return float((np.max(curve_ys) - np.min(curve_ys)) / 4.0)
 
 
+def _spread_record(description: str, data: Dataset, j: int) -> StageRecord:
+    spread = "sample sd" if data.meta[j].kind == CONTINUOUS else "range / 4"
+    return StageRecord(AGGREGATION, description, {"spread": spread})
+
+
 def pd_importance(
     predictor: PredictorHandle, data: Dataset, feature: int | str, threads: int = 1
 ) -> ImportanceScore:
@@ -111,27 +115,12 @@ def pd_importance(
     """
     j = data.feature_index(feature)
     grid = observed_grid(data, j)
-    cache = PredictionCache(threads)
-    points, preds = _grid_prediction_matrix(predictor, data, [grid], cache)
-    pd_values = preds.mean(axis=1)
-    xs = tuple(p[0] for p in points)
-    value = _pd_spread(xs, pd_values, data, j)
-    trace = assemble_trace(
-        data.provenance,
-        (
-            _replace_record(data, [grid], len(points)),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "partial dependence per grid value, then spread across observed values",
-                {
-                    "spread": "sample sd"
-                    if data.meta[j].kind == CONTINUOUS
-                    else "range / 4"
-                },
-            ),
-        ),
+    _, xs, preds, inverse, records = _substitute_grid(predictor, data, j, grid, threads)
+    value = _pd_spread(xs, preds.mean(axis=1)[inverse], data, j)
+    aggregation = _spread_record(
+        "partial dependence per grid value, then spread across observed values", data, j
     )
+    trace = assemble_trace(data.provenance, records + (aggregation,))
     return ImportanceScore("pd_sd", j, value, trace)
 
 
@@ -157,21 +146,10 @@ def firm(
     j = data.feature_index(feature)
     curve = ces_curve(predictor, data, j, threads=threads)
     value = _pd_spread(curve.xs, curve.values(), data, j)
-    trace = StageTrace(
-        curve.trace.records
-        + (
-            StageRecord(
-                AGGREGATION,
-                "spread of the conditional expected score across observed values",
-                {
-                    "spread": "sample sd"
-                    if data.meta[j].kind == CONTINUOUS
-                    else "range / 4"
-                },
-            ),
-        )
+    aggregation = _spread_record(
+        "spread of the conditional expected score across observed values", data, j
     )
-    return ImportanceScore("firm", j, value, trace)
+    return ImportanceScore("firm", j, value, StageTrace(curve.trace.records + (aggregation,)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +189,8 @@ def ici_curve(
     single = data.replace_columns({}, row_subset=np.array([i]))
     y_i = target[i : i + 1]
     base = float(loss(predict_batch(predictor, single, cache=cache), y_i)[0])
-    ys = []
-    for v in values:
-        pred = predict_batch(predictor, intervene_replace(single, {j: v}), cache=cache)
-        ys.append(float(loss(pred, y_i)[0]) - base)
+    preds, inverse = cache.substitute(predictor, single, [j], values[:, None])
+    ys = (loss(preds[:, 0], np.repeat(y_i, len(preds))) - base)[inverse]
     trace = assemble_trace(
         data.provenance,
         (
@@ -231,7 +207,7 @@ def ici_curve(
             ),
         ),
     )
-    return EffectCurve("ici", j, tuple(values), tuple(ys), trace, observation=i)
+    return EffectCurve("ici", j, tuple(values), ys, trace, observation=i)
 
 
 def _pi_values(
@@ -239,17 +215,22 @@ def _pi_values(
     data: Dataset,
     j: int,
     loss: LossFunction,
-    cache: PredictionCache,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-substituted-value mean loss change over all observations."""
+    threads: int,
+) -> tuple[np.ndarray, np.ndarray, tuple[StageRecord, ...]]:
+    """Per-substituted-value mean loss change over all observations, plus the
+    intervention and prediction records."""
     target = _require_numeric_target(data)
     values = _sorted_observed(data, j)
+    cache = PredictionCache(threads)
     base_losses = loss(predict_batch(predictor, data, cache=cache), target)
-    means = np.empty(len(values))
-    for l, v in enumerate(values):
-        preds = predict_batch(predictor, intervene_replace(data, {j: v}), cache=cache)
-        means[l] = np.mean(loss(preds, target) - base_losses)
-    return values, means
+    preds, inverse = cache.substitute(predictor, data, [j], values[:, None])
+    means = np.array([np.mean(loss(row, target) - base_losses) for row in preds])
+    intervention = StageRecord(
+        INTERVENTION,
+        "substitute each observed feature value into every observation",
+        {"feature": data.meta[j].name, "values": len(values)},
+    )
+    return values, means[inverse], (intervention, cache.prediction_record(predictor))
 
 
 def pi_curve(
@@ -261,25 +242,14 @@ def pi_curve(
 ) -> EffectCurve:
     """Pointwise mean of all per-observation loss-change curves."""
     j = data.feature_index(feature)
-    cache = PredictionCache(threads)
-    values, means = _pi_values(predictor, data, j, loss, cache)
-    trace = assemble_trace(
-        data.provenance,
-        (
-            StageRecord(
-                INTERVENTION,
-                "substitute each observed feature value into every observation",
-                {"feature": data.meta[j].name, "values": len(values)},
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "mean loss change over observations at each substituted value",
-                {"loss": loss.tag},
-            ),
-        ),
+    values, means, records = _pi_values(predictor, data, j, loss, threads)
+    aggregation = StageRecord(
+        AGGREGATION,
+        "mean loss change over observations at each substituted value",
+        {"loss": loss.tag},
     )
-    return EffectCurve("pi", j, tuple(values), tuple(means), trace)
+    trace = assemble_trace(data.provenance, records + (aggregation,))
+    return EffectCurve("pi", j, tuple(values), means, trace)
 
 
 def pfi_exhaustive(
@@ -295,26 +265,14 @@ def pfi_exhaustive(
     value) pair; identical to the mean of the averaged loss-change curve.
     """
     j = data.feature_index(feature)
-    cache = PredictionCache(threads)
-    values, means = _pi_values(predictor, data, j, loss, cache)
-    value = float(np.mean(means))
-    trace = assemble_trace(
-        data.provenance,
-        (
-            StageRecord(
-                INTERVENTION,
-                "substitute each observed feature value into every observation",
-                {"feature": data.meta[j].name, "values": len(values)},
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "double average of loss changes over all value/observation pairs",
-                {"loss": loss.tag, "pairs": len(values) * data.n_rows},
-            ),
-        ),
+    values, means, records = _pi_values(predictor, data, j, loss, threads)
+    aggregation = StageRecord(
+        AGGREGATION,
+        "double average of loss changes over all value/observation pairs",
+        {"loss": loss.tag, "pairs": len(values) * data.n_rows},
     )
-    return ImportanceScore("pfi_exhaustive", j, value, trace, loss=loss.tag)
+    trace = assemble_trace(data.provenance, records + (aggregation,))
+    return ImportanceScore("pfi_exhaustive", j, float(np.mean(means)), trace, loss=loss.tag)
 
 
 def pfi_permutation(
@@ -410,13 +368,11 @@ def _perturbed_ge(
     if mode == PERTURB_PERMUTATION:
         shuffled = _permute_block(data, perturbed, _coalition_seed(seed, perturbed))
         return estimate_generalization_error(predictor, shuffled, loss, cache=cache)
-    columns = {t: data.column(t) for t in perturbed}
-    per_donor = np.empty(data.n_rows)
-    for l in range(data.n_rows):
-        substituted = intervene_replace(data, {t: columns[t][l] for t in perturbed})
-        preds = predict_batch(predictor, substituted, cache=cache)
-        per_donor[l] = np.mean(loss(preds, target))
-    return float(np.mean(per_donor))
+    block = sorted(perturbed)
+    donors = list(zip(*(data.column(t) for t in block)))
+    preds, inverse = cache.substitute(predictor, data, block, donors)
+    per_donor = np.array([np.mean(loss(row, target)) for row in preds])
+    return float(np.mean(per_donor[inverse]))
 
 
 def pfi_payout(

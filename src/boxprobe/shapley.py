@@ -19,9 +19,7 @@ import numpy as np
 from .core import (
     PredictionCache,
     PredictorHandle,
-    intervene_replace,
     make_rng,
-    predict_batch,
 )
 from .data import Dataset
 from .errors import CapacityError, InvalidArgumentError
@@ -100,9 +98,9 @@ def pd_payout(
     if not members:
         return 0.0
     cache = cache if cache is not None else PredictionCache()
-    intervened = intervene_replace(data, {j: x[j] for j in members})
-    pd_value = float(np.mean(predict_batch(predictor, intervened, cache=cache)))
-    baseline = float(np.mean(predict_batch(predictor, data, cache=cache)))
+    preds, _ = cache.substitute(predictor, data, members, [[x[j] for j in members]])
+    pd_value = float(np.mean(preds[0]))
+    baseline = float(np.mean(cache.baseline(predictor, data)))
     return pd_value - baseline
 
 

@@ -13,6 +13,7 @@ from boxprobe import (
     make_rng,
     predict_batch,
     sample_observations,
+    pi_curve,
     squared_loss,
     absolute_loss,
     zero_one_loss,
@@ -187,20 +188,23 @@ def test_batch_equals_row_wise_predictions():
 
 
 def test_prediction_cache_reuses_results():
-    calls = {"n": 0}
+    """A PI run predicts each distinct substituted row once but traces the logical counts."""
+    seen = []
 
     def fn(X):
-        calls["n"] += 1
-        return np.asarray(X)[:, 0]
+        seen.append(np.array(X))
+        return np.asarray(X) @ np.array([1.0, -2.0])
 
-    predictor = handle(fn, 1)
-    data = columns_dataset(a=[1.0, 2.0])
-    cache = PredictionCache()
-    first = predict_batch(predictor, data, cache=cache)
-    second = predict_batch(predictor, data, cache=cache)
-    assert calls["n"] == 1
-    assert np.array_equal(first, second)
-    assert cache.batches == 2 and cache.rows == 4
+    data = columns_dataset(a=[1.0, 2.0, 2.0, 3.0, 3.0, 3.0], b=[0.5, 1.0, 1.5, 2.0, 2.5, 3.0], target=[0.0] * 6)
+    curve = pi_curve(handle(fn, 2), data, "a", squared_loss())
+    base, substituted = seen[0], np.vstack(seen[1:])
+    assert np.array_equal(base, data.matrix())
+    assert len(seen) == 1 + 3  # the intact data, then one batch per distinct value
+    assert len({tuple(r) for r in substituted.tolist()}) == len(substituted) == 3 * 6
+    assert curve.xs == (1.0, 2.0, 2.0, 3.0, 3.0, 3.0)
+    assert curve.ys[1] == curve.ys[2] and curve.ys[3] == curve.ys[5]
+    record = next(r for r in curve.trace.records if r.stage == "prediction")
+    assert (record.parameters["batches"], record.parameters["rows"]) == (1 + 6, 6 + 6 * 6)
 
 
 def test_threaded_prediction_matches_sequential():

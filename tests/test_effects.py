@@ -84,6 +84,16 @@ def test_effect_curve_validation():
         EffectCurve("pd", 0, (1.0,), (float("nan"),), trace)
 
 
+def test_effect_curve_normalizes_python_and_numpy_reals():
+    trace = StageTrace()
+    curve = EffectCurve("pd", 0, (True, 2, np.float64(2.5)), (np.float64(1.0), 2, 3.5), trace)
+    assert curve.xs == (1.0, 2.0, 2.5) and curve.ys == (1.0, 2.0, 3.5)
+    assert set(map(type, curve.xs + curve.ys)) == {float}
+    # numpy integers are not Python ints: the grid values are kept as given.
+    kept = EffectCurve("pd", 0, (np.int64(1), np.int64(2)), (0.0, 1.0), trace)
+    assert set(map(type, kept.xs)) == {np.int64}
+
+
 # -- ICE -----------------------------------------------------------------------
 
 
@@ -126,6 +136,14 @@ def test_ice_anchoring_exact():
     for i, curve in enumerate(curves):
         g = data.column(0)[i]
         assert curve.ys[int(np.searchsorted(xs, g))] == direct[i]
+
+
+def test_ice_keeps_signed_zero_grid_points_apart():
+    data = columns_dataset(a=[1.0, 2.0])
+    identity = handle(lambda X: np.asarray(X)[:, 0], 1)
+    grid = custom_grid(data, 0, [-0.0, 0.0])
+    for curve in ice_curves(identity, data, 0, grid=grid):
+        assert [np.signbit(y) for y in curve.ys] == [True, False]
 
 
 def test_ice_rejects_foreign_grid(two_feature_data, sum_predictor):

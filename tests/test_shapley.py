@@ -177,3 +177,19 @@ def test_mc_trace_records_sampling_seed(two_feature_data, sum_predictor):
     result = shapley_mc(sum_predictor, two_feature_data, (1.0, 2.0), 0, iterations=10, seed=3)
     assert result.trace.stages() == ("sampling", "intervention", "prediction", "aggregation")
     assert result.trace.records[0].parameters["seed"] == 3
+
+
+def test_exact_predicts_the_baseline_once():
+    seen = []
+
+    def fn(X):
+        seen.append(np.array(X))
+        return np.asarray(X) @ np.array([1.0, 2.0, -1.0])
+
+    data = columns_dataset(a=[0.0, 1.0, 2.0], b=[1.0, 0.0, 1.0], c=[2.0, 2.0, 0.0])
+    result = shapley_exact(handle(fn, 3), data, (5.0, 6.0, 7.0), 0)
+    assert sum(np.array_equal(X, data.matrix()) for X in seen) == 1
+    assert len(seen) == 1 + (2**3 - 1)  # the baseline, then each non-empty coalition
+    record = next(r for r in result.trace.records if r.stage == "prediction")
+    # Every payout still counts its baseline batch.
+    assert (record.parameters["batches"], record.parameters["rows"]) == (2 * 7, 2 * 7 * 3)

@@ -1,0 +1,157 @@
+"""The substitution kernel against a per-point reference, bit for bit.
+
+The reference is the loop the kernel replaces: one ``intervene_replace``
+and one predictor call per grid point, donor or coalition.  Every estimator
+that substitutes must return the same bits at any row budget and thread
+count for a model that rounds each row the same in any batch, and at the
+default budget for the fitted linear model, whose rounding does depend on
+the batch.
+"""
+
+import numpy as np
+import pytest
+
+from boxprobe import (
+    Dataset,
+    ale_first_order,
+    exact_shapley_value,
+    fit_linear,
+    ice_curves,
+    ici_curve,
+    intervene_replace,
+    observed_grid,
+    pd_curve,
+    pfi_exhaustive,
+    pi_curve,
+    sfimp,
+    shapley_exact,
+    squared_loss,
+)
+from boxprobe import core
+from boxprobe.effects import _ale_bins
+
+from conftest import handle
+
+LOSS = squared_loss()
+
+
+def mixed_data():
+    """Ten rows, duplicated continuous values and one categorical column."""
+    return Dataset.from_columns(
+        {
+            "a": [0.5, 1.0, 1.0, -2.0, 0.5, 3.0, 1.0, -2.0, 0.25, 3.0],
+            "b": [1.5, -0.5, 2.0, 2.0, 0.0, 1.0, -1.25, 0.75, 2.0, 0.5],
+            "c": ["u", "v", "w", "u", "u", "v", "w", "w", "u", "v"],
+            "d": [2.0, 2.0, -1.0, 0.5, 0.5, 4.0, 2.0, -3.0, 1.5, 0.5],
+        },
+        target=[1.0, 0.0, 2.5, -1.0, 0.5, 3.0, 1.5, -2.0, 0.0, 2.0],
+    )
+
+
+def rowwise(X):
+    """A nonlinear model built from exact elementwise operations only."""
+    X = np.asarray(X)
+    a, b, d = (X[:, k].astype(float) for k in (0, 1, 3))
+    return a * b + np.where(X[:, 2] == "v", d * d, -d) + 0.5 * a * b * d
+
+
+def reference_grid(predictor, data, features, points):
+    rows = [predictor(intervene_replace(data, dict(zip(features, p))).matrix()) for p in points]
+    return np.vstack(rows)
+
+
+def reference_pi(predictor, data, j):
+    y = data.target
+    base_losses = LOSS(predictor(data.matrix()), y)
+    values = np.sort(data.column(j), kind="stable")
+    means = [np.mean(LOSS(predictor(intervene_replace(data, {j: v}).matrix()), y) - base_losses) for v in values]
+    return np.array(means)
+
+
+def reference_ici(predictor, data, i, j):
+    single = data.replace_columns({}, row_subset=np.array([i]))
+    y_i = data.target[i : i + 1]
+    base = float(LOSS(predictor(single.matrix()), y_i)[0])
+    values = np.sort(data.column(j), kind="stable")
+    return np.array([float(LOSS(predictor(intervene_replace(single, {j: v}).matrix()), y_i)[0]) - base for v in values])
+
+
+def reference_sfimp(predictor, data, j):
+    y, p = data.target, data.n_features
+
+    def ge(block):
+        if not block:
+            return float(np.mean(LOSS(predictor(data.matrix()), y)))
+        per_donor = [
+            np.mean(LOSS(predictor(intervene_replace(data, {t: data.column(t)[l] for t in block}).matrix()), y))
+            for l in range(data.n_rows)
+        ]
+        return float(np.mean(per_donor))
+
+    everything = frozenset(range(p))
+    return exact_shapley_value(lambda k: ge(everything - k) - ge(everything) if k else 0.0, p, j)
+
+
+def reference_shapley(predictor, data, x, j):
+    baseline = float(np.mean(predictor(data.matrix())))
+
+    def payout(k):
+        if not k:
+            return 0.0
+        return float(np.mean(predictor(intervene_replace(data, {t: x[t] for t in k}).matrix()))) - baseline
+
+    return exact_shapley_value(payout, data.n_features, j)
+
+
+def reference_ale(predictor, data, j, intervals):
+    edges, idx = _ale_bins(data.column(j), intervals)
+    effects, counts = [], []
+    for k in range(len(edges) - 1):
+        members = np.flatnonzero(idx == k)
+        subset = data.replace_columns({}, row_subset=members)
+        upper = predictor(intervene_replace(subset, {j: edges[k + 1]}).matrix())
+        lower = predictor(intervene_replace(subset, {j: edges[k]}).matrix())
+        effects.append(np.mean(upper - lower))
+        counts.append(members.size)
+    accumulated = np.cumsum(effects)
+    center = float(np.sum(accumulated * np.array(counts)) / data.n_rows)
+    return np.concatenate(([0.0], accumulated)) - center
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+BUDGETS = {"one row": lambda n: 1, "n rows": lambda n: n, "default": lambda n: core.ROW_BUDGET}
+# The fitted linear model's BLAS matrix-vector product rounds a row
+# differently near the end of a batch, so its bits hold only under the
+# reference's own batches: one call per substituted copy of the data.
+CASES = [("rowwise", b, t) for b in BUDGETS for t in (1, 3)] + [("linear", b, 1) for b in ("n rows", "default")]
+
+
+@pytest.mark.parametrize("model,budget,threads", CASES)
+def test_kernel_matches_per_point_reference(monkeypatch, model, budget, threads):
+    data = mixed_data()
+    predictor = handle(rowwise, 4) if model == "rowwise" else fit_linear(data)
+    monkeypatch.setattr(core, "ROW_BUDGET", BUDGETS[budget](data.n_rows))
+
+    grid_a, grid_c = observed_grid(data, "a"), observed_grid(data, "c")
+    points = [(v,) for v in grid_a.points]
+    grid = reference_grid(predictor, data, [0], points)
+    assert same_bits(pd_curve(predictor, data, 0, threads=threads).ys, grid.mean(axis=1))
+    for i, curve in enumerate(ice_curves(predictor, data, 0, threads=threads)):
+        assert same_bits(curve.ys, grid[:, i])
+    pairs = [(a, c) for a in grid_a.points for c in grid_c.points]
+    set_grid = reference_grid(predictor, data, [0, 2], pairs)
+    assert same_bits(pd_curve(predictor, data, [0, 2], threads=threads).ys, set_grid.mean(axis=1))
+
+    for j in (0, 2):
+        means = reference_pi(predictor, data, j)
+        assert same_bits(pi_curve(predictor, data, j, LOSS, threads=threads).ys, means)
+        assert pfi_exhaustive(predictor, data, j, LOSS, threads=threads).value == float(np.mean(means))
+        assert same_bits(ici_curve(predictor, data, 3, j, LOSS, threads=threads).ys, reference_ici(predictor, data, 3, j))
+
+    assert sfimp(predictor, data, 1, LOSS, threads=threads).value == reference_sfimp(predictor, data, 1)
+    x = (2.0, -1.0, "v", 0.5)
+    assert shapley_exact(predictor, data, x, 3, threads=threads).value == reference_shapley(predictor, data, x, 3)
+    assert same_bits(ale_first_order(predictor, data, 1, 3, threads=threads).ys, reference_ale(predictor, data, 1, 3))
