@@ -11,7 +11,10 @@ All randomness flows through :func:`make_rng`, a PCG64 generator seeded
 explicitly; identical (input, seed) pairs give bit-identical results on any
 platform.  Batch prediction may be split across worker threads, but chunks
 are concatenated in row order and every aggregation runs over the fully
-assembled vector, so thread count never changes a result.
+assembled vector, so thread count changes no result of a row-stable
+predictor (one that rounds each row the same in any batch).  The linear
+reference model is the known exception: its BLAS product can round the last
+rows of a chunk differently, so its bits may move with the thread count.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Real
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import CONTINUOUS, Dataset
+from .data import CONTINUOUS, Dataset, _is_number
 from .errors import (
     InvalidArgumentError,
     MissingTargetError,
@@ -60,6 +62,8 @@ class PredictorHandle:
     of real predictions.  The callable must be deterministic and row-wise
     (each output depends only on its own input row); both properties are
     what make deduplicated, chunked and threaded evaluation transparent.
+    Threads change no bit only for a row-stable callable (each row rounded
+    the same in any batch); the linear reference model's BLAS product is not.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], Any], n_features: int, name: str = "predictor"):
@@ -223,10 +227,8 @@ def predict_batch(
     cache: PredictionCache | None = None,
 ) -> np.ndarray:
     """Predict on a dataset; pure pass-through to the black box."""
-    matrix = _feature_matrix(predictor, data)
-    if cache is not None:
-        return cache.predict(predictor, matrix)
-    return _run_predictor(predictor, matrix, 1)
+    cache = cache if cache is not None else PredictionCache()
+    return cache.predict(predictor, _feature_matrix(predictor, data))
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +428,16 @@ def finite_difference(
     if not 0 <= j < len(x):
         raise InvalidArgumentError(f"feature index {j} out of range")
     center = x[j]
-    if not isinstance(center, (Real, np.floating, np.integer)) or isinstance(center, bool):
+    if not _is_number(center):
         raise UnsupportedKindError(
             f"finite differences need a continuous feature; got {center!r} at index {j}"
         )
-    numeric = all(isinstance(v, (Real, np.floating, np.integer)) and not isinstance(v, bool) for v in x)
+    numeric = all(_is_number(v) for v in x)
     matrix = np.array([x, x], dtype=(float if numeric else object))
     matrix[0, j] = float(center) + h
     matrix[1, j] = float(center) - h
-    if cache is not None:
-        preds = cache.predict(predictor, matrix)
-    else:
-        preds = predictor(matrix)
+    cache = cache if cache is not None else PredictionCache()
+    preds = cache.predict(predictor, matrix)
     fd = float(preds[0] - preds[1])
     return fd, fd / (2.0 * h)
 

@@ -70,10 +70,6 @@ class FeatureMeta:
                     )
                 object.__setattr__(self, "observed_range", (lo, hi))
 
-    @property
-    def is_continuous(self) -> bool:
-        return self.kind == CONTINUOUS
-
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (Real, np.floating, np.integer)) and not isinstance(

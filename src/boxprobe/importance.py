@@ -32,7 +32,7 @@ from .errors import (
     MissingTargetError,
     UndefinedVarianceError,
 )
-from .shapley import EXACT_FEATURE_CAP, _memoized, exact_shapley_value
+from .shapley import EXACT_FEATURE_CAP, exact_shapley_value
 from .trace import AGGREGATION, INTERVENTION, StageRecord, StageTrace, assemble_trace
 
 PERTURB_EXHAUSTIVE = "exhaustive"
@@ -70,9 +70,6 @@ def _sample_sd(values: np.ndarray) -> float:
 
 def _expand_to_observations(xs: tuple, ys: np.ndarray, column: np.ndarray) -> np.ndarray:
     """Map per-grid-point values back onto the n observations (duplicates kept)."""
-    if column.dtype == object:
-        lookup = {x: y for x, y in zip(xs, ys)}
-        return np.array([lookup[v] for v in column], dtype=float)
     idx = np.searchsorted(np.asarray(xs, dtype=float), column)
     return ys[idx]
 
@@ -335,6 +332,14 @@ def _coalition_seed(seed: int, perturbed: frozenset[int]) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint32)[0])
 
 
+def _check_perturbation(data: Dataset, mode: str, seed: int | None) -> None:
+    if mode not in (PERTURB_EXHAUSTIVE, PERTURB_PERMUTATION):
+        raise InvalidArgumentError(f"unknown perturbation mode {mode!r}")
+    if mode == PERTURB_PERMUTATION and seed is None:
+        raise InvalidArgumentError("permutation mode needs a seed")
+    _require_numeric_target(data)
+
+
 def _permute_block(data: Dataset, perturbed: Iterable[int], seed: int) -> Dataset:
     """Permute a block of columns jointly with one shared permutation."""
     perm = make_rng(seed).permutation(data.n_rows)
@@ -391,11 +396,7 @@ def pfi_payout(
     the all-perturbed baseline, so the empty coalition pays exactly zero
     and fully informative coalitions pay negatively (loss saved).
     """
-    if mode not in (PERTURB_EXHAUSTIVE, PERTURB_PERMUTATION):
-        raise InvalidArgumentError(f"unknown perturbation mode {mode!r}")
-    if mode == PERTURB_PERMUTATION and seed is None:
-        raise InvalidArgumentError("permutation mode needs a seed")
-    _require_numeric_target(data)
+    _check_perturbation(data, mode, seed)
     members = frozenset(data.feature_index(k) for k in coalition)
     if not members:
         return 0.0
@@ -428,11 +429,7 @@ def sfimp(
         raise CapacityError(
             f"exact enumeration over {p} features exceeds the cap of {cap}"
         )
-    if mode not in (PERTURB_EXHAUSTIVE, PERTURB_PERMUTATION):
-        raise InvalidArgumentError(f"unknown perturbation mode {mode!r}")
-    if mode == PERTURB_PERMUTATION and seed is None:
-        raise InvalidArgumentError("permutation mode needs a seed")
-    _require_numeric_target(data)
+    _check_perturbation(data, mode, seed)
     j = data.feature_index(feature)
     cache = PredictionCache(threads)
     everything = frozenset(range(p))
@@ -448,7 +445,7 @@ def sfimp(
             return 0.0
         return perturbed_ge(everything - coalition) - perturbed_ge(everything)
 
-    value = exact_shapley_value(_memoized(payout), p, j)
+    value = exact_shapley_value(payout, p, j)
     trace = assemble_trace(
         data.provenance,
         (

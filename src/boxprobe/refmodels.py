@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import PredictorHandle
-from .data import CATEGORICAL, CONTINUOUS, Dataset
+from .data import CONTINUOUS, Dataset, FeatureMeta, _is_number
 from .errors import (
     DataFormatError,
     InvalidArgumentError,
@@ -28,16 +28,6 @@ from .errors import (
 MODEL_FORMAT = "boxprobe-model"
 MODEL_VERSION = 1
 
-# Feature schema entries: (name, kind, levels-or-None).
-Schema = tuple[tuple[str, str, tuple[str, ...] | None], ...]
-
-
-def _schema_from(data: Dataset) -> Schema:
-    return tuple(
-        (m.name, m.kind, m.levels if m.kind == CATEGORICAL else None)
-        for m in data.meta
-    )
-
 
 def _numeric_target(data: Dataset) -> np.ndarray:
     if data.target is None:
@@ -47,18 +37,25 @@ def _numeric_target(data: Dataset) -> np.ndarray:
     return np.asarray(data.target, dtype=float)
 
 
-def _continuous_column(X: np.ndarray, j: int) -> np.ndarray:
-    return X[:, j].astype(float)
+def _finite(values: Any, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{what} must be finite")
+    return arr
 
 
 class ReferenceModel(PredictorHandle):
-    """Base for fitted reference predictors; adds a serializable schema."""
+    """Base for fitted reference predictors; adds a serializable schema.
+
+    The schema holds each feature's name, kind and levels (no observed range).
+    Constructors check every parameter; fitting and loading both pass there.
+    """
 
     kind = "reference"
 
-    def __init__(self, schema: Schema):
-        self.schema = schema
-        super().__init__(self._predict, len(schema), name=self.kind)
+    def __init__(self, schema: Sequence[FeatureMeta]):
+        self.schema = tuple(FeatureMeta(m.name, m.kind, m.levels) for m in schema)
+        super().__init__(self._predict, len(self.schema), name=self.kind)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -69,8 +66,8 @@ class ReferenceModel(PredictorHandle):
             "version": MODEL_VERSION,
             "kind": self.kind,
             "features": [
-                {"name": n, "kind": k, "levels": list(lv) if lv else None}
-                for n, k, lv in self.schema
+                {"name": m.name, "kind": m.kind, "levels": list(m.levels) if m.levels else None}
+                for m in self.schema
             ],
             "parameters": self._parameters(),
         }
@@ -84,15 +81,15 @@ class ReferenceModel(PredictorHandle):
 # ---------------------------------------------------------------------------
 
 
-def _design_matrix(X: np.ndarray, schema: Schema) -> np.ndarray:
+def _design_matrix(X: np.ndarray, schema: Sequence[FeatureMeta]) -> np.ndarray:
     """Continuous columns as-is; categoricals one-hot with the first level dropped."""
     cols = []
-    for j, (_, kind, levels) in enumerate(schema):
-        if kind == CONTINUOUS:
-            cols.append(_continuous_column(X, j))
+    for j, m in enumerate(schema):
+        if m.kind == CONTINUOUS:
+            cols.append(X[:, j].astype(float))
         else:
             raw = X[:, j]
-            for level in levels[1:]:
+            for level in m.levels[1:]:
                 cols.append((raw == level).astype(float))
     if not cols:
         return np.zeros((X.shape[0], 0))
@@ -102,10 +99,17 @@ def _design_matrix(X: np.ndarray, schema: Schema) -> np.ndarray:
 class LinearModel(ReferenceModel):
     kind = "linear"
 
-    def __init__(self, schema: Schema, intercept: float, coefficients: Sequence[float]):
-        self.intercept = float(intercept)
-        self.coefficients = np.asarray(coefficients, dtype=float)
+    def __init__(
+        self, schema: Sequence[FeatureMeta], intercept: float, coefficients: Sequence[float]
+    ):
         super().__init__(schema)
+        self.intercept = float(_finite(intercept, "intercept"))
+        self.coefficients = _finite(coefficients, "coefficients")
+        width = sum(1 if m.kind == CONTINUOUS else len(m.levels) - 1 for m in self.schema)
+        if self.coefficients.shape != (width,):
+            raise InvalidArgumentError(
+                f"the design has {width} columns, got {self.coefficients.size} coefficients"
+            )
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         design = _design_matrix(np.asarray(X), self.schema)
@@ -124,14 +128,13 @@ def fit_linear(data: Dataset) -> LinearModel:
     n, p = data.n_rows, data.n_features
     if n <= p:
         raise SingularFitError(f"need more observations than features (n={n}, p={p})")
-    schema = _schema_from(data)
     design = np.column_stack(
-        (np.ones(n), _design_matrix(data.matrix(), schema))
+        (np.ones(n), _design_matrix(data.matrix(), data.meta))
     )
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise SingularFitError("design matrix is rank deficient")
-    return LinearModel(schema, coef[0], coef[1:])
+    return LinearModel(data.meta, coef[0], coef[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +145,33 @@ def fit_linear(data: Dataset) -> LinearModel:
 class KNNModel(ReferenceModel):
     kind = "knn"
 
-    def __init__(self, schema: Schema, k: int, train: np.ndarray, target: Sequence[float]):
-        self.k = int(k)
-        self.train = np.asarray(train)
-        self.target = np.asarray(target, dtype=float)
+    def __init__(
+        self, schema: Sequence[FeatureMeta], k: int, train: np.ndarray, target: Sequence[float]
+    ):
         super().__init__(schema)
+        self.k = int(k)
+        schema = self.schema
+        rows = [
+            [float(v) if m.kind == CONTINUOUS else str(v) for m, v in zip(schema, r, strict=True)]
+            for r in train
+        ]
+        numeric = all(m.kind == CONTINUOUS for m in schema)
+        self.train = np.array(rows, dtype=(float if numeric else object))
+        self.target = _finite(target, "knn targets")
+        n = len(self.train)
+        if self.target.shape != (n,):
+            raise InvalidArgumentError(f"knn needs {n} targets, got {self.target.size}")
+        if not 1 <= self.k <= n:
+            raise InvalidArgumentError(f"k must be between 1 and n={n}, got {self.k}")
+        for j, m in enumerate(schema):
+            if m.kind == CONTINUOUS:
+                _finite(self.train[:, j], f"training values of {m.name!r}")
 
     def _distances(self, row: np.ndarray) -> np.ndarray:
         total = np.zeros(len(self.train))
-        for j, (_, kind, _) in enumerate(self.schema):
+        for j, m in enumerate(self.schema):
             col = self.train[:, j]
-            if kind == CONTINUOUS:
+            if m.kind == CONTINUOUS:
                 total += (col.astype(float) - float(row[j])) ** 2
             else:
                 total += (col != row[j]).astype(float)  # match/no-match distance
@@ -179,12 +198,7 @@ class KNNModel(ReferenceModel):
 def fit_knn(data: Dataset, k: int) -> KNNModel:
     """Store the sample; predict the mean target of the k nearest rows."""
     y = _numeric_target(data)
-    k = int(k)
-    if not 1 <= k <= data.n_rows:
-        raise InvalidArgumentError(
-            f"k must be between 1 and n={data.n_rows}, got {k}"
-        )
-    return KNNModel(_schema_from(data), k, np.array(data.matrix()), y)
+    return KNNModel(data.meta, k, data.matrix(), y)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +211,29 @@ class StumpModel(ReferenceModel):
 
     def __init__(
         self,
-        schema: Schema,
+        schema: Sequence[FeatureMeta],
         feature: int | None,
         split_kind: str | None,
         threshold: Any,
         left_value: float,
         right_value: float,
     ):
+        super().__init__(schema)
+        if feature is not None:
+            p = len(self.schema)
+            if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < p:
+                raise InvalidArgumentError(f"stump feature {feature!r} is not an index below {p}")
+            if split_kind not in ("le", "eq"):
+                raise InvalidArgumentError(f"unknown stump split kind {split_kind!r}")
+            if split_kind == "le" and not (_is_number(threshold) and np.isfinite(threshold)):
+                raise InvalidArgumentError(
+                    f"an 'le' split needs a finite numeric threshold, got {threshold!r}"
+                )
         self.feature = feature
         self.split_kind = split_kind  # "le" (x <= t) or "eq" (x == level)
         self.threshold = threshold
-        self.left_value = float(left_value)
-        self.right_value = float(right_value)
-        super().__init__(schema)
+        self.left_value = float(_finite(left_value, "left value"))
+        self.right_value = float(_finite(right_value, "right value"))
 
     def _mask(self, X: np.ndarray) -> np.ndarray:
         col = X[:, self.feature]
@@ -253,8 +277,7 @@ def fit_stump(data: Dataset) -> StumpModel:
     targets (or no feature with two observed sides) give a constant stump.
     """
     y = _numeric_target(data)
-    schema = _schema_from(data)
-    constant = StumpModel(schema, None, None, None, float(np.mean(y)), float(np.mean(y)))
+    constant = StumpModel(data.meta, None, None, None, float(np.mean(y)), float(np.mean(y)))
     if np.max(y) == np.min(y):
         return constant
 
@@ -276,7 +299,7 @@ def fit_stump(data: Dataset) -> StumpModel:
     if best is None:
         return constant
     _, j, split_kind, threshold, left, right = best
-    return StumpModel(schema, j, split_kind, threshold, left, right)
+    return StumpModel(data.meta, j, split_kind, threshold, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +314,6 @@ def save_model(model: ReferenceModel, path: str) -> None:
         fh.write("\n")
 
 
-def _schema_from_json(features: Any) -> Schema:
-    schema = []
-    for entry in features:
-        levels = entry.get("levels")
-        schema.append(
-            (
-                str(entry["name"]),
-                str(entry["kind"]),
-                tuple(str(v) for v in levels) if levels else None,
-            )
-        )
-    return tuple(schema)
-
-
 def load_model(path: str) -> ReferenceModel:
     """Restore a model written by :func:`save_model`."""
     try:
@@ -317,23 +326,16 @@ def load_model(path: str) -> ReferenceModel:
     if obj.get("version") != MODEL_VERSION:
         raise DataFormatError(f"unsupported model version {obj.get('version')!r}")
     try:
-        schema = _schema_from_json(obj["features"])
+        schema = [
+            FeatureMeta(str(entry["name"]), str(entry["kind"]), entry.get("levels") or None)
+            for entry in obj["features"]
+        ]
         params = obj["parameters"]
         kind = obj["kind"]
         if kind == "linear":
             return LinearModel(schema, params["intercept"], params["coefficients"])
         if kind == "knn":
-            train = np.array(
-                [
-                    [
-                        float(v) if schema[j][1] == CONTINUOUS else str(v)
-                        for j, v in enumerate(row)
-                    ]
-                    for row in params["train"]
-                ],
-                dtype=(float if all(k == CONTINUOUS for _, k, _ in schema) else object),
-            )
-            return KNNModel(schema, params["k"], train, params["target"])
+            return KNNModel(schema, params["k"], params["train"], params["target"])
         if kind == "stump":
             return StumpModel(
                 schema,

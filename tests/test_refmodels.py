@@ -1,5 +1,8 @@
 """Reference models: fits, tie-breaking, persistence."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from boxprobe import (
     squared_loss,
     save_model,
 )
+from boxprobe.cli import main
 from boxprobe.errors import (
     DataFormatError,
     InvalidArgumentError,
@@ -186,6 +190,8 @@ def test_save_load_round_trip(tmp_path, kind):
     save_model(model, str(path))
     restored = load_model(str(path))
     assert restored.kind == kind
+    assert restored.schema == model.schema
+    assert all(m.observed_range is None for m in restored.schema)
     assert np.array_equal(model(data.matrix()), restored(data.matrix()))
 
 
@@ -202,3 +208,83 @@ def test_load_model_rejects_garbage(tmp_path):
     )
     with pytest.raises(DataFormatError):
         load_model(str(path))
+
+
+# -- model invariants, checked on load -------------------------------------------
+
+_FEATURES = [
+    {"name": "x1", "kind": "continuous", "levels": None},
+    {"name": "c", "kind": "categorical", "levels": ["a", "b"]},
+]
+_VALID = {
+    "linear": {"intercept": 1.0, "coefficients": [2.0, 3.0]},
+    "knn": {"k": 1, "train": [[0.0, "a"], [1.0, "b"]], "target": [0.0, 1.0]},
+    "stump": {
+        "feature": 0,
+        "split_kind": "le",
+        "threshold": 0.5,
+        "left_value": 0.0,
+        "right_value": 1.0,
+    },
+}
+# (model kind, path into the document, value that breaks one invariant)
+_BROKEN = {
+    "unknown_feature_kind": ("linear", ("features", 0, "kind"), "ordinal"),
+    "categorical_without_levels": ("linear", ("features", 1, "levels"), None),
+    "coefficient_count": ("linear", ("parameters", "coefficients"), [2.0]),
+    "nan_intercept": ("linear", ("parameters", "intercept"), float("nan")),
+    "knn_k_zero": ("knn", ("parameters", "k"), 0),
+    "knn_k_above_n": ("knn", ("parameters", "k"), 3),
+    "knn_target_count": ("knn", ("parameters", "target"), [0.0]),
+    "knn_row_width": ("knn", ("parameters", "train"), [[0.0], [1.0]]),
+    "stump_feature_range": ("stump", ("parameters", "feature"), 5),
+    "stump_split_kind": ("stump", ("parameters", "split_kind"), "lt"),
+    "stump_threshold": ("stump", ("parameters", "threshold"), "abc"),
+}
+
+
+def _model_file(tmp_path, kind, path=(), value=None):
+    doc = {
+        "format": "boxprobe-model",
+        "version": 1,
+        "kind": kind,
+        "features": copy.deepcopy(_FEATURES),
+        "parameters": copy.deepcopy(_VALID[kind]),
+    }
+    if path:
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    out = tmp_path / f"{kind}.json"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return str(out)
+
+
+def _run_pd(tmp_path, model_path):
+    data = tmp_path / "data.csv"
+    data.write_text("x1,c,y\n0,a,0\n1,b,1\n2,a,2\n", encoding="utf-8")
+    out = tmp_path / "pd.json"
+    args = ["pd", "--feature", "x1", "--data", str(data), "--target", "y"]
+    return main([*args, "--model", model_path, "--out", str(out)])
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID))
+def test_valid_hand_written_models_load_and_run(tmp_path, kind):
+    path = _model_file(tmp_path, kind)
+    assert load_model(path).kind == kind
+    assert _run_pd(tmp_path, path) == 0
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN))
+def test_load_model_rejects_broken_invariant(tmp_path, case):
+    with pytest.raises(DataFormatError):
+        load_model(_model_file(tmp_path, *_BROKEN[case]))
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN))
+def test_cli_exits_2_on_broken_model(tmp_path, capsys, case):
+    assert _run_pd(tmp_path, _model_file(tmp_path, *_BROKEN[case])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
