@@ -35,6 +35,7 @@ from .core import (
 )
 from .data import CATEGORICAL, CONTINUOUS, Dataset, FeatureMeta
 from .effects import (
+    AverageMarginalEffect,
     EffectCurve,
     Grid,
     LimeExplanation,
@@ -83,6 +84,7 @@ from .trace import StageRecord, StageTrace
 __version__ = "0.1.0"
 
 __all__ = [
+    "AverageMarginalEffect",
     "CATEGORICAL",
     "CONTINUOUS",
     "Dataset",

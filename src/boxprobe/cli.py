@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 import click
 
-from .core import default_step, loss_by_name
+from .core import PredictionCache, default_step, loss_by_name
 from .data import Dataset
 from .dataio import emit_json, emit_points_csv, emit_score_csv, load_csv
 from .effects import (
@@ -58,9 +58,8 @@ from .importance import (
     pi_curve,
     sfimp,
 )
-from .refmodels import fit_knn, fit_linear, fit_stump, load_model, save_model
+from .refmodels import ReferenceModel, fit_knn, fit_linear, fit_stump, load_model, save_model
 from .shapley import shapley_exact, shapley_mc
-from .trace import AGGREGATION, INTERVENTION, PREDICTION, StageRecord, assemble_trace
 
 SCHEMA_VERSION = 1
 
@@ -167,27 +166,6 @@ def _loss(params: dict[str, Any]):
     return loss_by_name(params["loss"], params["threshold"])
 
 
-def _fd_records(predictor, feature_name: str, h: float, batches: int, rows: int, averaged: bool):
-    return (
-        StageRecord(
-            INTERVENTION,
-            "shift the feature by plus and minus h",
-            {"feature": feature_name, "h": h},
-        ),
-        StageRecord(
-            PREDICTION,
-            "batch predictions from the black-box model",
-            {"predictor": predictor.name, "batches": batches, "rows": rows},
-        ),
-        StageRecord(
-            AGGREGATION,
-            "symmetric difference quotient"
-            + (", averaged over observed rows" if averaged else ""),
-            {"h": h},
-        ),
-    )
-
-
 def _ice(config, data, predictor, j):
     row, points = config.params["row"], config.params["grid_points"]
     if not 0 <= row < data.n_rows:
@@ -220,17 +198,16 @@ def _me(config, data, predictor, j):
     row, h = config.params["row"], config.params["h"]
     x = data.row(row)
     h = h if h is not None else default_step(data, j)
-    value = marginal_effect(predictor, x, j, h)
-    records = _fd_records(predictor, data.meta[j].name, h, 1, 2, averaged=False)
-    return {"row": row, "h": h}, (value, assemble_trace(data.provenance, records)), None
+    cache = PredictionCache()
+    value = marginal_effect(predictor, x, j, h, cache=cache)
+    shift = ("shift the feature by plus and minus h", {"feature": data.meta[j].name, "h": h})
+    trace = cache.trace(predictor, data, shift, ("symmetric difference quotient", {"h": h}))
+    return {"row": row, "h": h}, (value, trace), None
 
 
 def _ame(config, data, predictor, j):
-    h = config.params["h"]
-    h = h if h is not None else default_step(data, j)
-    value = average_marginal_effect(predictor, data, j, h=h, threads=config.threads)
-    records = _fd_records(predictor, data.meta[j].name, h, 2, 2 * data.n_rows, averaged=True)
-    return {"h": h}, (value, assemble_trace(data.provenance, records)), None
+    result = average_marginal_effect(predictor, data, j, h=config.params["h"], threads=config.threads)
+    return {"h": result.h}, (result.value, result.trace), None
 
 
 def _shapley(config, data, predictor, j):
@@ -478,6 +455,12 @@ def run(config: RunConfig) -> int:
             save_model(_fit(data, config.params), config.out_path)
             return EXIT_OK
         predictor = load_model(config.model_path)
+        if isinstance(predictor, ReferenceModel):
+            names, expected = data.feature_names, tuple(m.name for m in predictor.schema)
+            if len(names) == len(expected) and names != expected:
+                raise DataFormatError(
+                    f"data columns {list(names)} do not match the model's features {list(expected)}"
+                )
         doc = _execute(config, data, predictor)
         _write(_render(doc, config.fmt, doc["feature"]), config.out_path)
         return EXIT_OK

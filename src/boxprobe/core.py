@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
     UnsupportedKindError,
 )
-from .trace import INTERVENTION, PREDICTION, SAMPLING, StageRecord
+from .trace import INTERVENTION, SAMPLING, STAGES, StageRecord, StageTrace, assemble_trace
 
 DEFAULT_STEP_FRACTION = 1e-4
 ROW_BUDGET = 1 << 14  # most rows the substitution kernel passes to one predictor call
@@ -100,14 +100,15 @@ class PredictorHandle:
 
 
 class PredictionCache:
-    """Predicts the batches of one method run and counts them.
+    """Predicts the batches of one method run, counts them, and builds its trace.
 
     ``batches`` and ``rows`` count the logical batches and rows the method
-    asked for and feed the prediction stage record.  The substitution
-    kernel :meth:`substitute` and the reused :meth:`baseline` count what
-    the estimator is defined to predict, while the predictor sees each
-    distinct substituted copy of the data once.  Predictors are pure, so
-    no result changes.
+    asked for.  :meth:`trace` builds the run's stage trace and writes them
+    into its prediction record, so a result's counts come from the cache
+    that predicted.  The substitution kernel :meth:`substitute` and the
+    reused :meth:`baseline` count what the estimator is defined to predict,
+    while the predictor sees each distinct substituted copy of the data
+    once.  Predictors are pure, so no result changes.
     """
 
     def __init__(self, threads: int = 1):
@@ -182,12 +183,21 @@ class PredictionCache:
                 out[u, start : start + len(block)] = _run_predictor(predictor, block, self.threads)
         return out, inverse
 
-    def prediction_record(self, predictor: PredictorHandle) -> StageRecord:
-        return StageRecord(
-            PREDICTION,
-            "batch predictions from the black-box model",
-            {"predictor": predictor.name, "batches": self.batches, "rows": self.rows},
-        )
+    def trace(
+        self,
+        predictor: PredictorHandle,
+        data: Dataset,
+        intervention: tuple[str, dict],
+        aggregation: tuple[str, dict] | None = None,
+        sampling: tuple[str, dict] | None = None,
+    ) -> StageTrace:
+        """The run's stage trace: ``data.provenance``, then each ``(description,
+        parameters)`` step in stage order, the prediction step counted by this cache."""
+        counts = {"predictor": predictor.name, "batches": self.batches, "rows": self.rows}
+        prediction = ("batch predictions from the black-box model", counts)
+        steps = zip(STAGES, (sampling, intervention, prediction, aggregation))
+        records = [StageRecord(stage, *step) for stage, step in steps if step is not None]
+        return assemble_trace(data.provenance, records)
 
 
 def _worker_count(threads: int, rows: int) -> int:

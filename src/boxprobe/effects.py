@@ -31,7 +31,7 @@ from .errors import (
     SingularFitError,
     UnsupportedKindError,
 )
-from .trace import AGGREGATION, INTERVENTION, StageRecord, StageTrace, assemble_trace
+from .trace import StageTrace
 
 OBSERVED_VALUES = "observed_values"
 EQUIDISTANT = "equidistant"
@@ -175,21 +175,20 @@ def _substitute_grid(
     grid: Grid | Sequence[Grid] | None,
     threads: int,
 ) -> tuple[
-    int | tuple[int, ...], tuple[Any, ...], np.ndarray, np.ndarray, tuple[StageRecord, ...]
+    int | tuple[int, ...], tuple[Any, ...], np.ndarray, np.ndarray, PredictionCache, tuple
 ]:
     """Predict every grid point of a feature or feature set.
 
     Returns the curve's feature and grid values, the predictions per
     distinct point (one column per observation), the inverse index from
-    grid points to distinct points, and the intervention and prediction
-    records.
+    grid points to distinct points, the cache that predicted them and the
+    intervention step.
     """
     feature_list, grids = _resolve_feature_set(data, features, grid)
     points = list(itertools.product(*(g.points for g in grids)))
     cache = PredictionCache(threads)
     preds, inverse = cache.substitute(predictor, data, feature_list, points)
-    intervention = StageRecord(
-        INTERVENTION,
+    intervention = (
         "replace feature columns with each grid value",
         {
             "features": [data.meta[g.feature].name for g in grids],
@@ -197,10 +196,9 @@ def _substitute_grid(
             "grid_source": [g.source for g in grids],
         },
     )
-    records = (intervention, cache.prediction_record(predictor))
     if len(feature_list) == 1:
-        return feature_list[0], tuple(p[0] for p in points), preds, inverse, records
-    return tuple(feature_list), tuple(points), preds, inverse, records
+        return feature_list[0], tuple(p[0] for p in points), preds, inverse, cache, intervention
+    return tuple(feature_list), tuple(points), preds, inverse, cache, intervention
 
 
 def _ice_builder(
@@ -211,10 +209,10 @@ def _ice_builder(
     threads: int,
 ) -> Callable[[int], EffectCurve]:
     """Predict the whole ICE grid; the returned function builds the curve of one observation."""
-    feature, xs, preds, inverse, records = _substitute_grid(
+    feature, xs, preds, inverse, cache, intervention = _substitute_grid(
         predictor, data, features, grid, threads
     )
-    trace = assemble_trace(data.provenance, records)
+    trace = cache.trace(predictor, data, intervention)
     return lambda i: EffectCurve("ice", feature, xs, preds[inverse, i], trace, observation=i)
 
 
@@ -253,15 +251,14 @@ def pd_curve(
     (grid values become tuples); if the set covers every feature there is
     nothing to marginalize and the curve is the prediction itself.
     """
-    feature, xs, preds, inverse, records = _substitute_grid(
+    feature, xs, preds, inverse, cache, intervention = _substitute_grid(
         predictor, data, features, grid, threads
     )
-    aggregation = StageRecord(
-        AGGREGATION,
+    aggregation = (
         "mean prediction over background rows at each grid point",
         {"background_rows": data.n_rows},
     )
-    trace = assemble_trace(data.provenance, records + (aggregation,))
+    trace = cache.trace(predictor, data, intervention, aggregation)
     return EffectCurve(method_tag, feature, xs, preds.mean(axis=1)[inverse], trace)
 
 
@@ -344,20 +341,16 @@ def ale_first_order(
     center = float(np.sum(accumulated * counts) / data.n_rows)
     ys = np.concatenate(([0.0], accumulated)) - center
 
-    trace = assemble_trace(
-        data.provenance,
+    trace = cache.trace(
+        predictor,
+        data,
         (
-            StageRecord(
-                INTERVENTION,
-                "substitute interval boundaries for each observation's feature value",
-                {"feature": meta.name, "intervals": n_int, "edges": [float(e) for e in edges]},
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "average finite differences per interval, accumulate, center by data-weighted mean",
-                {"interval_counts": [int(c) for c in counts]},
-            ),
+            "substitute interval boundaries for each observation's feature value",
+            {"feature": meta.name, "intervals": n_int, "edges": [float(e) for e in edges]},
+        ),
+        (
+            "average finite differences per interval, accumulate, center by data-weighted mean",
+            {"interval_counts": [int(c) for c in counts]},
         ),
     )
     return EffectCurve("ale", j, tuple(float(e) for e in edges), tuple(ys), trace)
@@ -380,14 +373,24 @@ def marginal_effect(
     return quotient
 
 
+@dataclass(frozen=True)
+class AverageMarginalEffect:
+    """Mean symmetric difference quotient of one feature at step ``h``."""
+
+    feature: int
+    h: float
+    value: float
+    trace: StageTrace
+
+
 def average_marginal_effect(
     predictor: PredictorHandle,
     data: Dataset,
     feature: int | str,
     h: float | None = None,
     threads: int = 1,
-) -> float:
-    """Mean symmetric difference quotient over all observed rows."""
+) -> AverageMarginalEffect:
+    """Mean symmetric difference quotient over all observed rows (default ``h``: default_step)."""
     j = data.feature_index(feature)
     if data.meta[j].kind != CONTINUOUS:
         raise UnsupportedKindError(
@@ -401,7 +404,14 @@ def average_marginal_effect(
     cache = PredictionCache(threads)
     upper = predict_batch(predictor, intervene_shift(data, j, h), cache=cache)
     lower = predict_batch(predictor, intervene_shift(data, j, -h), cache=cache)
-    return float(np.mean((upper - lower) / (2.0 * h)))
+    value = float(np.mean((upper - lower) / (2.0 * h)))
+    trace = cache.trace(
+        predictor,
+        data,
+        ("shift the feature by plus and minus h", {"feature": data.meta[j].name, "h": h}),
+        ("symmetric difference quotient, averaged over observed rows", {"h": h}),
+    )
+    return AverageMarginalEffect(j, h, value, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -490,25 +500,21 @@ def lime_explain(
     if rank < 2:
         raise SingularFitError("weighted design is rank deficient")
 
-    trace = assemble_trace(
-        data.provenance,
+    trace = cache.trace(
+        predictor,
+        data,
         (
-            StageRecord(
-                INTERVENTION,
-                "perturb the explained feature with Gaussian noise around its value",
-                {
-                    "feature": meta.name,
-                    "num_samples": num_samples,
-                    "perturbation_sd": sd,
-                    "seed": int(seed),
-                },
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "proximity-weighted least-squares line through the predictions",
-                {"kernel_width": kernel_width},
-            ),
+            "perturb the explained feature with Gaussian noise around its value",
+            {
+                "feature": meta.name,
+                "num_samples": num_samples,
+                "perturbation_sd": sd,
+                "seed": int(seed),
+            },
+        ),
+        (
+            "proximity-weighted least-squares line through the predictions",
+            {"kernel_width": kernel_width},
         ),
     )
     return LimeExplanation(

@@ -33,7 +33,7 @@ from .errors import (
     UndefinedVarianceError,
 )
 from .shapley import EXACT_FEATURE_CAP, exact_shapley_value
-from .trace import AGGREGATION, INTERVENTION, StageRecord, StageTrace, assemble_trace
+from .trace import AGGREGATION, INTERVENTION, StageRecord, StageTrace
 
 PERTURB_EXHAUSTIVE = "exhaustive"
 PERTURB_PERMUTATION = "permutation"
@@ -87,17 +87,14 @@ def _require_numeric_target(data: Dataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pd_spread(curve_xs: tuple, curve_ys: np.ndarray, data: Dataset, j: int) -> float:
-    """Importance from a PD-style curve: per-observation sd, or level range / 4."""
+def _pd_spread(
+    curve_xs: tuple, curve_ys: np.ndarray, data: Dataset, j: int, description: str
+) -> tuple[float, tuple[str, dict]]:
+    """Importance from a PD-style curve (per-observation sd, or level range / 4) and its step."""
     if data.meta[j].kind == CONTINUOUS:
         per_obs = _expand_to_observations(curve_xs, curve_ys, data.column(j))
-        return _sample_sd(per_obs)
-    return float((np.max(curve_ys) - np.min(curve_ys)) / 4.0)
-
-
-def _spread_record(description: str, data: Dataset, j: int) -> StageRecord:
-    spread = "sample sd" if data.meta[j].kind == CONTINUOUS else "range / 4"
-    return StageRecord(AGGREGATION, description, {"spread": spread})
+        return _sample_sd(per_obs), (description, {"spread": "sample sd"})
+    return float((np.max(curve_ys) - np.min(curve_ys)) / 4.0), (description, {"spread": "range / 4"})
 
 
 def pd_importance(
@@ -112,12 +109,12 @@ def pd_importance(
     """
     j = data.feature_index(feature)
     grid = observed_grid(data, j)
-    _, xs, preds, inverse, records = _substitute_grid(predictor, data, j, grid, threads)
-    value = _pd_spread(xs, preds.mean(axis=1)[inverse], data, j)
-    aggregation = _spread_record(
-        "partial dependence per grid value, then spread across observed values", data, j
+    _, xs, preds, inverse, cache, intervention = _substitute_grid(
+        predictor, data, j, grid, threads
     )
-    trace = assemble_trace(data.provenance, records + (aggregation,))
+    description = "partial dependence per grid value, then spread across observed values"
+    value, aggregation = _pd_spread(xs, preds.mean(axis=1)[inverse], data, j, description)
+    trace = cache.trace(predictor, data, intervention, aggregation)
     return ImportanceScore("pd_sd", j, value, trace)
 
 
@@ -142,11 +139,10 @@ def firm(
     """
     j = data.feature_index(feature)
     curve = ces_curve(predictor, data, j, threads=threads)
-    value = _pd_spread(curve.xs, curve.values(), data, j)
-    aggregation = _spread_record(
-        "spread of the conditional expected score across observed values", data, j
-    )
-    return ImportanceScore("firm", j, value, StageTrace(curve.trace.records + (aggregation,)))
+    description = "spread of the conditional expected score across observed values"
+    value, aggregation = _pd_spread(curve.xs, curve.values(), data, j, description)
+    trace = StageTrace(curve.trace.records + (StageRecord(AGGREGATION, *aggregation),))
+    return ImportanceScore("firm", j, value, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +184,14 @@ def ici_curve(
     base = float(loss(predict_batch(predictor, single, cache=cache), y_i)[0])
     preds, inverse = cache.substitute(predictor, single, [j], values[:, None])
     ys = (loss(preds[:, 0], np.repeat(y_i, len(preds))) - base)[inverse]
-    trace = assemble_trace(
-        data.provenance,
+    trace = cache.trace(
+        predictor,
+        data,
         (
-            StageRecord(
-                INTERVENTION,
-                "substitute each observed feature value into one observation",
-                {"feature": data.meta[j].name, "observation": i, "values": len(values)},
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "loss change against the observation's original prediction",
-                {"loss": loss.tag},
-            ),
+            "substitute each observed feature value into one observation",
+            {"feature": data.meta[j].name, "observation": i, "values": len(values)},
         ),
+        ("loss change against the observation's original prediction", {"loss": loss.tag}),
     )
     return EffectCurve("ici", j, tuple(values), ys, trace, observation=i)
 
@@ -213,21 +202,20 @@ def _pi_values(
     j: int,
     loss: LossFunction,
     threads: int,
-) -> tuple[np.ndarray, np.ndarray, tuple[StageRecord, ...]]:
+) -> tuple[np.ndarray, np.ndarray, PredictionCache, tuple[str, dict]]:
     """Per-substituted-value mean loss change over all observations, plus the
-    intervention and prediction records."""
+    cache that predicted them and the intervention step."""
     target = _require_numeric_target(data)
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
     base_losses = loss(predict_batch(predictor, data, cache=cache), target)
     preds, inverse = cache.substitute(predictor, data, [j], values[:, None])
     means = np.array([np.mean(loss(row, target) - base_losses) for row in preds])
-    intervention = StageRecord(
-        INTERVENTION,
+    intervention = (
         "substitute each observed feature value into every observation",
         {"feature": data.meta[j].name, "values": len(values)},
     )
-    return values, means[inverse], (intervention, cache.prediction_record(predictor))
+    return values, means[inverse], cache, intervention
 
 
 def pi_curve(
@@ -239,13 +227,9 @@ def pi_curve(
 ) -> EffectCurve:
     """Pointwise mean of all per-observation loss-change curves."""
     j = data.feature_index(feature)
-    values, means, records = _pi_values(predictor, data, j, loss, threads)
-    aggregation = StageRecord(
-        AGGREGATION,
-        "mean loss change over observations at each substituted value",
-        {"loss": loss.tag},
-    )
-    trace = assemble_trace(data.provenance, records + (aggregation,))
+    values, means, cache, intervention = _pi_values(predictor, data, j, loss, threads)
+    aggregation = ("mean loss change over observations at each substituted value", {"loss": loss.tag})
+    trace = cache.trace(predictor, data, intervention, aggregation)
     return EffectCurve("pi", j, tuple(values), means, trace)
 
 
@@ -262,13 +246,12 @@ def pfi_exhaustive(
     value) pair; identical to the mean of the averaged loss-change curve.
     """
     j = data.feature_index(feature)
-    values, means, records = _pi_values(predictor, data, j, loss, threads)
-    aggregation = StageRecord(
-        AGGREGATION,
+    values, means, cache, intervention = _pi_values(predictor, data, j, loss, threads)
+    aggregation = (
         "double average of loss changes over all value/observation pairs",
         {"loss": loss.tag, "pairs": len(values) * data.n_rows},
     )
-    trace = assemble_trace(data.provenance, records + (aggregation,))
+    trace = cache.trace(predictor, data, intervention, aggregation)
     return ImportanceScore("pfi_exhaustive", j, float(np.mean(means)), trace, loss=loss.tag)
 
 
@@ -301,21 +284,14 @@ def pfi_permutation(
         permuted = intervene_permute(data, j, child)
         diffs[r] = estimate_generalization_error(predictor, permuted, loss, cache=cache) - base
     value = float(np.mean(diffs))
-    trace = assemble_trace(
-        data.provenance,
+    trace = cache.trace(
+        predictor,
+        data,
         (
-            StageRecord(
-                INTERVENTION,
-                "permute the feature column once per repeat",
-                {"feature": data.meta[j].name, "seed": int(seed), "child_seeds": child_seeds},
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "mean generalization-error increase over repeats",
-                {"loss": loss.tag, "repeats": repeats},
-            ),
+            "permute the feature column once per repeat",
+            {"feature": data.meta[j].name, "seed": int(seed), "child_seeds": child_seeds},
         ),
+        ("mean generalization-error increase over repeats", {"loss": loss.tag, "repeats": repeats}),
     )
     return ImportanceScore(
         "pfi_permutation", j, value, trace, loss=loss.tag, repeats=repeats, seed=int(seed)
@@ -446,21 +422,17 @@ def sfimp(
         return perturbed_ge(everything - coalition) - perturbed_ge(everything)
 
     value = exact_shapley_value(payout, p, j)
-    trace = assemble_trace(
-        data.provenance,
+    trace = cache.trace(
+        predictor,
+        data,
         (
-            StageRecord(
-                INTERVENTION,
-                "perturb the feature block outside each coalition",
-                {"feature": data.meta[j].name, "mode": mode, "coalitions": 2 ** (p - 1)},
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "factorially weighted average of loss-payout gains "
-                "(payout: error with the coalition intact minus error with everything perturbed)",
-                {"loss": loss.tag},
-            ),
+            "perturb the feature block outside each coalition",
+            {"feature": data.meta[j].name, "mode": mode, "coalitions": 2 ** (p - 1)},
+        ),
+        (
+            "factorially weighted average of loss-payout gains "
+            "(payout: error with the coalition intact minus error with everything perturbed)",
+            {"loss": loss.tag},
         ),
     )
     return ImportanceScore(

@@ -321,6 +321,8 @@ def load_model(path: str) -> ReferenceModel:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"model file {path!r} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise DataFormatError(f"cannot read model file {path!r}: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise DataFormatError(f"model file {path!r} is not a {MODEL_FORMAT} document")
     if obj.get("version") != MODEL_VERSION:

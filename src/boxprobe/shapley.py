@@ -23,7 +23,7 @@ from .core import (
 )
 from .data import Dataset
 from .errors import CapacityError, InvalidArgumentError
-from .trace import AGGREGATION, INTERVENTION, SAMPLING, StageRecord, StageTrace, assemble_trace
+from .trace import StageTrace
 
 EXACT_FEATURE_CAP = 12
 
@@ -130,20 +130,16 @@ def shapley_exact(
     payout = _memoized(lambda k: pd_payout(predictor, data, x, k, cache=cache))
     value = exact_shapley_value(payout, p, j)
     full = payout(frozenset(range(p)))
-    trace = assemble_trace(
-        data.provenance,
+    trace = cache.trace(
+        predictor,
+        data,
         (
-            StageRecord(
-                INTERVENTION,
-                "replace coalition columns with the explained point's values, all coalitions",
-                {"feature": data.meta[j].name, "coalitions": 2 ** (p - 1)},
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "factorially weighted average of marginal payout gains",
-                {"payout": "mean-shifted partial dependence"},
-            ),
+            "replace coalition columns with the explained point's values, all coalitions",
+            {"feature": data.meta[j].name, "coalitions": 2 ** (p - 1)},
+        ),
+        (
+            "factorially weighted average of marginal payout gains",
+            {"payout": "mean-shifted partial dependence"},
         ),
     )
     return ShapleyExplanation(
@@ -208,25 +204,17 @@ def shapley_mc(
     )
     full = pd_payout(predictor, data, x, range(p), cache=cache)
 
-    trace = assemble_trace(
-        data.provenance,
+    trace = cache.trace(
+        predictor,
+        data,
         (
-            StageRecord(
-                SAMPLING,
-                "draw a feature ordering and one background observation per iteration",
-                {"iterations": iterations, "seed": int(seed)},
-            ),
-            StageRecord(
-                INTERVENTION,
-                "compose coalition rows from the explained point and the background draw",
-                {"feature": data.meta[j].name},
-            ),
-            cache.prediction_record(predictor),
-            StageRecord(
-                AGGREGATION,
-                "mean marginal contribution over iterations",
-                {"iterations": iterations},
-            ),
+            "compose coalition rows from the explained point and the background draw",
+            {"feature": data.meta[j].name},
+        ),
+        ("mean marginal contribution over iterations", {"iterations": iterations}),
+        sampling=(
+            "draw a feature ordering and one background observation per iteration",
+            {"iterations": iterations, "seed": int(seed)},
         ),
     )
     return ShapleyExplanation(

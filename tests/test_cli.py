@@ -325,6 +325,33 @@ def test_ice_checks_row_before_predicting(workspace, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("args", [("me", "--row", "2"), ("ame",)])
+def test_fd_prediction_record_counts_what_the_predictor_received(workspace, monkeypatch, args):
+    model = load_model(workspace["model"])
+    calls = []
+
+    def counting(X):
+        calls.append(len(X))
+        return model(X)
+
+    predictor = PredictorHandle(counting, model.n_features, name="counting")
+    monkeypatch.setattr(boxprobe.cli, "load_model", lambda path: predictor)
+    code, out = run_to_file(workspace, "fd.json", *args, "--feature", "x1")
+    assert code == 0
+    record = next(r for r in load_doc(out)["stage_trace"] if r["stage"] == "prediction")
+    assert record["parameters"] == {"predictor": "counting", "batches": len(calls), "rows": sum(calls)}
+
+
+@pytest.mark.parametrize("header", ["a,b,y", "x2,x1,y"])
+def test_columns_not_matching_the_model_exit_2(workspace, capsys, header):
+    data = workspace["dir"] / "renamed.csv"
+    data.write_text(CSV_TEXT.replace("x1,x2,y", header), encoding="utf-8")
+    args = ["pd", "--feature", "0", "--data", str(data), "--target", "y"]
+    assert main([*args, "--model", workspace["model"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "['x1', 'x2']" in err
+
+
 def test_module_entry_point(workspace):
     result = subprocess.run(
         [

@@ -8,6 +8,7 @@ from boxprobe import (
     ale_first_order,
     average_marginal_effect,
     custom_grid,
+    default_step,
     equidistant_grid,
     ice_curves,
     lime_explain,
@@ -289,18 +290,29 @@ def test_me_rejects_nonpositive_h(sum_predictor):
 
 def test_ame_affine_is_coefficient(two_feature_data):
     predictor = linear_predictor([2.0, 1.0])
-    assert abs(average_marginal_effect(predictor, two_feature_data, 0) - 2.0) < 1e-12
+    assert abs(average_marginal_effect(predictor, two_feature_data, 0).value - 2.0) < 1e-12
 
 
 def test_ame_quadratic_hand_example():
     # quotients are exactly (0, 2, 4) for dyadic h, mean 2
     data = columns_dataset(x1=[0.0, 1.0, 2.0])
     predictor = handle(lambda X: np.asarray(X, dtype=float)[:, 0] ** 2, 1)
-    assert average_marginal_effect(predictor, data, 0, h=0.5) == 2.0
+    assert average_marginal_effect(predictor, data, 0, h=0.5).value == 2.0
 
 
 def test_ame_constant_predictor_is_zero(two_feature_data):
-    assert average_marginal_effect(constant_predictor(9.0, 2), two_feature_data, 0) == 0.0
+    assert average_marginal_effect(constant_predictor(9.0, 2), two_feature_data, 0).value == 0.0
+
+
+def test_ame_returns_its_step_and_trace(two_feature_data):
+    result = average_marginal_effect(linear_predictor([2.0, 1.0]), two_feature_data, "x2")
+    assert result.feature == 1 and abs(result.value - 1.0) < 1e-9
+    assert result.h == default_step(two_feature_data, 1)
+    assert result.trace.stages() == ("intervention", "prediction", "aggregation")
+    shift, prediction, aggregation = result.trace.records
+    assert shift.parameters == {"feature": "x2", "h": result.h}
+    assert (prediction.parameters["batches"], prediction.parameters["rows"]) == (2, 6)
+    assert aggregation.parameters == {"h": result.h}
 
 
 def test_ame_rejects_categorical():

@@ -270,6 +270,15 @@ def _run_pd(tmp_path, model_path):
     return main([*args, "--model", model_path, "--out", str(out)])
 
 
+def test_missing_model_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    with pytest.raises(DataFormatError):
+        load_model(missing)
+    assert _run_pd(tmp_path, missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope.json" in err
+
+
 @pytest.mark.parametrize("kind", sorted(_VALID))
 def test_valid_hand_written_models_load_and_run(tmp_path, kind):
     path = _model_file(tmp_path, kind)
