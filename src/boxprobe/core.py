@@ -153,9 +153,11 @@ class PredictionCache:
         once against the schema; value rows are distinct by bit pattern, so
         0.0 and -0.0 stay apart.  Counts G logical batches of n rows.  The
         predictor sees each distinct substituted copy of the data once, in
-        calls of at most :data:`ROW_BUDGET` rows: the batches a loop over
-        the grid would make, minus the repeats, so no prediction bit moves
-        even for a model whose bits depend on the batch.
+        calls of at most :data:`ROW_BUDGET` rows.  While n <= ``ROW_BUDGET``
+        those are the batches a loop over the grid would make, minus the
+        repeats, so no prediction bit moves even for a model whose bits
+        depend on the batch; a larger n is split into chunks such a loop
+        would not make, and such a model may then differ in the last bits.
         """
         js = [data.feature_index(f) for f in features]
         if len(set(js)) != len(js):

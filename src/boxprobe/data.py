@@ -78,7 +78,7 @@ def _is_number(value: Any) -> bool:
 
 
 def _as_float_column(values: Sequence[Any], name: str) -> np.ndarray:
-    col = np.asarray(values, dtype=float)
+    col = np.array(values, dtype=float)
     if col.ndim != 1:
         raise InvalidArgumentError(f"column {name!r} is not one-dimensional")
     if not np.all(np.isfinite(col)):
@@ -120,8 +120,9 @@ class Dataset:
         sorted unique levels.  Missing observed ranges are filled in from
         the data.
     target : sequence of length n, optional
-    provenance : tuple of StageRecord
-        How this dataset was derived; carried into result traces.
+
+    A new dataset has no provenance; derived ones record theirs through
+    :meth:`replace_columns`, and result traces carry it.
     """
 
     __slots__ = ("_columns", "_meta", "_target", "_provenance", "_matrix", "_name_index")
@@ -131,55 +132,59 @@ class Dataset:
         features: Sequence[Sequence[Any]] | np.ndarray,
         meta: Sequence[FeatureMeta] | None = None,
         target: Sequence[Any] | None = None,
-        provenance: tuple[StageRecord, ...] = (),
     ) -> None:
-        rows = [list(r) for r in features]
-        if len(rows) == 0:
+        rows = list(features)
+        if not rows:
             raise InvalidArgumentError("a dataset needs at least one observation")
         p = len(rows[0])
-        if p == 0:
-            raise InvalidArgumentError("a dataset needs at least one feature")
         for i, r in enumerate(rows):
             if len(r) != p:
-                raise InvalidArgumentError(
-                    f"row {i} has {len(r)} entries, expected {p}"
-                )
-        raw_columns = [[r[j] for r in rows] for j in range(p)]
-
+                raise InvalidArgumentError(f"row {i} has {len(r)} entries, expected {p}")
+        raw_columns = list(zip(*rows))
         if meta is None:
-            meta = tuple(_infer_meta(f"x{j + 1}", raw_columns[j]) for j in range(p))
-        else:
-            meta = tuple(meta)
-            if len(meta) != p:
-                raise InvalidArgumentError(
-                    f"got {len(meta)} feature metadata entries for {p} columns"
-                )
-        names = [m.name for m in meta]
-        if len(set(names)) != len(names):
-            raise InvalidArgumentError("feature names must be unique")
+            meta = [_infer_meta(f"x{j + 1}", col) for j, col in enumerate(raw_columns)]
+        self._build(raw_columns, meta, target)
 
+    def _build(
+        self,
+        raw_columns: Sequence[Sequence[Any]],
+        meta: Sequence[FeatureMeta],
+        target: Sequence[Any] | None,
+    ) -> None:
+        """Check raw columns against ``meta`` and set them as typed, frozen arrays."""
+        if not raw_columns:
+            raise InvalidArgumentError("a dataset needs at least one feature")
+        if len(meta) != len(raw_columns):
+            raise InvalidArgumentError(
+                f"got {len(meta)} feature metadata entries for {len(raw_columns)} columns"
+            )
+        if len({m.name for m in meta}) != len(meta):
+            raise InvalidArgumentError("feature names must be unique")
+        n = max(len(raw) for raw in raw_columns)
+        if n == 0:
+            raise InvalidArgumentError("a dataset needs at least one observation")
         columns: list[np.ndarray] = []
         fixed_meta: list[FeatureMeta] = []
-        for j, m in enumerate(meta):
+        for raw, m in zip(raw_columns, meta):
+            if len(raw) != n:
+                raise InvalidArgumentError(f"column {m.name!r} has {len(raw)} values, expected {n}")
             if m.kind == CONTINUOUS:
-                col = _as_float_column(raw_columns[j], m.name)
+                col = _as_float_column(raw, m.name)
                 if m.observed_range is None:
-                    m = FeatureMeta(
-                        m.name, CONTINUOUS, observed_range=(col.min(), col.max())
-                    )
+                    m = FeatureMeta(m.name, CONTINUOUS, observed_range=(col.min(), col.max()))
             else:
-                col = _as_level_column(raw_columns[j], m)
+                col = _as_level_column(raw, m)
             columns.append(_freeze(col))
             fixed_meta.append(m)
+        name_index = {m.name: j for j, m in enumerate(fixed_meta)}
+        self._set(_columns=tuple(columns), _meta=tuple(fixed_meta), _provenance=(), _matrix=None,
+                  _target=_build_target(target, n), _name_index=name_index)
 
-        object.__setattr__(self, "_columns", tuple(columns))
-        object.__setattr__(self, "_meta", tuple(fixed_meta))
-        object.__setattr__(self, "_target", _build_target(target, len(rows)))
-        object.__setattr__(self, "_provenance", tuple(provenance))
-        object.__setattr__(self, "_matrix", None)
-        object.__setattr__(
-            self, "_name_index", {m.name: j for j, m in enumerate(fixed_meta)}
-        )
+    def _set(self, **state: Any) -> None:
+        """Write instance state: the only writer, reached through the checks of
+        :meth:`_build` or :meth:`replace_columns`, or by the :meth:`matrix` memo."""
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Dataset is immutable")
@@ -193,29 +198,14 @@ class Dataset:
         target: Sequence[Any] | None = None,
         kinds: Mapping[str, str] | None = None,
     ) -> "Dataset":
-        """Build a dataset from named columns, inferring kinds unless given."""
+        """Build a dataset from named columns of equal length, inferring kinds unless given."""
         kinds = dict(kinds or {})
-        meta = []
-        cols = []
-        for name, values in columns.items():
-            values = list(values)
-            kind = kinds.pop(name, None)
-            if kind is None:
-                meta.append(_infer_meta(name, values))
-            elif kind == CONTINUOUS:
-                meta.append(FeatureMeta(name, CONTINUOUS))
-            elif kind == CATEGORICAL:
-                levels = tuple(sorted({str(v) for v in values}))
-                meta.append(FeatureMeta(name, CATEGORICAL, levels=levels))
-            else:
-                raise InvalidArgumentError(f"unknown feature kind {kind!r}")
-            cols.append(values)
+        meta = [_infer_meta(name, values, kinds.pop(name, None)) for name, values in columns.items()]
         if kinds:
             raise InvalidArgumentError(f"kind overrides for unknown columns: {sorted(kinds)}")
-        if not cols:
-            raise InvalidArgumentError("a dataset needs at least one feature")
-        rows = list(zip(*cols))
-        return cls(rows, meta=meta, target=target)
+        out = cls.__new__(cls)
+        out._build(list(columns.values()), meta, target)
+        return out
 
     # -- basic accessors -------------------------------------------------------
 
@@ -282,7 +272,7 @@ class Dataset:
                 mat = np.empty((self.n_rows, self.n_features), dtype=object)
                 for j, col in enumerate(self._columns):
                     mat[:, j] = col
-            object.__setattr__(self, "_matrix", _freeze(mat))
+            self._set(_matrix=_freeze(mat))
         return self._matrix
 
     # -- derivation ------------------------------------------------------------
@@ -303,23 +293,19 @@ class Dataset:
             if j in new_columns:
                 raw = new_columns[j]
                 if m.kind == CONTINUOUS:
-                    col = _as_float_column(np.asarray(raw, dtype=float), m.name)
+                    col = _as_float_column(raw, m.name)
                 else:
-                    col = _as_level_column(list(raw), m)
+                    col = _as_level_column(raw, m)
             if row_subset is not None:
                 col = col[row_subset]
-            cols.append(_freeze(np.array(col)))
+            cols.append(_freeze(col))
         target = self._target
         if target is not None and row_subset is not None:
             target = _freeze(target[row_subset].copy())
         provenance = self._provenance + ((record,) if record is not None else ())
         out = object.__new__(Dataset)
-        object.__setattr__(out, "_columns", tuple(cols))
-        object.__setattr__(out, "_meta", self._meta)
-        object.__setattr__(out, "_target", target)
-        object.__setattr__(out, "_provenance", provenance)
-        object.__setattr__(out, "_matrix", None)
-        object.__setattr__(out, "_name_index", self._name_index)
+        out._set(_columns=tuple(cols), _meta=self._meta, _provenance=provenance, _matrix=None,
+                 _target=target, _name_index=self._name_index)
         return out
 
     def check_value(self, j: int, value: Any) -> Any:
@@ -352,11 +338,12 @@ class Dataset:
         return tuple(self.check_value(j, v) for j, v in enumerate(x))
 
 
-def _infer_meta(name: str, values: Sequence[Any]) -> FeatureMeta:
-    if all(_is_number(v) for v in values):
-        return FeatureMeta(name, CONTINUOUS)
-    levels = tuple(sorted({str(v) for v in values}))
-    return FeatureMeta(name, CATEGORICAL, levels=levels)
+def _infer_meta(name: str, values: Sequence[Any], kind: str | None = None) -> FeatureMeta:
+    """Schema for one column of the given kind, inferred when ``kind`` is None."""
+    if kind is None:
+        kind = CONTINUOUS if all(_is_number(v) for v in values) else CATEGORICAL
+    levels = tuple(sorted({str(v) for v in values})) if kind == CATEGORICAL else None
+    return FeatureMeta(name, kind, levels=levels)
 
 
 def _build_target(target: Sequence[Any] | None, n: int) -> np.ndarray | None:

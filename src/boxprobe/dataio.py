@@ -41,14 +41,13 @@ def load_csv(
     kinds = dict(kinds or {})
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            table = list(reader)
+            table = [[cell.strip() for cell in row] for row in csv.reader(fh)]
     except OSError as exc:
         raise DataFormatError(f"cannot read {path!r}: {exc}") from exc
 
     if not table:
         raise DataFormatError(f"{path!r} is empty")
-    header = [h.strip() for h in table[0]]
+    header = table[0]
     if any(not h for h in header):
         raise DataFormatError("header row contains an empty column name (line 1)")
     if len(set(header)) != len(header):
@@ -58,17 +57,15 @@ def load_csv(
     if not body:
         raise DataFormatError(f"{path!r} has a header but no data rows")
 
-    for offset, row in enumerate(body):
-        line = offset + 2
+    for line, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise DataFormatError(
                 f"ragged row: line {line} has {len(row)} cells, expected {len(header)}"
             )
-        for name, cell in zip(header, row):
-            if cell.strip() == "":
-                raise DataFormatError(
-                    f"missing value at line {line}, column {name!r}"
-                )
+        if "" in row:
+            raise DataFormatError(
+                f"missing value at line {line}, column {header[row.index('')]!r}"
+            )
 
     if target is not None and target not in header:
         raise DataFormatError(
@@ -82,25 +79,22 @@ def load_csv(
         if kind not in (CONTINUOUS, CATEGORICAL):
             raise DataFormatError(f"unknown kind {kind!r} for column {name!r}")
 
-    columns: dict[str, list[Any]] = {}
+    columns: dict[str, Sequence[Any]] = {}
     explicit_kinds: dict[str, str] = {}
-    target_values: list[Any] | None = None
-    for col_idx, name in enumerate(header):
-        raw = [row[col_idx].strip() for row in body]
+    target_values: Sequence[Any] | None = None
+    for name, raw in zip(header, zip(*body)):
         parsed = [_parse_float(cell) for cell in raw]
         wants = kinds.get(name)
-        if wants == CONTINUOUS or (wants is None and all(v is not None for v in parsed)):
-            if any(v is None for v in parsed):
-                bad = next(i for i, v in enumerate(parsed) if v is None)
-                raise DataFormatError(
-                    f"column {name!r} is declared continuous but line {bad + 2} "
-                    f"holds {raw[bad]!r}"
-                )
-            values: list[Any] = parsed
-            kind = CONTINUOUS
+        if wants == CATEGORICAL or (wants is None and None in parsed):
+            values, kind = raw, CATEGORICAL
+        elif None in parsed:
+            bad = parsed.index(None)
+            raise DataFormatError(
+                f"column {name!r} is declared continuous but line {bad + 2} "
+                f"holds {raw[bad]!r}"
+            )
         else:
-            values = raw
-            kind = CATEGORICAL
+            values, kind = parsed, CONTINUOUS
         if name == target:
             target_values = values
         else:

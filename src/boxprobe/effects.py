@@ -240,7 +240,6 @@ def pd_curve(
     features: int | str | Sequence[int | str],
     grid: Grid | Sequence[Grid] | None = None,
     threads: int = 1,
-    method_tag: str = "pd",
 ) -> EffectCurve:
     """Partial dependence of the prediction on one feature (or a feature set).
 
@@ -259,7 +258,7 @@ def pd_curve(
         {"background_rows": data.n_rows},
     )
     trace = cache.trace(predictor, data, intervention, aggregation)
-    return EffectCurve(method_tag, feature, xs, preds.mean(axis=1)[inverse], trace)
+    return EffectCurve("pd", feature, xs, preds.mean(axis=1)[inverse], trace)
 
 
 # ---------------------------------------------------------------------------

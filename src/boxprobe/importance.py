@@ -9,7 +9,8 @@ loss-based payout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -126,7 +127,7 @@ def ces_curve(
     Identical to the partial dependence over the observed-values grid; the
     output is retagged so downstream consumers see which estimator asked.
     """
-    return pd_curve(predictor, data, feature, threads=threads, method_tag="ces")
+    return replace(pd_curve(predictor, data, feature, threads=threads), method="ces")
 
 
 def firm(
@@ -409,12 +410,9 @@ def sfimp(
     j = data.feature_index(feature)
     cache = PredictionCache(threads)
     everything = frozenset(range(p))
-    ge_memo: dict[frozenset[int], float] = {}
-
-    def perturbed_ge(block: frozenset[int]) -> float:
-        if block not in ge_memo:
-            ge_memo[block] = _perturbed_ge(predictor, data, block, loss, mode, seed, cache)
-        return ge_memo[block]
+    perturbed_ge = functools.cache(
+        lambda block: _perturbed_ge(predictor, data, block, loss, mode, seed, cache)
+    )
 
     def payout(coalition: frozenset[int]) -> float:
         if not coalition:

@@ -9,6 +9,7 @@ or a permutation-sampling estimate (Monte Carlo mode).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,17 +72,6 @@ def exact_shapley_value(
     return total
 
 
-def _memoized(payout: Callable[[frozenset[int]], float]) -> Callable[[frozenset[int]], float]:
-    store: dict[frozenset[int], float] = {}
-
-    def wrapped(coalition: frozenset[int]) -> float:
-        if coalition not in store:
-            store[coalition] = payout(coalition)
-        return store[coalition]
-
-    return wrapped
-
-
 def pd_payout(
     predictor: PredictorHandle,
     data: Dataset,
@@ -127,7 +117,7 @@ def shapley_exact(
     j = data.feature_index(feature)
     x = data.check_vector(x)
     cache = PredictionCache(threads)
-    payout = _memoized(lambda k: pd_payout(predictor, data, x, k, cache=cache))
+    payout = functools.cache(lambda k: pd_payout(predictor, data, x, k, cache=cache))
     value = exact_shapley_value(payout, p, j)
     full = payout(frozenset(range(p)))
     trace = cache.trace(

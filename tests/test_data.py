@@ -112,3 +112,26 @@ def test_check_vector_validates_levels_and_length():
         data.check_vector([2.0, "nope"])
     with pytest.raises(InvalidArgumentError):
         data.check_vector([2.0])
+
+
+def test_from_columns_rejects_unequal_lengths():
+    with pytest.raises(InvalidArgumentError, match="column 'b' has 2 values, expected 3"):
+        Dataset.from_columns({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0]})
+    with pytest.raises(InvalidArgumentError, match="column 'a' has 2 values, expected 3"):
+        Dataset.from_columns({"a": ["u", "v"], "b": [4.0, 5.0, 6.0]})
+
+
+def test_from_columns_needs_an_observation_and_a_feature():
+    with pytest.raises(InvalidArgumentError, match="at least one observation"):
+        Dataset.from_columns({"a": [], "b": []})
+    with pytest.raises(InvalidArgumentError, match="at least one feature"):
+        Dataset.from_columns({})
+
+
+def test_constructors_leave_caller_arrays_alone():
+    values = np.array([1.0, 2.0])
+    data = Dataset.from_columns({"a": values})
+    derived = data.replace_columns({0: values})
+    assert values.flags.writeable
+    values[0] = 7.0
+    assert data.column(0).tolist() == derived.column(0).tolist() == [1.0, 2.0]

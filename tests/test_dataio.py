@@ -38,6 +38,15 @@ def test_load_missing_cell_names_line_and_column(tmp_path):
         load_csv(write(tmp_path, "a,b\n1,\n"))
 
 
+def test_load_reports_the_first_fault_in_reading_order(tmp_path):
+    text = "a,b,c\n1,2,3\n4, ,\t\n7,8,9\n1,2\n"
+    with pytest.raises(DataFormatError, match=r"^missing value at line 3, column 'b'$"):
+        load_csv(write(tmp_path, text))
+    ragged_first = "a,b,c\n1,2,3\n4,5\n7,,9\n"
+    with pytest.raises(DataFormatError, match="ragged row: line 3 has 2 cells, expected 3"):
+        load_csv(write(tmp_path, ragged_first, name="ragged.csv"))
+
+
 def test_load_empty_and_header_only(tmp_path):
     with pytest.raises(DataFormatError, match="empty"):
         load_csv(write(tmp_path, ""))

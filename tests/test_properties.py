@@ -1,20 +1,34 @@
-"""Property tests of the substitution kernel on random small data with duplicates.
+"""Property tests on random small data with duplicates and signed zeros.
 
-Whatever the kernel merges, the prediction record counts the grid the
-estimator is defined over (G batches of n rows), and the partial dependence
-equals the per-point ``intervene_replace`` reference bit for bit.
+Whatever the substitution kernel merges, the prediction record counts the
+grid the estimator is defined over (G batches of n rows), and the partial
+dependence, the averaged loss-change curve (PI) and the exhaustive
+permutation importance equal their per-value ``intervene_replace``
+references bit for bit.  Building a dataset from rows or from columns gives
+the same bits.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxprobe import Dataset, custom_grid, ice_curves, intervene_replace, pd_curve
+from boxprobe import (
+    Dataset,
+    FeatureMeta,
+    custom_grid,
+    ice_curves,
+    intervene_replace,
+    pd_curve,
+    pfi_exhaustive,
+    pi_curve,
+    squared_loss,
+)
 
 from conftest import handle
 
 # A small pool, so columns and grids repeat values; -0.0 and 0.0 are distinct bits.
 VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0])
+LEVELS = st.sampled_from(["a", "b", "c"])
 
 
 @st.composite
@@ -26,6 +40,34 @@ def cases(draw):
     j = draw(st.integers(0, p - 1))
     points = sorted(draw(st.lists(VALUES, min_size=1, max_size=8)))
     return data, custom_grid(data, j, points)
+
+
+@st.composite
+def targeted_cases(draw):
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    columns = {f"x{k}": draw(st.lists(VALUES, min_size=n, max_size=n)) for k in range(p)}
+    target = draw(st.lists(VALUES, min_size=n, max_size=n))
+    return Dataset.from_columns(columns, target=target), draw(st.integers(0, p - 1))
+
+
+@st.composite
+def mixed_tables(draw):
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    columns = {}
+    for k in range(p):
+        pool = draw(st.sampled_from([VALUES, LEVELS]))
+        columns[f"x{k + 1}"] = draw(st.lists(pool, min_size=n, max_size=n))
+    return columns, draw(st.lists(VALUES, min_size=n, max_size=n))
+
+
+def bits(arr):
+    """Dtype, shape and every entry, floats by hex so -0.0 and 0.0 differ."""
+    entries = [v.hex() if isinstance(v, float) else v for v in arr.ravel().tolist()]
+    return arr.dtype, arr.shape, entries
+
+
+def range_bits(meta):
+    return [m.observed_range and tuple(v.hex() for v in m.observed_range) for m in meta]
 
 
 def rowwise(X):
@@ -59,3 +101,35 @@ def test_pd_equals_per_point_reference(case):
     reference = np.vstack(rows).mean(axis=1)
     curve = pd_curve(predictor, data, grid.feature, grid=grid)
     assert curve.values().tobytes() == reference.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(targeted_cases())
+def test_pi_and_exhaustive_pfi_equal_per_value_reference(case):
+    data, j = case
+    predictor, loss = handle(rowwise, data.n_features), squared_loss()
+    base = loss(predictor(data.matrix()), data.target)
+    values = np.sort(data.column(j), kind="stable")
+    reference = np.array([
+        np.mean(loss(predictor(intervene_replace(data, {j: v}).matrix()), data.target) - base)
+        for v in values
+    ])
+    assert pi_curve(predictor, data, j, loss).values().tobytes() == reference.tobytes()
+    score = pfi_exhaustive(predictor, data, j, loss).value
+    assert score.hex() == float(np.mean(reference)).hex()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mixed_tables())
+def test_rows_and_columns_build_the_same_dataset(table):
+    columns, target = table
+    by_columns = Dataset.from_columns(columns, target=target)
+    rows = list(zip(*columns.values()))
+    schema = [FeatureMeta(m.name, m.kind, levels=m.levels) for m in by_columns.meta]
+    for by_rows in (Dataset(rows, target=target), Dataset(rows, meta=schema, target=target)):
+        assert by_rows.meta == by_columns.meta
+        assert range_bits(by_rows.meta) == range_bits(by_columns.meta)
+        for j in range(by_rows.n_features):
+            assert bits(by_rows.column(j)) == bits(by_columns.column(j))
+        assert bits(by_rows.matrix()) == bits(by_columns.matrix())
+        assert bits(by_rows.target) == bits(by_columns.target)
