@@ -44,6 +44,8 @@ def load_csv(
             table = [[cell.strip() for cell in row] for row in csv.reader(fh)]
     except OSError as exc:
         raise DataFormatError(f"cannot read {path!r}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"cannot parse {path!r}: {exc}") from exc
 
     if not table:
         raise DataFormatError(f"{path!r} is empty")

@@ -27,6 +27,7 @@ from .errors import (
 
 MODEL_FORMAT = "boxprobe-model"
 MODEL_VERSION = 1
+BUDGET = 1 << 18  # bytes of one knn distance buffer; sets the query block size
 
 
 def _numeric_target(data: Dataset) -> np.ndarray:
@@ -143,6 +144,14 @@ def fit_linear(data: Dataset) -> LinearModel:
 
 
 class KNNModel(ReferenceModel):
+    """Mean target of the k nearest training rows.
+
+    The distance is the squared Euclidean distance over continuous columns
+    plus one per mismatched categorical column, summed in schema order.
+    Queries are predicted in blocks of at most ``BUDGET`` bytes of distances
+    per buffer, and each row's result is the same whatever the block size.
+    """
+
     kind = "knn"
 
     def __init__(
@@ -163,29 +172,57 @@ class KNNModel(ReferenceModel):
             raise InvalidArgumentError(f"knn needs {n} targets, got {self.target.size}")
         if not 1 <= self.k <= n:
             raise InvalidArgumentError(f"k must be between 1 and n={n}, got {self.k}")
-        for j, m in enumerate(schema):
+        self.columns = [
+            self.train[:, j].astype(float if m.kind == CONTINUOUS else object)
+            for j, m in enumerate(schema)
+        ]
+        for m, col in zip(schema, self.columns):
             if m.kind == CONTINUOUS:
-                _finite(self.train[:, j], f"training values of {m.name!r}")
-
-    def _distances(self, row: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(self.train))
-        for j, m in enumerate(self.schema):
-            col = self.train[:, j]
-            if m.kind == CONTINUOUS:
-                total += (col.astype(float) - float(row[j])) ** 2
-            else:
-                total += (col != row[j]).astype(float)  # match/no-match distance
-        return total
+                _finite(col, f"training values of {m.name!r}")
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            dists = self._distances(X[i])
-            # Stable sort: equal distances resolve to the lower training index.
-            neighbours = np.argsort(dists, kind="stable")[: self.k]
-            out[i] = np.mean(self.target[neighbours])
+        n_rows, n_train = X.shape[0], len(self.target)
+        block = max(1, min(BUDGET // (8 * n_train), n_rows))
+        total = np.empty((block, n_train))
+        scratch = np.empty((block, n_train))
+        out = np.empty(n_rows)
+        for start in range(0, n_rows, block):
+            queries = X[start : start + block]
+            m = len(queries)
+            out[start : start + m] = self._predict_block(queries, total[:m], scratch[:m])
         return out
+
+    def _predict_block(
+        self, queries: np.ndarray, total: np.ndarray, scratch: np.ndarray
+    ) -> np.ndarray:
+        total.fill(0.0)
+        for j, (m, col) in enumerate(zip(self.schema, self.columns)):
+            if m.kind == CONTINUOUS:
+                np.subtract(col, queries[:, j, None].astype(float), out=scratch)
+                np.multiply(scratch, scratch, out=scratch)
+                total += scratch
+            else:
+                total += col != queries[:, j, None]  # match/no-match distance
+        # Every row at or below the k-th distance is a candidate.  With exactly
+        # k candidates, a stable sort of them (in index order) by distance is
+        # the head of the row's stable argsort; a tie at the k-th distance
+        # (or a NaN query) takes the full stable argsort, so equal distances
+        # still resolve to the lower training index.
+        k = self.k
+        np.copyto(scratch, total)
+        scratch.partition(k - 1, axis=1)
+        candidates = total <= scratch[:, k - 1, None]
+        count = candidates.sum(axis=1)
+        neighbours = np.empty((len(total), k), dtype=np.intp)
+        exact = np.flatnonzero(count == k)
+        index = np.nonzero(candidates[exact])[1].reshape(-1, k)
+        order = np.argsort(total[exact[:, None], index], axis=1, kind="stable")
+        neighbours[exact] = np.take_along_axis(index, order, axis=1)
+        tied = np.flatnonzero(count != k)
+        if tied.size:
+            neighbours[tied] = np.argsort(total[tied], axis=1, kind="stable")[:, :k]
+        return self.target[neighbours].mean(axis=1)
 
     def _parameters(self) -> dict[str, Any]:
         return {

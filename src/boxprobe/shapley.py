@@ -171,17 +171,20 @@ def shapley_mc(
     matrix = data.matrix()
 
     rng = make_rng(seed)
-    numeric = matrix.dtype != object
-    rows = np.empty((2 * iterations, p), dtype=(float if numeric else object))
+    orders = np.empty((iterations, p), dtype=np.intp)
+    background = np.empty(iterations, dtype=np.intp)
     for it in range(iterations):
-        order = rng.permutation(p)
-        z = matrix[int(rng.integers(n))]
-        position = int(np.flatnonzero(order == j)[0])
-        from_x = set(int(k) for k in order[: position + 1])
-        plus = [x[k] if k in from_x else z[k] for k in range(p)]
-        minus = [x[k] if (k in from_x and k != j) else z[k] for k in range(p)]
-        rows[2 * it] = plus
-        rows[2 * it + 1] = minus
+        orders[it] = rng.permutation(p)
+        background[it] = rng.integers(n)
+    rank = np.argsort(orders, axis=1)  # rank[it, k]: position of feature k in draw it
+    # Features up to and including the explained one take x's values.
+    from_x = rank <= rank[:, j, None]
+    z = matrix[background]
+    explained = np.array(x, dtype=matrix.dtype)
+    rows = np.empty((2 * iterations, p), dtype=matrix.dtype)
+    rows[0::2] = np.where(from_x, explained, z)
+    from_x[:, j] = False
+    rows[1::2] = np.where(from_x, explained, z)
 
     cache = PredictionCache(threads)
     preds = cache.predict(predictor, rows)

@@ -236,6 +236,20 @@ def test_data_errors_exit_2(workspace, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"x1,x2,y\n0,1,\xff\n", b"x1,x2,y\n0,1," + b"7" * 200_000 + b"\n"],
+    ids=["not_utf8", "field_over_csv_limit"],
+)
+def test_undecodable_csv_exits_2(workspace, tmp_path, capsys, content):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(content)
+    args = ["pd", "--feature", "x1", "--data", str(data), "--model", workspace["model"]]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(data) in err
+
+
 def test_capacity_error_exits_3(tmp_path):
     p = 13
     header = ",".join([f"x{j}" for j in range(p)] + ["y"])

@@ -2,9 +2,12 @@
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxprobe import (
     shapley_exact,
@@ -16,7 +19,10 @@ from boxprobe import (
     squared_loss,
     save_model,
 )
+from boxprobe import refmodels
 from boxprobe.cli import main
+from boxprobe.core import PredictionCache
+from boxprobe.data import CATEGORICAL, CONTINUOUS, FeatureMeta
 from boxprobe.errors import (
     DataFormatError,
     InvalidArgumentError,
@@ -115,6 +121,120 @@ def test_knn_k_bounds():
     for k in (0, 3):
         with pytest.raises(InvalidArgumentError):
             fit_knn(data, k)
+
+
+def loop_distances(model, row):
+    total = np.zeros(len(model.train))
+    for j, m in enumerate(model.schema):
+        col = model.train[:, j]
+        if m.kind == CONTINUOUS:
+            total += (col.astype(float) - float(row[j])) ** 2
+        else:
+            total += (col != row[j]).astype(float)
+    return total
+
+
+def loop_knn(model, X):
+    """The row-at-a-time knn predictor, kept as the bit-for-bit reference."""
+    X = np.asarray(X)
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        neighbours = np.argsort(loop_distances(model, X[i]), kind="stable")[: model.k]
+        out[i] = np.mean(model.target[neighbours])
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+N_TRAIN = 300
+BLOCK = max(1, refmodels.BUDGET // (8 * N_TRAIN))
+
+
+def tie_heavy_rows(rng, n):
+    """Coarse continuous values and a three-level categorical, so distances tie."""
+    rows = np.empty((n, 3), dtype=object)
+    rows[:, 0] = rng.integers(0, 5, size=n) / 2.0
+    rows[:, 1] = np.round(rng.normal(size=n), 1)
+    rows[:, 2] = rng.choice(["a", "b", "c"], size=n)
+    return rows
+
+
+def tie_heavy_knn(k):
+    rng = np.random.default_rng(11)
+    train = tie_heavy_rows(rng, N_TRAIN)
+    train[200:] = train[:100]  # duplicated training rows
+    schema = [FeatureMeta("x1", CONTINUOUS), FeatureMeta("x2", CONTINUOUS),
+              FeatureMeta("c", CATEGORICAL, ("a", "b", "c"))]
+    return refmodels.KNNModel(schema, k, train, np.round(rng.normal(size=N_TRAIN), 2))
+
+
+@pytest.mark.parametrize("k", [1, 5, 9, N_TRAIN])
+@pytest.mark.parametrize("n_queries", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_knn_blocks_match_the_row_loop_bit_for_bit(k, n_queries):
+    model = tie_heavy_knn(k)
+    queries = tie_heavy_rows(np.random.default_rng(12), n_queries)
+    assert_same_bits(model(queries), loop_knn(model, queries))
+
+
+def test_knn_test_table_ties_at_the_kth_distance():
+    model = tie_heavy_knn(5)
+    queries = tie_heavy_rows(np.random.default_rng(12), BLOCK)
+    kth = np.sort([loop_distances(model, row) for row in queries], axis=1)[:, 4:6]  # k = 5
+    assert np.sum(kth[:, 0] == kth[:, 1]) > BLOCK // 4
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_knn_threads_match_the_row_loop_bit_for_bit(threads):
+    model = tie_heavy_knn(5)
+    queries = tie_heavy_rows(np.random.default_rng(13), 2 * BLOCK + 5)
+    got = PredictionCache(threads).predict(model, queries)
+    assert_same_bits(got, loop_knn(model, queries))
+
+
+@st.composite
+def small_knn_case(draw):
+    kinds = draw(st.lists(st.sampled_from([CONTINUOUS, CATEGORICAL]), min_size=1, max_size=3))
+    n = draw(st.integers(1, 8))
+    numbers = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5])
+    levels = st.sampled_from(["a", "b", "c"])
+
+    def rows(count):
+        return [[draw(numbers if kind == CONTINUOUS else levels) for kind in kinds]
+                for _ in range(count)]
+
+    schema = [FeatureMeta(f"f{j}", kind, ("a", "b", "c") if kind == CATEGORICAL else None)
+              for j, kind in enumerate(kinds)]
+    target = draw(st.lists(st.sampled_from([-2.0, 0.1, 0.3, 7.0]), min_size=n, max_size=n))
+    model = refmodels.KNNModel(schema, draw(st.integers(1, n)), rows(n), target)
+    dtype = float if all(kind == CONTINUOUS for kind in kinds) else object
+    return model, np.array(rows(draw(st.integers(1, 6))), dtype=dtype)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_knn_case())
+def test_knn_matches_the_row_loop_on_small_tables(case):
+    model, queries = case
+    assert_same_bits(model(queries), loop_knn(model, queries))
+
+
+def test_knn_memory_is_bounded_by_the_block_budget():
+    rng = np.random.default_rng(14)
+    schema = [FeatureMeta(f"x{j}", CONTINUOUS) for j in range(8)]
+    model = refmodels.KNNModel(schema, 5, rng.normal(size=(2000, 8)), rng.normal(size=2000))
+    queries = rng.normal(size=(4096, 8))
+    tracemalloc.start()
+    try:
+        out = model(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two distance buffers, the candidate mask, the neighbour indices and a
+    # tie fallback's sort each stay within one budget; the full 4096 x 2000
+    # distance matrix would take 65 MB.
+    assert peak < 6 * refmodels.BUDGET + out.nbytes
 
 
 # -- stump ----------------------------------------------------------------------
