@@ -8,13 +8,15 @@ effect or importance estimates (aggregation).
 Reproducibility contract
 ------------------------
 All randomness flows through :func:`make_rng`, a PCG64 generator seeded
-explicitly; identical (input, seed) pairs give bit-identical results on any
-platform.  Batch prediction may be split across worker threads, but chunks
-are concatenated in row order and every aggregation runs over the fully
-assembled vector, so thread count changes no result of a row-stable
-predictor (one that rounds each row the same in any batch).  The linear
-reference model is the known exception: its BLAS product can round the last
-rows of a chunk differently, so its bits may move with the thread count.
+explicitly; every seed, a non-negative integer, enters numpy through the
+one checked function :func:`_seed_sequence`.  Identical (input, seed)
+pairs give bit-identical results on any platform.  Batch prediction may
+be split across worker threads, but chunks are concatenated in row order
+and every aggregation runs over the fully assembled vector, so thread
+count changes no result of a row-stable predictor (one that rounds each
+row the same in any batch).  The linear reference model is the known
+exception: its BLAS product can round the last rows of a chunk
+differently, so its bits may move with the thread count.
 """
 
 from __future__ import annotations
@@ -26,27 +28,35 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import CONTINUOUS, Dataset, _is_number
-from .errors import (
-    InvalidArgumentError,
-    MissingTargetError,
-    ShapeError,
-    UnsupportedKindError,
-)
+from .data import Dataset, _is_number
+from .errors import InvalidArgumentError, ShapeError, UnsupportedKindError
 from .trace import INTERVENTION, SAMPLING, STAGES, StageRecord, StageTrace, assemble_trace
 
 DEFAULT_STEP_FRACTION = 1e-4
 ROW_BUDGET = 1 << 14  # most rows the substitution kernel passes to one predictor call
 
 
+def _seed_sequence(seed: int, *words: int) -> np.random.SeedSequence:
+    """The one place a seed enters numpy.
+
+    Seeds are non-negative integers.  Extra ``words`` derive another stream
+    from the same seed; without them ``PCG64`` draws the stream of
+    ``PCG64(seed)``.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence([seed, *words])
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """The package-wide random generator: PCG64 under an explicit seed."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
 
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
     """Derive ``count`` independent child seeds from one master seed."""
-    state = np.random.SeedSequence(int(seed)).generate_state(count, dtype=np.uint32)
+    state = _seed_sequence(seed).generate_state(count, dtype=np.uint32)
     return [int(s) for s in state]
 
 
@@ -275,6 +285,9 @@ def zero_one_loss(threshold: float = 0.5) -> LossFunction:
 
     Targets must be numeric 0/1 values.
     """
+    threshold = float(threshold)
+    if not np.isfinite(threshold):
+        raise InvalidArgumentError(f"zero_one threshold must be finite, got {threshold}")
 
     def fn(p: np.ndarray, y: np.ndarray) -> np.ndarray:
         labels = (p > threshold).astype(float)
@@ -375,19 +388,14 @@ def intervene_shift(data: Dataset, feature: int | str, delta: float) -> Dataset:
     Shifted values may leave the observed range; that extrapolation is
     exactly what finite-difference methods require.
     """
-    j = data.feature_index(feature)
-    meta = data.meta[j]
-    if meta.kind != CONTINUOUS:
-        raise UnsupportedKindError(
-            f"cannot shift categorical feature {meta.name!r}"
-        )
+    j = data.continuous_index(feature, "a shift")
     delta = float(delta)
     if not np.isfinite(delta):
         raise InvalidArgumentError("shift delta must be finite")
     record = StageRecord(
         INTERVENTION,
         "shift feature column",
-        {"feature": meta.name, "delta": delta},
+        {"feature": data.meta[j].name, "delta": delta},
     )
     return data.replace_columns({j: data.column(j) + delta}, record=record)
 
@@ -397,23 +405,18 @@ def intervene_shift(data: Dataset, feature: int | str, delta: float) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def default_step(data: Dataset, feature: int | str, fraction: float = DEFAULT_STEP_FRACTION) -> float:
-    """Default finite-difference step: ``fraction`` of the observed range.
+def default_step(data: Dataset, feature: int | str) -> float:
+    """Default finite-difference step: :data:`DEFAULT_STEP_FRACTION` of the observed range.
 
     Scale-invariant and far from float64 cancellation at tabular-data
     ranges.  A zero range (constant column) falls back to the larger of
     the column magnitude and 1.
     """
-    j = data.feature_index(feature)
-    meta = data.meta[j]
-    if meta.kind != CONTINUOUS:
-        raise UnsupportedKindError(
-            f"feature {meta.name!r} is categorical; finite differences need a continuous feature"
-        )
-    lo, hi = meta.observed_range  # always present for continuous columns
+    j = data.continuous_index(feature, "finite differencing")
+    lo, hi = data.meta[j].observed_range  # always present for continuous columns
     span = hi - lo
     scale = span if span > 0 else max(abs(hi), 1.0)
-    return fraction * scale
+    return DEFAULT_STEP_FRACTION * scale
 
 
 def finite_difference(
@@ -461,7 +464,6 @@ def estimate_generalization_error(
     cache: PredictionCache | None = None,
 ) -> float:
     """Average loss of the predictor on the dataset's observed targets."""
-    if data.target is None:
-        raise MissingTargetError("generalization error needs a dataset with targets")
+    target = data.numeric_target("the generalization error")
     preds = predict_batch(predictor, data, cache=cache)
-    return float(np.mean(loss(preds, data.target)))
+    return float(np.mean(loss(preds, target)))

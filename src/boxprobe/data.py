@@ -14,7 +14,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidLevelError, UnsupportedKindError
+from .errors import (
+    InvalidArgumentError,
+    InvalidLevelError,
+    MissingTargetError,
+    UnsupportedKindError,
+)
 from .trace import StageRecord
 
 CONTINUOUS = "continuous"
@@ -89,15 +94,20 @@ def _as_float_column(values: Sequence[Any], name: str) -> np.ndarray:
     return col
 
 
+def _unregistered(value: str, meta: FeatureMeta) -> InvalidLevelError:
+    """The error for a value that is not among a categorical feature's levels."""
+    return InvalidLevelError(
+        f"value {value!r} is not a registered level of feature {meta.name!r} "
+        f"(levels: {list(meta.levels)})"
+    )
+
+
 def _as_level_column(values: Sequence[Any], meta: FeatureMeta) -> np.ndarray:
     col = np.array([str(v) for v in values], dtype=object)
-    allowed = set(meta.levels or ())
+    allowed = set(meta.levels)
     for v in col:
         if v not in allowed:
-            raise InvalidLevelError(
-                f"value {v!r} is not a registered level of feature {meta.name!r} "
-                f"(levels: {list(meta.levels or ())})"
-            )
+            raise _unregistered(v, meta)
     return col
 
 
@@ -249,6 +259,23 @@ class Dataset:
             )
         return j
 
+    def continuous_index(self, feature: int | str, purpose: str) -> int:
+        """Column index of a continuous feature; ``purpose`` names what needs one."""
+        j = self.feature_index(feature)
+        if self._meta[j].kind != CONTINUOUS:
+            raise UnsupportedKindError(
+                f"feature {self._meta[j].name!r} is categorical, but {purpose} needs a continuous one"
+            )
+        return j
+
+    def numeric_target(self, purpose: str) -> np.ndarray:
+        """The target as float64; ``purpose`` names what needs it."""
+        if self._target is None:
+            raise MissingTargetError(f"{purpose} needs a dataset with targets")
+        if self._target.dtype == object:
+            raise InvalidArgumentError(f"{purpose} needs a numeric target")
+        return self._target
+
     def column(self, feature: int | str) -> np.ndarray:
         return self._columns[self.feature_index(feature)]
 
@@ -321,11 +348,8 @@ class Dataset:
                 raise InvalidArgumentError(f"non-finite value for feature {m.name!r}")
             return v
         v = str(value)
-        if v not in (m.levels or ()):
-            raise InvalidLevelError(
-                f"value {v!r} is not a registered level of feature {m.name!r} "
-                f"(levels: {list(m.levels or ())})"
-            )
+        if v not in m.levels:
+            raise _unregistered(v, m)
         return v
 
     def check_vector(self, x: Sequence[Any]) -> tuple[Any, ...]:

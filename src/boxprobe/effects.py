@@ -25,12 +25,7 @@ from .core import (
     predict_batch,
 )
 from .data import CATEGORICAL, CONTINUOUS, Dataset
-from .errors import (
-    DegenerateBinningError,
-    InvalidArgumentError,
-    SingularFitError,
-    UnsupportedKindError,
-)
+from .errors import DegenerateBinningError, InvalidArgumentError, SingularFitError
 from .trace import StageTrace
 
 OBSERVED_VALUES = "observed_values"
@@ -75,15 +70,10 @@ def observed_grid(data: Dataset, feature: int | str) -> Grid:
 
 def equidistant_grid(data: Dataset, feature: int | str, k: int) -> Grid:
     """``k`` equally spaced points spanning the observed range (continuous only)."""
-    j = data.feature_index(feature)
-    meta = data.meta[j]
-    if meta.kind != CONTINUOUS:
-        raise UnsupportedKindError(
-            f"equidistant grids need a continuous feature, {meta.name!r} is categorical"
-        )
+    j = data.continuous_index(feature, "an equidistant grid")
     if k < 2:
         raise InvalidArgumentError(f"equidistant grids need k >= 2 points, got {k}")
-    lo, hi = meta.observed_range
+    lo, hi = data.meta[j].observed_range
     return Grid(j, tuple(np.linspace(lo, hi, int(k))), CONTINUOUS, EQUIDISTANT)
 
 
@@ -315,10 +305,7 @@ def ale_first_order(
     boundary, so ``num_intervals`` intervals yield ``num_intervals + 1``
     curve points (fewer if degenerate intervals were merged).
     """
-    j = data.feature_index(feature)
-    meta = data.meta[j]
-    if meta.kind != CONTINUOUS:
-        raise UnsupportedKindError(f"ALE needs a continuous feature, {meta.name!r} is categorical")
+    j = data.continuous_index(feature, "ALE")
     if int(num_intervals) < 1:
         raise InvalidArgumentError(f"num_intervals must be at least 1, got {num_intervals}")
     column = data.column(j)
@@ -345,7 +332,7 @@ def ale_first_order(
         data,
         (
             "substitute interval boundaries for each observation's feature value",
-            {"feature": meta.name, "intervals": n_int, "edges": [float(e) for e in edges]},
+            {"feature": data.meta[j].name, "intervals": n_int, "edges": [float(e) for e in edges]},
         ),
         (
             "average finite differences per interval, accumulate, center by data-weighted mean",
@@ -390,11 +377,7 @@ def average_marginal_effect(
     threads: int = 1,
 ) -> AverageMarginalEffect:
     """Mean symmetric difference quotient over all observed rows (default ``h``: default_step)."""
-    j = data.feature_index(feature)
-    if data.meta[j].kind != CONTINUOUS:
-        raise UnsupportedKindError(
-            f"marginal effects need a continuous feature, {data.meta[j].name!r} is categorical"
-        )
+    j = data.continuous_index(feature, "a marginal effect")
     if h is None:
         h = default_step(data, j)
     h = float(h)
@@ -457,12 +440,8 @@ def lime_explain(
     the column's sample sd.  Exact for affine predictors under any
     positive weights.
     """
-    j = data.feature_index(feature)
+    j = data.continuous_index(feature, "the linear surrogate")
     meta = data.meta[j]
-    if meta.kind != CONTINUOUS:
-        raise UnsupportedKindError(
-            f"the linear surrogate needs a continuous feature, {meta.name!r} is categorical"
-        )
     num_samples = int(num_samples)
     if num_samples < 3:
         raise InvalidArgumentError(f"num_samples must be at least 3, got {num_samples}")

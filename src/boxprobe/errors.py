@@ -31,7 +31,7 @@ class MissingTargetError(BoxprobeError):
 
 
 class CapacityError(BoxprobeError):
-    """Exact coalition enumeration would exceed the configured feature cap."""
+    """Exact coalition enumeration would exceed the feature cap."""
 
 
 class DegenerateBinningError(BoxprobeError):

@@ -19,6 +19,7 @@ from .core import (
     LossFunction,
     PredictionCache,
     PredictorHandle,
+    _seed_sequence,
     estimate_generalization_error,
     intervene_permute,
     make_rng,
@@ -27,13 +28,8 @@ from .core import (
 )
 from .data import CONTINUOUS, Dataset
 from .effects import EffectCurve, _substitute_grid, observed_grid, pd_curve
-from .errors import (
-    CapacityError,
-    InvalidArgumentError,
-    MissingTargetError,
-    UndefinedVarianceError,
-)
-from .shapley import EXACT_FEATURE_CAP, exact_shapley_value
+from .errors import InvalidArgumentError, UndefinedVarianceError
+from .shapley import exact_shapley_value
 from .trace import AGGREGATION, INTERVENTION, StageRecord, StageTrace
 
 PERTURB_EXHAUSTIVE = "exhaustive"
@@ -73,14 +69,6 @@ def _expand_to_observations(xs: tuple, ys: np.ndarray, column: np.ndarray) -> np
     """Map per-grid-point values back onto the n observations (duplicates kept)."""
     idx = np.searchsorted(np.asarray(xs, dtype=float), column)
     return ys[idx]
-
-
-def _require_numeric_target(data: Dataset) -> np.ndarray:
-    if data.target is None:
-        raise MissingTargetError("this importance method needs a dataset with targets")
-    if data.target.dtype == object:
-        raise InvalidArgumentError("loss-based methods need a numeric target")
-    return data.target
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +159,7 @@ def ici_curve(
     the curve holds the loss of predicting observation ``i`` with its
     feature replaced by ``v``, minus the loss at its original value.
     """
-    target = _require_numeric_target(data)
+    target = data.numeric_target("ICI")
     j = data.feature_index(feature)
     i = int(observation)
     if not 0 <= i < data.n_rows:
@@ -206,7 +194,7 @@ def _pi_values(
 ) -> tuple[np.ndarray, np.ndarray, PredictionCache, tuple[str, dict]]:
     """Per-substituted-value mean loss change over all observations, plus the
     cache that predicted them and the intervention step."""
-    target = _require_numeric_target(data)
+    target = data.numeric_target("the mean loss change")
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
     base_losses = loss(predict_batch(predictor, data, cache=cache), target)
@@ -272,14 +260,14 @@ def pfi_permutation(
     the result is the mean over repeats (one permutation has high
     variance, hence the default of five).
     """
-    _require_numeric_target(data)
+    data.numeric_target("permutation importance")
     j = data.feature_index(feature)
     repeats = int(repeats)
     if repeats < 1:
         raise InvalidArgumentError(f"repeats must be at least 1, got {repeats}")
+    child_seeds = spawn_seeds(seed, repeats)
     cache = PredictionCache(threads)
     base = estimate_generalization_error(predictor, data, loss, cache=cache)
-    child_seeds = spawn_seeds(seed, repeats)
     diffs = np.empty(repeats)
     for r, child in enumerate(child_seeds):
         permuted = intervene_permute(data, j, child)
@@ -305,8 +293,8 @@ def pfi_permutation(
 
 
 def _coalition_seed(seed: int, perturbed: frozenset[int]) -> int:
-    entropy = [int(seed)] + sorted(int(t) for t in perturbed)
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint32)[0])
+    state = _seed_sequence(seed, *sorted(perturbed)).generate_state(1, dtype=np.uint32)
+    return int(state[0])
 
 
 def _check_perturbation(data: Dataset, mode: str, seed: int | None) -> None:
@@ -314,7 +302,7 @@ def _check_perturbation(data: Dataset, mode: str, seed: int | None) -> None:
         raise InvalidArgumentError(f"unknown perturbation mode {mode!r}")
     if mode == PERTURB_PERMUTATION and seed is None:
         raise InvalidArgumentError("permutation mode needs a seed")
-    _require_numeric_target(data)
+    data.numeric_target("Shapley importance")
 
 
 def _permute_block(data: Dataset, perturbed: Iterable[int], seed: int) -> Dataset:
@@ -342,9 +330,9 @@ def _perturbed_ge(
 
     Exhaustive mode substitutes the block's values from every observation
     in turn and averages over all n^2 (donor, receiver) pairs; permutation
-    mode applies one seeded joint permutation of the block.
+    mode applies one seeded joint permutation of the block.  Callers have
+    checked the target with :func:`_check_perturbation`.
     """
-    target = _require_numeric_target(data)
     if not perturbed:
         return estimate_generalization_error(predictor, data, loss, cache=cache)
     if mode == PERTURB_PERMUTATION:
@@ -353,7 +341,7 @@ def _perturbed_ge(
     block = sorted(perturbed)
     donors = list(zip(*(data.column(t) for t in block)))
     preds, inverse = cache.substitute(predictor, data, block, donors)
-    per_donor = np.array([np.mean(loss(row, target)) for row in preds])
+    per_donor = np.array([np.mean(loss(row, data.target)) for row in preds])
     return float(np.mean(per_donor[inverse]))
 
 
@@ -392,20 +380,16 @@ def sfimp(
     loss: LossFunction,
     mode: str = PERTURB_EXHAUSTIVE,
     seed: int | None = None,
-    cap: int = EXACT_FEATURE_CAP,
     threads: int = 1,
 ) -> ImportanceScore:
     """Shapley importance: exact coalition formula under the loss payout.
 
     Uses the same factorially weighted enumeration as the effect Shapley
     value, with :func:`pfi_payout` as the characteristic function; the
-    per-feature values therefore sum to the full-coalition payout.
+    per-feature values therefore sum to the full-coalition payout.  The
+    feature count is capped at :data:`~boxprobe.shapley.EXACT_FEATURE_CAP`.
     """
     p = data.n_features
-    if p > cap:
-        raise CapacityError(
-            f"exact enumeration over {p} features exceeds the cap of {cap}"
-        )
     _check_perturbation(data, mode, seed)
     j = data.feature_index(feature)
     cache = PredictionCache(threads)

@@ -18,24 +18,11 @@ import numpy as np
 
 from .core import PredictorHandle
 from .data import CONTINUOUS, Dataset, FeatureMeta, _is_number
-from .errors import (
-    DataFormatError,
-    InvalidArgumentError,
-    MissingTargetError,
-    SingularFitError,
-)
+from .errors import DataFormatError, InvalidArgumentError, SingularFitError
 
 MODEL_FORMAT = "boxprobe-model"
 MODEL_VERSION = 1
 BUDGET = 1 << 18  # bytes of one knn distance buffer; sets the query block size
-
-
-def _numeric_target(data: Dataset) -> np.ndarray:
-    if data.target is None:
-        raise MissingTargetError("fitting a reference model needs a target")
-    if data.target.dtype == object:
-        raise InvalidArgumentError("reference models need a numeric target")
-    return np.asarray(data.target, dtype=float)
 
 
 def _finite(values: Any, what: str) -> np.ndarray:
@@ -125,7 +112,7 @@ class LinearModel(ReferenceModel):
 
 def fit_linear(data: Dataset) -> LinearModel:
     """Least squares with intercept, solved by SVD; exact on noiseless affine data."""
-    y = _numeric_target(data)
+    y = data.numeric_target("fitting a reference model")
     n, p = data.n_rows, data.n_features
     if n <= p:
         raise SingularFitError(f"need more observations than features (n={n}, p={p})")
@@ -234,7 +221,7 @@ class KNNModel(ReferenceModel):
 
 def fit_knn(data: Dataset, k: int) -> KNNModel:
     """Store the sample; predict the mean target of the k nearest rows."""
-    y = _numeric_target(data)
+    y = data.numeric_target("fitting a reference model")
     return KNNModel(data.meta, k, data.matrix(), y)
 
 
@@ -313,7 +300,7 @@ def fit_stump(data: Dataset) -> StumpModel:
     break toward the lower feature index, then the lower threshold.  Equal
     targets (or no feature with two observed sides) give a constant stump.
     """
-    y = _numeric_target(data)
+    y = data.numeric_target("fitting a reference model")
     constant = StumpModel(data.meta, None, None, None, float(np.mean(y)), float(np.mean(y)))
     if np.max(y) == np.min(y):
         return constant

@@ -60,8 +60,15 @@ def exact_shapley_value(
 
     Enumerates every coalition not containing the feature and sums the
     factorially weighted marginal payout gains.  Shared by the effect-based
-    and the performance-based (loss payout) Shapley computations.
+    and the performance-based (loss payout) Shapley computations; checks
+    :data:`EXACT_FEATURE_CAP` before the first payout, so no caller
+    predicts beyond the cap.
     """
+    if n_features > EXACT_FEATURE_CAP:
+        raise CapacityError(
+            f"exact enumeration over {n_features} features exceeds the cap of "
+            f"{EXACT_FEATURE_CAP}; Monte Carlo sampling scales to more features"
+        )
     others = [k for k in range(n_features) if k != feature]
     total = 0.0
     for size in range(n_features):
@@ -99,21 +106,15 @@ def shapley_exact(
     data: Dataset,
     x: Sequence[Any],
     feature: int | str,
-    cap: int = EXACT_FEATURE_CAP,
     threads: int = 1,
 ) -> ShapleyExplanation:
     """Exact Shapley value of one feature at the explained point ``x``.
 
     Enumerates all 2^(p-1) coalitions of the remaining features, so the
-    feature count is capped (default 12); beyond the cap use
-    :func:`shapley_mc`.
+    feature count is capped at :data:`EXACT_FEATURE_CAP`; beyond the cap
+    use :func:`shapley_mc`.
     """
     p = data.n_features
-    if p > cap:
-        raise CapacityError(
-            f"exact enumeration over {p} features exceeds the cap of {cap}; "
-            "use the Monte Carlo estimator instead"
-        )
     j = data.feature_index(feature)
     x = data.check_vector(x)
     cache = PredictionCache(threads)

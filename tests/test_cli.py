@@ -209,6 +209,32 @@ def test_usage_errors_exit_1(workspace):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pfi", "--feature", "x1"],
+        ["shapley", "--feature", "x1", "--row", "0", "--samples", "10"],
+        ["lime", "--feature", "x1", "--row", "0"],
+        ["sfimp", "--feature", "x1", "--mode", "permutation"],
+    ],
+    ids=["pfi", "shapley_mc", "lime", "sfimp_permutation"],
+)
+def test_negative_seed_exits_1(workspace, capsys, args):
+    code, out = run_to_file(workspace, "x.json", *args, "--seed", "-1")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_non_finite_threshold_exits_1(workspace, capsys, threshold):
+    args = ["pfi", "--feature", "x1", "--loss", "zero_one", "--threshold", threshold]
+    code, out = run_to_file(workspace, "x.json", *args)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: zero_one threshold must be finite")
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(workspace, tmp_path):
     missing = str(tmp_path / "missing.csv")
     assert (

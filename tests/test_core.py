@@ -10,9 +10,12 @@ from boxprobe import (
     intervene_permute,
     intervene_replace,
     intervene_shift,
+    lime_explain,
     make_rng,
+    pfi_permutation,
     predict_batch,
     sample_observations,
+    shapley_mc,
     pi_curve,
     squared_loss,
     absolute_loss,
@@ -26,6 +29,7 @@ from boxprobe.errors import (
     ShapeError,
     UnsupportedKindError,
 )
+from boxprobe.core import spawn_seeds
 from boxprobe.trace import StageTrace, StageRecord, assemble_trace
 
 from conftest import columns_dataset, constant_predictor, handle, linear_predictor
@@ -314,6 +318,12 @@ def test_ge_requires_target():
         estimate_generalization_error(linear_predictor([1.0]), data, squared_loss())
 
 
+def test_ge_rejects_a_string_target():
+    data = columns_dataset(a=[1.0, 2.0], target=["yes", "no"])
+    with pytest.raises(InvalidArgumentError, match="numeric target"):
+        estimate_generalization_error(linear_predictor([1.0]), data, squared_loss())
+
+
 def test_losses():
     sq, ab = squared_loss(), absolute_loss()
     assert sq(np.array([2.0]), np.array([2.0]))[0] == 0.0
@@ -330,6 +340,48 @@ def test_losses():
 
 
 # -- stage traces ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_zero_one_rejects_a_non_finite_threshold(threshold):
+    with pytest.raises(InvalidArgumentError, match="threshold"):
+        zero_one_loss(threshold)
+    with pytest.raises(InvalidArgumentError, match="threshold"):
+        loss_by_name("zero_one", threshold=threshold)
+
+
+# -- seeds ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32, 10**30])
+def test_valid_seeds_keep_their_streams(seed):
+    expected = np.random.Generator(np.random.PCG64(seed)).integers(0, 2**62, 8)
+    assert (make_rng(seed).integers(0, 2**62, 8) == expected).all()
+    state = np.random.SeedSequence(seed).generate_state(3, dtype=np.uint32)
+    assert spawn_seeds(seed, 3) == [int(s) for s in state]
+
+
+@pytest.mark.parametrize("draw", [make_rng, lambda seed: spawn_seeds(seed, 2)])
+def test_negative_seed_rejected(draw):
+    with pytest.raises(InvalidArgumentError, match="non-negative"):
+        draw(-1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f, data: pfi_permutation(f, data, 0, squared_loss(), seed=-1),
+        lambda f, data: shapley_mc(f, data, (1.0, 2.0), 0, 10, seed=-1),
+        lambda f, data: lime_explain(f, data, (1.0, 2.0), 0, seed=-1),
+    ],
+    ids=["pfi_permutation", "shapley_mc", "lime_explain"],
+)
+def test_negative_seed_rejected_before_predicting(two_feature_data, run):
+    calls = []
+    predictor = handle(lambda X: calls.append(len(X)) or np.zeros(len(X)), 2)
+    with pytest.raises(InvalidArgumentError, match="non-negative"):
+        run(predictor, two_feature_data)
+    assert calls == []
 
 
 def test_trace_rejects_out_of_order_records():

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from boxprobe import CATEGORICAL, CONTINUOUS, Dataset, FeatureMeta
-from boxprobe.errors import InvalidArgumentError, InvalidLevelError
+from boxprobe.errors import (
+    InvalidArgumentError,
+    InvalidLevelError,
+    MissingTargetError,
+    UnsupportedKindError,
+)
 
 from conftest import columns_dataset
 
@@ -135,3 +140,20 @@ def test_constructors_leave_caller_arrays_alone():
     assert values.flags.writeable
     values[0] = 7.0
     assert data.column(0).tolist() == derived.column(0).tolist() == [1.0, 2.0]
+
+
+def test_continuous_index_names_the_purpose():
+    data = columns_dataset(a=[1.0, 2.0], b=["x", "y"])
+    assert data.continuous_index("a", "a shift") == 0
+    with pytest.raises(UnsupportedKindError, match="'b' is categorical, but a shift needs"):
+        data.continuous_index(1, "a shift")
+    with pytest.raises(InvalidArgumentError, match="unknown feature"):
+        data.continuous_index("zz", "a shift")
+
+
+def test_numeric_target_names_the_purpose():
+    assert columns_dataset(a=[1.0, 2.0], target=[3, 4]).numeric_target("ICI").tolist() == [3.0, 4.0]
+    with pytest.raises(MissingTargetError, match="ICI needs a dataset with targets"):
+        columns_dataset(a=[1.0, 2.0]).numeric_target("ICI")
+    with pytest.raises(InvalidArgumentError, match="ICI needs a numeric target"):
+        columns_dataset(a=[1.0, 2.0], target=["p", "q"]).numeric_target("ICI")

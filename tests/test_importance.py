@@ -17,6 +17,7 @@ from boxprobe import (
     sfimp,
     squared_loss,
 )
+from boxprobe import shapley
 from boxprobe.core import spawn_seeds
 from boxprobe.errors import (
     CapacityError,
@@ -341,9 +342,10 @@ def test_sfimp_efficiency():
     assert abs(total - full) < 1e-10
 
 
-def test_sfimp_validation(two_row_identity):
+def test_sfimp_validation(two_row_identity, monkeypatch):
     data, predictor = two_row_identity
+    monkeypatch.setattr(shapley, "EXACT_FEATURE_CAP", 0)
     with pytest.raises(CapacityError):
-        sfimp(predictor, data, 0, squared_loss(), cap=0)
+        sfimp(predictor, data, 0, squared_loss())
     with pytest.raises(InvalidArgumentError, match="seed"):
         sfimp(predictor, data, 0, squared_loss(), mode="permutation")

@@ -1,0 +1,81 @@
+"""Tooling guard: each input rule is checked in one place.
+
+- A missing target is rejected only by ``data.py`` (``Dataset.numeric_target``).
+- A categorical feature where a continuous one is needed is rejected only by
+  ``data.py`` (``Dataset.continuous_index``, ``Dataset.check_value``) and by
+  ``core.finite_difference``, which checks a raw vector, not a dataset.
+- A seed enters numpy only through ``core._seed_sequence``, which rejects
+  negative seeds: no other function builds a ``SeedSequence``, the one
+  ``PCG64`` (in ``core.make_rng``) is built from its result, and
+  ``default_rng`` is not used.
+
+A copy of a rule elsewhere would drift from these, as the copies this
+guard replaced had.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "boxprobe"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _sites(path):
+    """Yield ``(enclosing function, node)`` for every node of the module."""
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield inner, child
+            yield from walk(child, inner)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _raises(path, error):
+    for function, node in _sites(path):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _name(exc) == error:
+                yield function
+
+
+def _calls(path, name):
+    for function, node in _sites(path):
+        if isinstance(node, ast.Call) and _name(node.func) == name:
+            yield function, node
+
+
+def _constructs(path, name):
+    return (function for function, _ in _calls(path, name))
+
+
+def _where(finder, *args):
+    return {(path.name, function) for path in MODULES for function in finder(path, *args)}
+
+
+def test_modules_are_found():
+    assert {"core.py", "data.py", "importance.py"} <= {path.name for path in MODULES}
+
+
+def test_only_data_rejects_a_missing_target():
+    assert {module for module, _ in _where(_raises, "MissingTargetError")} == {"data.py"}
+
+
+def test_kind_is_checked_by_data_and_the_raw_vector_difference():
+    sites = _where(_raises, "UnsupportedKindError")
+    assert {site for site in sites if site[0] != "data.py"} == {("core.py", "finite_difference")}
+    assert ("data.py", "continuous_index") in sites
+
+
+def test_seeds_enter_numpy_in_one_function():
+    assert _where(_constructs, "SeedSequence") == {("core.py", "_seed_sequence")}
+    assert _where(_constructs, "PCG64") == {("core.py", "make_rng")}
+    assert _where(_constructs, "default_rng") == set()
+    [(_, call)] = _calls(SRC / "core.py", "PCG64")
+    assert len(call.args) == 1 and not call.keywords
+    assert _name(getattr(call.args[0], "func", None)) == "_seed_sequence"

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from boxprobe import pd_payout, shapley_exact, shapley_mc
+from boxprobe import pd_payout, sfimp, shapley_exact, shapley_mc, squared_loss
+from boxprobe import shapley
 from boxprobe.errors import CapacityError, InvalidArgumentError
 
 from conftest import columns_dataset, constant_predictor, handle
@@ -137,9 +138,28 @@ def test_exact_equals_all_orderings_brute_force(p):
         assert abs(shapley_exact(predictor, data, x, j).value - oracle) < 1e-10
 
 
-def test_exact_capacity_error_points_to_monte_carlo(two_feature_data, sum_predictor):
+def test_exact_capacity_error_points_to_monte_carlo(two_feature_data, sum_predictor, monkeypatch):
+    monkeypatch.setattr(shapley, "EXACT_FEATURE_CAP", 1)
     with pytest.raises(CapacityError, match="Monte Carlo"):
-        shapley_exact(sum_predictor, two_feature_data, (1.0, 2.0), 0, cap=1)
+        shapley_exact(sum_predictor, two_feature_data, (1.0, 2.0), 0)
+
+
+@pytest.mark.parametrize(
+    "explain",
+    [
+        lambda predictor, data: shapley_exact(predictor, data, (1.0, 2.0), 0),
+        lambda predictor, data: sfimp(predictor, data, 0, squared_loss()),
+        lambda predictor, data: sfimp(predictor, data, 0, squared_loss(), "permutation", seed=1),
+    ],
+    ids=["shapley_exact", "sfimp", "sfimp_permutation"],
+)
+def test_exact_enumeration_over_the_cap_predicts_nothing(two_feature_data, monkeypatch, explain):
+    monkeypatch.setattr(shapley, "EXACT_FEATURE_CAP", 1)
+    calls = []
+    predictor = handle(lambda X: calls.append(len(X)) or np.zeros(len(X)), 2)
+    with pytest.raises(CapacityError):
+        explain(predictor, two_feature_data)
+    assert calls == []
 
 
 # -- Monte Carlo -------------------------------------------------------------------
