@@ -10,8 +10,9 @@ declarations (the only place a default lives) and a runner.  The click
 commands and :class:`RunConfig`'s parameter check are generated from that
 table.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric or capacity
-error.
+Exit codes: 0 success, else the ``exit_code`` of the error type raised (1
+usage, 2 data, 3 numeric or capacity), applied in :func:`main` alone, where
+click's own usage errors exit like ``InvalidArgumentError``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import click
 
 from .core import PredictionCache, default_step, loss_by_name
 from .data import Dataset
-from .dataio import emit_json, emit_points_csv, emit_score_csv, load_csv
+from .dataio import emit_json, emit_points_csv, emit_score_csv, load_csv, write_text
 from .effects import (
     EffectCurve,
     _ice_builder,
@@ -36,19 +37,7 @@ from .effects import (
     observed_grid,
     pd_curve,
 )
-from .errors import (
-    BoxprobeError,
-    CapacityError,
-    DataFormatError,
-    DegenerateBinningError,
-    InvalidArgumentError,
-    InvalidLevelError,
-    MissingTargetError,
-    ShapeError,
-    SingularFitError,
-    UndefinedVarianceError,
-    UnsupportedKindError,
-)
+from .errors import BoxprobeError, DataFormatError, InvalidArgumentError
 from .importance import (
     firm,
     ici_curve,
@@ -64,18 +53,6 @@ from .shapley import shapley_exact, shapley_mc
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
-
-_USAGE_ERRORS = (InvalidArgumentError, UnsupportedKindError, InvalidLevelError)
-_DATA_ERRORS = (DataFormatError, MissingTargetError, ShapeError)
-_NUMERIC_ERRORS = (
-    CapacityError,
-    DegenerateBinningError,
-    SingularFitError,
-    UndefinedVarianceError,
-)
 
 
 @dataclass
@@ -132,22 +109,14 @@ def _convert(opt: click.Option, value: Any) -> Any:
         raise InvalidArgumentError(exc.format_message()) from exc
 
 
-def _exit_code(exc: BoxprobeError) -> int:
-    if isinstance(exc, _NUMERIC_ERRORS):
-        return EXIT_NUMERIC
-    if isinstance(exc, _DATA_ERRORS):
-        return EXIT_DATA
-    if isinstance(exc, _USAGE_ERRORS):
-        return EXIT_USAGE
-    return EXIT_NUMERIC
-
-
 def _resolve_feature(data: Dataset, spec: str) -> int:
     spec = spec.strip()
     try:
-        return data.feature_index(int(spec))
+        j = int(spec)
     except ValueError:
         return data.feature_index(spec)
+    # an index out of range may still be a column's name
+    return j if 0 <= j < data.n_features else data.feature_index(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -442,31 +411,47 @@ def _render(doc: dict[str, Any], fmt: str, feature_label: Any) -> str:
 def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
+    else:
+        write_text(out_path, text)
+
+
+def _match_columns(data: Dataset, model: ReferenceModel) -> None:
+    """Reject feature columns whose names, kinds or levels differ from the model's."""
+    names, expected = data.feature_names, tuple(m.name for m in model.schema)
+    if len(names) != len(expected):
+        return  # the estimators report a width mismatch in their own terms
+    if names != expected:
+        raise DataFormatError(
+            f"data columns {list(names)} do not match the model's features {list(expected)}"
+        )
+    for have, want in zip(data.meta, model.schema):
+        if have.kind != want.kind:
+            raise DataFormatError(
+                f"column {have.name!r} is {have.kind} in the data but {want.kind} in the model"
+            )
+        unseen = sorted(set(have.levels or ()) - set(want.levels or ()))
+        if unseen:
+            raise DataFormatError(
+                f"column {have.name!r} has levels {unseen} the model never saw "
+                f"(model levels: {list(want.levels)})"
+            )
+
+
+def run(config: RunConfig) -> None:
+    """Execute one configured run, writing its document or model file.
+
+    Raises the :class:`BoxprobeError` of the first failure; :func:`main`
+    turns it into an ``error:`` line and the type's ``exit_code``.
+    """
+    data = load_csv(config.data_path, target=config.target, kinds=config.kind_overrides)
+    if config.method == "fit":
+        save_model(_fit(data, config.params), config.out_path)
         return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configured run; returns the process exit code."""
-    try:
-        data = load_csv(config.data_path, target=config.target, kinds=config.kind_overrides)
-        if config.method == "fit":
-            save_model(_fit(data, config.params), config.out_path)
-            return EXIT_OK
-        predictor = load_model(config.model_path)
-        if isinstance(predictor, ReferenceModel):
-            names, expected = data.feature_names, tuple(m.name for m in predictor.schema)
-            if len(names) == len(expected) and names != expected:
-                raise DataFormatError(
-                    f"data columns {list(names)} do not match the model's features {list(expected)}"
-                )
-        doc = _execute(config, data, predictor)
-        _write(_render(doc, config.fmt, doc["feature"]), config.out_path)
-        return EXIT_OK
-    except BoxprobeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return _exit_code(exc)
+    predictor = load_model(config.model_path)
+    if isinstance(predictor, ReferenceModel):
+        _match_columns(data, predictor)
+    doc = _execute(config, data, predictor)
+    _write(_render(doc, config.fmt, doc["feature"]), config.out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +473,7 @@ def _command(method: str, entry: _Method) -> click.Command:
     def callback(kind_spec=(), **values):
         config = {name: values.pop(name) for name in list(values) if name in _NOT_PARAMS}
         kinds = _overrides(kind_spec)
-        return run(RunConfig(method, kind_overrides=kinds, params=values, **config))
+        run(RunConfig(method, kind_overrides=kinds, params=values, **config))
 
     return click.Command(method, callback=callback, params=list(entry.flags), help=entry.help)
 
@@ -499,21 +484,19 @@ def cli() -> None:
 
 
 def main(argv=None) -> int:
-    """Entry point: parse arguments, run, and map errors to exit codes."""
+    """Entry point: parse arguments and run; the one place a failure becomes an exit code."""
     try:
         rv = cli.main(args=argv, prog_name="boxprobe", standalone_mode=False)
         return int(rv) if isinstance(rv, int) else EXIT_OK
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
+        return InvalidArgumentError.exit_code
     except click.ClickException as exc:
         exc.show()
-        return EXIT_USAGE
+        return InvalidArgumentError.exit_code
     except BoxprobeError as exc:
         click.echo(f"error: {exc}", err=True)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ differently, so its bits may move with the thread count.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,14 +40,13 @@ ROW_BUDGET = 1 << 14  # most rows the substitution kernel passes to one predicto
 def _seed_sequence(seed: int, *words: int) -> np.random.SeedSequence:
     """The one place a seed enters numpy.
 
-    Seeds are non-negative integers.  Extra ``words`` derive another stream
-    from the same seed; without them ``PCG64`` draws the stream of
-    ``PCG64(seed)``.
+    Seeds are non-negative integers: Python or numpy integers, not bools
+    or floats.  Extra ``words`` derive another stream from the same seed;
+    without them ``PCG64`` draws the stream of ``PCG64(seed)``.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.SeedSequence([seed, *words])
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence([int(seed), *words])
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -283,15 +283,19 @@ def absolute_loss() -> LossFunction:
 def zero_one_loss(threshold: float = 0.5) -> LossFunction:
     """Misclassification loss: predictions above ``threshold`` mean class 1.
 
-    Targets must be numeric 0/1 values.
+    Targets must be 0 or 1; any other target raises
+    :class:`InvalidArgumentError` when the loss is applied.
     """
     threshold = float(threshold)
     if not np.isfinite(threshold):
         raise InvalidArgumentError(f"zero_one threshold must be finite, got {threshold}")
 
     def fn(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-        labels = (p > threshold).astype(float)
-        return (labels != np.asarray(y, dtype=float)).astype(float)
+        y = np.asarray(y, dtype=float)
+        bad = y[(y != 0) & (y != 1)]
+        if bad.size:
+            raise InvalidArgumentError(f"zero_one loss needs 0/1 targets, got {float(bad[0])}")
+        return ((p > threshold) != y).astype(float)
 
     return LossFunction("zero_one", fn)
 

@@ -118,6 +118,15 @@ def emit_json(document: Mapping[str, Any]) -> str:
     return json.dumps(document, indent=2, ensure_ascii=True) + "\n"
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends untranslated."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {path!r}: {exc}") from exc
+
+
 def format_value(value: Any) -> str:
     """One CSV cell: shortest round-trip form for floats, raw text for levels."""
     if isinstance(value, float):

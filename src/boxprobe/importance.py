@@ -302,6 +302,8 @@ def _check_perturbation(data: Dataset, mode: str, seed: int | None) -> None:
         raise InvalidArgumentError(f"unknown perturbation mode {mode!r}")
     if mode == PERTURB_PERMUTATION and seed is None:
         raise InvalidArgumentError("permutation mode needs a seed")
+    if seed is not None:  # exhaustive mode records a given seed, so check it too
+        _seed_sequence(seed)
     data.numeric_target("Shapley importance")
 
 

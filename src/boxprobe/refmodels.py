@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import PredictorHandle
 from .data import CONTINUOUS, Dataset, FeatureMeta, _is_number
+from .dataio import write_text
 from .errors import DataFormatError, InvalidArgumentError, SingularFitError
 
 MODEL_FORMAT = "boxprobe-model"
@@ -333,9 +334,7 @@ def fit_stump(data: Dataset) -> StumpModel:
 
 def save_model(model: ReferenceModel, path: str) -> None:
     """Write a model as self-describing JSON text (floats round-trip exactly)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model.to_json_obj(), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(model.to_json_obj(), indent=2) + "\n")
 
 
 def load_model(path: str) -> ReferenceModel:

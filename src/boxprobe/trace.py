@@ -87,9 +87,10 @@ def assemble_trace(
 ) -> StageTrace:
     """Build a result trace from dataset provenance plus method records.
 
-    Provenance records are stable-sorted by stage so that a dataset derived
-    through an unusual operation order (say, permute then sample) still
-    yields a valid trace; relative order within one stage is untouched.
+    Provenance and method records are stable-sorted together by stage, so
+    a dataset derived through an unusual operation order (say, permute then
+    sample) and a method step in an earlier stage than that provenance
+    (say, a sampling draw on shifted data) still yield a valid trace.
+    Within one stage the provenance comes first, each in its own order.
     """
-    ordered = sorted(provenance, key=lambda r: _STAGE_ORDER[r.stage])
-    return StageTrace(tuple(ordered) + tuple(extra))
+    return StageTrace(sorted((*provenance, *extra), key=lambda r: _STAGE_ORDER[r.stage]))

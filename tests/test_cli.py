@@ -8,6 +8,7 @@ import pytest
 
 import boxprobe.cli
 from boxprobe import PredictorHandle, load_csv, load_model, pd_curve, pfi_permutation, squared_loss
+from boxprobe import errors
 from boxprobe.cli import RunConfig, cli, main
 from boxprobe.dataio import emit_json
 from boxprobe.errors import InvalidArgumentError
@@ -413,3 +414,121 @@ def test_module_entry_point(workspace):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["method"] == "pd"
+
+
+# Each error type's exit status, written out so a new type needs a decision here.
+EXIT_STATUS = {
+    errors.InvalidArgumentError: 1,
+    errors.UnsupportedKindError: 1,
+    errors.InvalidLevelError: 1,
+    errors.DataFormatError: 2,
+    errors.MissingTargetError: 2,
+    errors.ShapeError: 2,
+    errors.BoxprobeError: 3,
+    errors.CapacityError: 3,
+    errors.DegenerateBinningError: 3,
+    errors.SingularFitError: 3,
+    errors.UndefinedVarianceError: 3,
+}
+
+
+def test_every_error_type_has_a_pinned_status():
+    declared = {
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.BoxprobeError)
+    }
+    assert declared == set(EXIT_STATUS)
+
+
+@pytest.mark.parametrize(
+    "error,status", [pytest.param(e, s, id=e.__name__) for e, s in EXIT_STATUS.items()]
+)
+@pytest.mark.parametrize("method", ["pd", "fit"])
+def test_each_error_type_exits_with_its_status(
+    workspace, monkeypatch, capsys, error, status, method
+):
+    def failing_load(*args, **kwargs):
+        raise error(f"{error.__name__} while loading")
+
+    monkeypatch.setattr(boxprobe.cli, "load_csv", failing_load)
+    args = ["--data", workspace["data"], "--target", "y", "--out", str(workspace["dir"] / "o")]
+    if method == "pd":
+        args += ["--feature", "x1", "--model", workspace["model"]]
+    assert main([method, *args]) == status
+    assert capsys.readouterr().err == f"error: {error.__name__} while loading\n"
+
+
+@pytest.mark.parametrize("method", ["pd", "fit"])
+def test_unwritable_output_exits_2(workspace, capsys, method):
+    out = workspace["dir"] / "missing" / "out.json"
+    args = [method, "--data", workspace["data"], "--target", "y", "--out", str(out)]
+    if method == "pd":
+        args += ["--feature", "x1", "--model", workspace["model"]]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
+CAT_CSV = "x1,c,y\n0,a,1\n1,b,4\n2,a,2\n3,b,6\n4,a,5\n5,b,9\n"
+
+
+@pytest.mark.parametrize("kind", ["linear", "knn", "stump"])
+@pytest.mark.parametrize(
+    "column,needle",
+    [("1,2,1,2,1,2", "'c'"), ("a,b,z,b,a,b", "'z'")],
+    ids=["numeric_for_categorical", "unseen_level"],
+)
+def test_columns_must_match_the_model_kinds_and_levels(tmp_path, capsys, kind, column, needle):
+    train, model = tmp_path / "train.csv", tmp_path / "model.json"
+    train.write_text(CAT_CSV, encoding="utf-8")
+    fit = ["fit", "--data", str(train), "--target", "y", "--kind", kind, "--out", str(model)]
+    assert main(fit) == 0
+    rows = [line.split(",") for line in CAT_CSV.splitlines()[1:]]
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "x1,c,y\n" + "".join(f"{x},{c},{y}\n" for (x, _, y), c in zip(rows, column.split(","))),
+        encoding="utf-8",
+    )
+    out = tmp_path / "pd.json"
+    args = ["pd", "--feature", "x1", "--data", str(data), "--target", "y", "--out", str(out)]
+    assert main([*args, "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and "'c'" in err
+    assert not out.exists()
+
+
+def test_data_levels_may_be_a_subset_of_the_models(tmp_path):
+    train, model = tmp_path / "train.csv", tmp_path / "model.json"
+    train.write_text(CAT_CSV, encoding="utf-8")
+    assert main(["fit", "--data", str(train), "--target", "y", "--out", str(model)]) == 0
+    only_b = tmp_path / "b.csv"
+    only_b.write_text("x1,c,y\n0,b,1\n1,b,4\n", encoding="utf-8")
+    args = ["pd", "--feature", "x1", "--data", str(only_b), "--target", "y"]
+    assert main([*args, "--model", str(model), "--out", str(tmp_path / "pd.json")]) == 0
+
+
+@pytest.mark.parametrize("method", ["pfi", "ici"])
+def test_zero_one_loss_on_a_continuous_target_exits_1(workspace, capsys, method):
+    args = [method, "--feature", "x1", "--loss", "zero_one"]
+    if method == "ici":
+        args += ["--row", "1"]  # target 4
+    code, out = run_to_file(workspace, "x.json", *args)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: zero_one loss needs")
+    assert not out.exists()
+
+
+def test_feature_index_out_of_range_falls_back_to_a_column_name(tmp_path, capsys):
+    data = tmp_path / "numbered.csv"
+    data.write_text("x1,5,y\n0,1,1\n1,2,4\n2,0,2\n3,5,13\n4,3,11\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data), "--target", "y", "--out", str(model)]) == 0
+    args = ["pd", "--data", str(data), "--model", str(model), "--target", "y"]
+    by_name, by_index = tmp_path / "name.json", tmp_path / "index.json"
+    assert main([*args, "--feature", "5", "--out", str(by_name)]) == 0
+    assert main([*args, "--feature", "1", "--out", str(by_index)]) == 0
+    assert by_name.read_bytes() == by_index.read_bytes()
+    assert main([*args, "--feature", "7"]) == 1
+    assert capsys.readouterr().err == "error: unknown feature '7'; have ['x1', '5']\n"

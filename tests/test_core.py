@@ -411,3 +411,35 @@ def test_interventions_accumulate_provenance(two_feature_data):
     out = intervene_shift(intervene_permute(two_feature_data, 0, seed=1), 1, 2.0)
     assert [r.stage for r in out.provenance] == ["intervention", "intervention"]
     assert out.provenance[0].parameters["seed"] == 1
+
+
+@pytest.mark.parametrize("seed", [2.7, 2.0, True, np.float64(3.0), np.bool_(True), "4", None])
+@pytest.mark.parametrize("draw", [make_rng, lambda seed: spawn_seeds(seed, 2)])
+def test_non_integer_seed_rejected(draw, seed):
+    with pytest.raises(InvalidArgumentError, match="non-negative integer"):
+        draw(seed)
+
+
+def test_non_integer_seed_rejected_before_recording(two_feature_data):
+    with pytest.raises(InvalidArgumentError, match="non-negative integer"):
+        intervene_permute(two_feature_data, 0, True)
+    with pytest.raises(InvalidArgumentError, match="non-negative integer"):
+        sample_observations(two_feature_data, 2, 1.5)
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint32, np.uint64])
+def test_numpy_integer_seeds_keep_their_streams(kind):
+    assert (make_rng(kind(7)).integers(0, 2**62, 8) == make_rng(7).integers(0, 2**62, 8)).all()
+    assert spawn_seeds(kind(7), 3) == spawn_seeds(7, 3)
+
+
+@pytest.mark.parametrize("targets", [[0.0, 0.5], [2.0, 1.0], [-1.0, 0.0], [float("nan"), 1.0]])
+def test_zero_one_rejects_targets_other_than_0_and_1(targets):
+    with pytest.raises(InvalidArgumentError, match="zero_one loss needs"):
+        zero_one_loss()(np.array([0.2, 0.9]), np.array(targets))
+
+
+def test_zero_one_accepts_integer_and_boolean_targets():
+    zo = zero_one_loss()
+    assert zo(np.array([0.2, 0.9]), np.array([0, 1])).tolist() == [0.0, 0.0]
+    assert zo(np.array([0.2, 0.9]), np.array([True, False])).tolist() == [1.0, 1.0]

@@ -349,3 +349,21 @@ def test_sfimp_validation(two_row_identity, monkeypatch):
         sfimp(predictor, data, 0, squared_loss())
     with pytest.raises(InvalidArgumentError, match="seed"):
         sfimp(predictor, data, 0, squared_loss(), mode="permutation")
+
+
+@pytest.mark.parametrize("seed", [2.7, True, -1])
+@pytest.mark.parametrize("mode", ["exhaustive", "permutation"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f, data, mode, seed: sfimp(f, data, 0, squared_loss(), mode=mode, seed=seed),
+        lambda f, data, mode, seed: pfi_payout(f, data, [0], squared_loss(), mode=mode, seed=seed),
+    ],
+    ids=["sfimp", "pfi_payout"],
+)
+def test_loss_payouts_reject_a_bad_seed_before_predicting(two_feature_data, run, mode, seed):
+    calls = []
+    predictor = handle(lambda X: calls.append(len(X)) or np.zeros(len(X)), 2)
+    with pytest.raises(InvalidArgumentError, match="non-negative integer"):
+        run(predictor, two_feature_data, mode, seed)
+    assert calls == []

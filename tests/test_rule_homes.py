@@ -8,6 +8,9 @@
   negative seeds: no other function builds a ``SeedSequence``, the one
   ``PCG64`` (in ``core.make_rng``) is built from its result, and
   ``default_rng`` is not used.
+- A package error becomes an exit status only in ``cli.main``, which reads
+  the error type's ``exit_code``: no other function catches a package error
+  type, and none sorts errors with ``isinstance``.
 
 A copy of a rule elsewhere would drift from these, as the copies this
 guard replaced had.
@@ -15,6 +18,8 @@ guard replaced had.
 
 import ast
 from pathlib import Path
+
+from boxprobe import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boxprobe"
 MODULES = sorted(SRC.glob("*.py"))
@@ -79,3 +84,48 @@ def test_seeds_enter_numpy_in_one_function():
     [(_, call)] = _calls(SRC / "core.py", "PCG64")
     assert len(call.args) == 1 and not call.keywords
     assert _name(getattr(call.args[0], "func", None)) == "_seed_sequence"
+
+
+ERROR_TYPES = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+
+
+def _handled(path):
+    for function, node in _sites(path):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for name in map(_name, types):
+                yield function, name
+
+
+def test_package_errors_are_caught_only_in_main():
+    sites = {
+        (path.name, function)
+        for path in MODULES
+        for function, name in _handled(path)
+        if name in ERROR_TYPES
+    }
+    assert sites == {("cli.py", "main")}
+
+
+def _names_in(node, aliases):
+    """Names under ``node``, with module-level aliases (``X = (A, B)``) expanded."""
+    names = {_name(n) for n in ast.walk(node)}
+    return names.union(*(aliases.get(name, ()) for name in names))
+
+
+def test_no_module_sorts_errors_with_isinstance():
+    sorted_by_type = []
+    for path in MODULES:
+        aliases = {
+            target.id: {_name(n) for n in ast.walk(node.value)}
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        sorted_by_type += [
+            (path.name, function)
+            for function, call in _calls(path, "isinstance")
+            if len(call.args) == 2 and _names_in(call.args[1], aliases) & ERROR_TYPES
+        ]
+    assert sorted_by_type == []

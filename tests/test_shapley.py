@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from boxprobe import pd_payout, sfimp, shapley_exact, shapley_mc, squared_loss
+from boxprobe import intervene_shift, pd_payout, sfimp, shapley_exact, shapley_mc, squared_loss
 from boxprobe import shapley
 from boxprobe.errors import CapacityError, InvalidArgumentError
 
@@ -213,3 +213,16 @@ def test_exact_predicts_the_baseline_once():
     record = next(r for r in result.trace.records if r.stage == "prediction")
     # Every payout still counts its baseline batch.
     assert (record.parameters["batches"], record.parameters["rows"]) == (2 * 7, 2 * 7 * 3)
+
+
+def test_mc_on_derived_data_keeps_stage_order():
+    data = intervene_shift(columns_dataset(a=[1.0, 1.0, 1.0], b=[1.0, 0.0, 1.0]), "a", 0.5)
+    f = handle(lambda X: np.asarray(X, dtype=float) @ np.array([1.0, 2.0]), 2)
+    result = shapley_mc(f, data, (5.0, 6.0), "a", 20, seed=3)
+    assert result.trace.stages() == (
+        "sampling", "intervention", "intervention", "prediction", "aggregation"
+    )
+    shift, compose = result.trace.records[1:3]
+    assert shift.description == "shift feature column"
+    assert compose.description.startswith("compose coalition rows")
+    assert result.value == 5.0 - 1.5
