@@ -115,10 +115,11 @@ class PredictionCache:
     ``batches`` and ``rows`` count the logical batches and rows the method
     asked for.  :meth:`trace` builds the run's stage trace and writes them
     into its prediction record, so a result's counts come from the cache
-    that predicted.  The substitution kernel :meth:`substitute` and the
-    reused :meth:`baseline` count what the estimator is defined to predict,
-    while the predictor sees each distinct substituted copy of the data
-    once.  Predictors are pure, so no result changes.
+    that predicted.  The substitution kernel :meth:`substitute` counts what
+    the estimator is defined to predict, while the predictor sees each
+    distinct patched copy of the data once, and the unchanged data at most
+    once per cache, predictor and data.  Predictors are pure, so no result
+    changes.
     """
 
     def __init__(self, threads: int = 1):
@@ -127,7 +128,7 @@ class PredictionCache:
         self.threads = int(threads)
         self.batches = 0
         self.rows = 0
-        self._baseline: tuple[PredictorHandle, Dataset, np.ndarray] | None = None
+        self._unchanged: tuple[PredictorHandle, Dataset, np.ndarray] | None = None
 
     def predict(self, predictor: PredictorHandle, matrix: np.ndarray) -> np.ndarray:
         """Predict one batch, counted as one logical batch."""
@@ -136,63 +137,71 @@ class PredictionCache:
         self.rows += matrix.shape[0]
         return _run_predictor(predictor, matrix, self.threads)
 
-    def baseline(self, predictor: PredictorHandle, data: Dataset) -> np.ndarray:
-        """Predictions on ``data`` as it is: one logical batch, evaluated once per cache."""
-        held = self._baseline
-        if held is None or held[0] is not predictor or held[1] is not data:
-            preds = _run_predictor(predictor, _feature_matrix(predictor, data), self.threads)
-            preds.flags.writeable = False
-            self._baseline = (predictor, data, preds)
-        self.batches += 1
-        self.rows += data.n_rows
-        return self._baseline[2]
-
     def substitute(
         self,
         predictor: PredictorHandle,
         data: Dataset,
         features: Sequence[int | str],
-        value_rows: Sequence[Sequence[Any]],
+        patches: Sequence[Sequence[Any]],
+        rows: Sequence[int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The substitution kernel: predict ``data`` with ``features`` set to each value row.
+        """The substitution kernel: predict ``data`` with ``features`` patched by each patch.
 
-        Returns ``(predictions, inverse)``: one row of n predictions per
-        distinct value row, and for each of the G value rows the index of
-        its distinct row, so ``predictions[inverse]`` is the (G, n) grid.
-        Aggregate per distinct row before expanding.  Each value is checked
-        once against the schema; value rows are distinct by bit pattern, so
-        0.0 and -0.0 stay apart.  Counts G logical batches of n rows.  The
-        predictor sees each distinct substituted copy of the data once, in
-        calls of at most :data:`ROW_BUDGET` rows.  While n <= ``ROW_BUDGET``
-        those are the batches a loop over the grid would make, minus the
-        repeats, so no prediction bit moves even for a model whose bits
-        depend on the batch; a larger n is split into chunks such a loop
+        A patch holds one value per feature: a scalar, set in every row, or an
+        array with one value per row of the copy, which holds only ``rows``
+        if given.  A patch of no features is the unchanged data, predicted at
+        most once per cache, predictor and data.  Returns ``(predictions,
+        inverse)``: one row of m predictions per distinct patch, and for each
+        of the G patches the index of its distinct row, so
+        ``predictions[inverse]`` is the (G, m) grid; aggregate per distinct
+        row before expanding.  Values are checked once against the schema;
+        patches are distinct by bit pattern, so 0.0 and -0.0 stay apart.
+        Counts G logical batches of m rows.  The predictor sees each distinct
+        copy once, in calls of at most :data:`ROW_BUDGET` rows.  While
+        m <= ``ROW_BUDGET`` those are the batches a loop over the patches
+        would make, minus the repeats, so no bit moves even for a model whose
+        bits depend on the batch; a larger m is split into chunks such a loop
         would not make, and such a model may then differ in the last bits.
         """
         js = [data.feature_index(f) for f in features]
         if len(set(js)) != len(js):
             raise InvalidArgumentError("a feature is substituted twice")
+        if data.n_features != predictor.n_features:
+            raise ShapeError(
+                f"dataset has {data.n_features} features but predictor "
+                f"{predictor.name!r} expects {predictor.n_features}"
+            )
+        rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+        m = data.n_rows if rows is None else len(rows)
         slots: dict[tuple, int] = {}
         distinct: list[list[Any]] = []
-        inverse = np.empty(len(value_rows), dtype=np.intp)
-        for g, row in enumerate(value_rows):
-            values = [data.check_value(j, v) for j, v in zip(js, row, strict=True)]
-            key = tuple(v.hex() if isinstance(v, float) else v for v in values)
+        inverse = np.empty(len(patches), dtype=np.intp)
+        for g, patch in enumerate(patches):
+            checked = [_check_patch(data, j, v, m) for j, v in zip(js, patch, strict=True)]
+            key = tuple(k for _, k in checked)
             if key not in slots:
                 slots[key] = len(distinct)
-                distinct.append(values)
+                distinct.append([v for v, _ in checked])
             inverse[g] = slots[key]
-        n = data.n_rows
-        self.batches += len(value_rows)
-        self.rows += len(value_rows) * n
-        base = _feature_matrix(predictor, data)
-        out = np.empty((len(distinct), n))
+        self.batches += len(patches)
+        self.rows += len(patches) * m
+        unchanged = not js and rows is None
+        held = self._unchanged
+        if unchanged and held is not None and held[0] is predictor and held[1] is data:
+            return np.tile(held[2], (len(distinct), 1)), inverse
+        matrix = data.matrix()
+        out = np.empty((len(distinct), m))
         for u, values in enumerate(distinct):
-            for start in range(0, n, ROW_BUDGET):
-                block = base[start : start + ROW_BUDGET].copy()
+            for start in range(0, m, ROW_BUDGET):
+                stop = min(start + ROW_BUDGET, m)
+                block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
+                if js and rows is None:
+                    block = block.copy()  # a row gather is a copy already
                 for j, v in zip(js, values):
-                    block[:, j] = v
-                out[u, start : start + len(block)] = _run_predictor(predictor, block, self.threads)
+                    block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
+                out[u, start:stop] = _run_predictor(predictor, block, self.threads)
+        if unchanged and len(out):
+            self._unchanged = (predictor, data, out[0].copy())
         return out, inverse
 
     def trace(
@@ -210,6 +219,17 @@ class PredictionCache:
         steps = zip(STAGES, (sampling, intervention, prediction, aggregation))
         records = [StageRecord(stage, *step) for stage, step in steps if step is not None]
         return assemble_trace(data.provenance, records)
+
+
+def _check_patch(data: Dataset, j: int, value: Any, m: int) -> tuple[Any, Any]:
+    """One patch value for column ``j`` of an m-row copy, checked, and its bit pattern."""
+    if not isinstance(value, np.ndarray):
+        v = data.check_value(j, value)
+        return v, (v.hex() if isinstance(v, float) else v)
+    column = data.check_column(j, value)
+    if len(column) != m:
+        raise InvalidArgumentError(f"a patch of {len(column)} values for {m} rows")
+    return column, (column.tobytes() if column.dtype == float else tuple(column))
 
 
 def _worker_count(threads: int, rows: int) -> int:
@@ -234,23 +254,15 @@ def _run_predictor(predictor: PredictorHandle, matrix: np.ndarray, threads: int)
     return np.concatenate(parts)
 
 
-def _feature_matrix(predictor: PredictorHandle, data: Dataset) -> np.ndarray:
-    if data.n_features != predictor.n_features:
-        raise ShapeError(
-            f"dataset has {data.n_features} features but predictor "
-            f"{predictor.name!r} expects {predictor.n_features}"
-        )
-    return data.matrix()
-
-
 def predict_batch(
     predictor: PredictorHandle,
     data: Dataset,
     cache: PredictionCache | None = None,
 ) -> np.ndarray:
-    """Predict on a dataset; pure pass-through to the black box."""
+    """Predict on a dataset as it is: the substitution kernel's empty patch."""
     cache = cache if cache is not None else PredictionCache()
-    return cache.predict(predictor, _feature_matrix(predictor, data))
+    (preds,), _ = cache.substitute(predictor, data, [], [()])
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +277,29 @@ class LossFunction:
     tag: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+    def check_targets(self, targets: np.ndarray) -> None:
+        """Reject targets the loss is undefined on; this loss takes any real target."""
+
+    def targets(self, data: Dataset, purpose: str) -> np.ndarray:
+        """The dataset's numeric target, all of it checked once against this loss."""
+        target = data.numeric_target(purpose)
+        self.check_targets(target)
+        return target
+
     def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        self.check_targets(targets)
         out = np.asarray(self.fn(np.asarray(predictions, dtype=float), targets), dtype=float)
         if np.any(out < 0):
             raise InvalidArgumentError(f"loss {self.tag!r} produced negative values")
         return out
+
+
+class _ZeroOneLoss(LossFunction):
+    def check_targets(self, targets: np.ndarray) -> None:
+        y = np.asarray(targets, dtype=float)
+        bad = y[(y != 0) & (y != 1)]
+        if bad.size:
+            raise InvalidArgumentError(f"zero_one loss needs 0/1 targets, got {float(bad[0])}")
 
 
 def squared_loss() -> LossFunction:
@@ -284,37 +314,24 @@ def zero_one_loss(threshold: float = 0.5) -> LossFunction:
     """Misclassification loss: predictions above ``threshold`` mean class 1.
 
     Targets must be 0 or 1; any other target raises
-    :class:`InvalidArgumentError` when the loss is applied.
+    :class:`InvalidArgumentError` when the loss is applied, and for the
+    whole target when an estimator reads it with :meth:`LossFunction.targets`.
     """
     threshold = float(threshold)
     if not np.isfinite(threshold):
         raise InvalidArgumentError(f"zero_one threshold must be finite, got {threshold}")
-
-    def fn(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        bad = y[(y != 0) & (y != 1)]
-        if bad.size:
-            raise InvalidArgumentError(f"zero_one loss needs 0/1 targets, got {float(bad[0])}")
-        return ((p > threshold) != y).astype(float)
-
-    return LossFunction("zero_one", fn)
+    return _ZeroOneLoss(
+        "zero_one", lambda p, y: ((p > threshold) != np.asarray(y, dtype=float)).astype(float)
+    )
 
 
-_LOSSES = {
-    "squared": squared_loss,
-    "absolute": absolute_loss,
-    "zero_one": zero_one_loss,
-}
+_LOSSES = {"squared": squared_loss, "absolute": absolute_loss, "zero_one": zero_one_loss}
 
 
 def loss_by_name(name: str, threshold: float = 0.5) -> LossFunction:
     if name not in _LOSSES:
-        raise InvalidArgumentError(
-            f"unknown loss {name!r}; expected one of {sorted(_LOSSES)}"
-        )
-    if name == "zero_one":
-        return zero_one_loss(threshold)
-    return _LOSSES[name]()
+        raise InvalidArgumentError(f"unknown loss {name!r}; expected one of {sorted(_LOSSES)}")
+    return zero_one_loss(threshold) if name == "zero_one" else _LOSSES[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +375,7 @@ def intervene_replace(data: Dataset, values: Mapping[int | str, Any]) -> Dataset
         if j in resolved:
             raise InvalidArgumentError(f"feature {feature!r} replaced twice")
         resolved[j] = data.check_value(j, value)
-    n = data.n_rows
-    new_cols = {
-        j: np.full(n, v, dtype=(float if isinstance(v, float) else object))
-        for j, v in resolved.items()
-    }
+    new_cols = {j: np.full(data.n_rows, v, dtype=object) for j, v in resolved.items()}
     record = StageRecord(
         INTERVENTION,
         "replace feature columns with fixed values",
@@ -468,6 +481,6 @@ def estimate_generalization_error(
     cache: PredictionCache | None = None,
 ) -> float:
     """Average loss of the predictor on the dataset's observed targets."""
-    target = data.numeric_target("the generalization error")
+    target = loss.targets(data, "the generalization error")
     preds = predict_batch(predictor, data, cache=cache)
     return float(np.mean(loss(preds, target)))

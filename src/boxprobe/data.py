@@ -316,13 +316,9 @@ class Dataset:
         metadata itself (including observed ranges) is carried over unchanged.
         """
         cols = []
-        for j, (col, m) in enumerate(zip(self._columns, self._meta)):
+        for j, col in enumerate(self._columns):
             if j in new_columns:
-                raw = new_columns[j]
-                if m.kind == CONTINUOUS:
-                    col = _as_float_column(raw, m.name)
-                else:
-                    col = _as_level_column(raw, m)
+                col = self.check_column(j, new_columns[j])
             if row_subset is not None:
                 col = col[row_subset]
             cols.append(_freeze(col))
@@ -351,6 +347,13 @@ class Dataset:
         if v not in m.levels:
             raise _unregistered(v, m)
         return v
+
+    def check_column(self, j: int, values: Sequence[Any]) -> np.ndarray:
+        """Validate prospective values for column ``j``; returns them as a typed array."""
+        m = self._meta[j]
+        if m.kind == CONTINUOUS:
+            return _as_float_column(values, m.name)
+        return _as_level_column(values, m)
 
     def check_vector(self, x: Sequence[Any]) -> tuple[Any, ...]:
         """Validate a full feature vector against this dataset's schema."""

@@ -20,9 +20,7 @@ from .core import (
     PredictorHandle,
     default_step,
     finite_difference,
-    intervene_shift,
     make_rng,
-    predict_batch,
 )
 from .data import CATEGORICAL, CONTINUOUS, Dataset
 from .errors import DegenerateBinningError, InvalidArgumentError, SingularFitError
@@ -318,9 +316,8 @@ def ale_first_order(
     for k in range(n_int):
         members = np.flatnonzero(idx == k)
         counts[k] = members.size
-        subset = data.replace_columns({}, row_subset=members)
         bounds = [[edges[k + 1]], [edges[k]]]
-        (upper, lower), _ = cache.substitute(predictor, subset, [j], bounds)
+        (upper, lower), _ = cache.substitute(predictor, data, [j], bounds, rows=members)
         local_effects[k] = np.mean(upper - lower)
 
     accumulated = np.cumsum(local_effects)
@@ -384,8 +381,9 @@ def average_marginal_effect(
     if not (h > 0) or not np.isfinite(h):
         raise InvalidArgumentError(f"step h must be positive and finite, got {h}")
     cache = PredictionCache(threads)
-    upper = predict_batch(predictor, intervene_shift(data, j, h), cache=cache)
-    lower = predict_batch(predictor, intervene_shift(data, j, -h), cache=cache)
+    column = data.column(j)
+    preds, inverse = cache.substitute(predictor, data, [j], [[column + h], [column - h]])
+    upper, lower = preds[inverse]
     value = float(np.mean((upper - lower) / (2.0 * h)))
     trace = cache.trace(
         predictor,

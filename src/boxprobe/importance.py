@@ -20,17 +20,14 @@ from .core import (
     PredictionCache,
     PredictorHandle,
     _seed_sequence,
-    estimate_generalization_error,
-    intervene_permute,
     make_rng,
-    predict_batch,
     spawn_seeds,
 )
 from .data import CONTINUOUS, Dataset
 from .effects import EffectCurve, _substitute_grid, observed_grid, pd_curve
 from .errors import InvalidArgumentError, UndefinedVarianceError
 from .shapley import exact_shapley_value
-from .trace import AGGREGATION, INTERVENTION, StageRecord, StageTrace
+from .trace import AGGREGATION, StageRecord, StageTrace
 
 PERTURB_EXHAUSTIVE = "exhaustive"
 PERTURB_PERMUTATION = "permutation"
@@ -159,20 +156,16 @@ def ici_curve(
     the curve holds the loss of predicting observation ``i`` with its
     feature replaced by ``v``, minus the loss at its original value.
     """
-    target = data.numeric_target("ICI")
+    target = loss.targets(data, "ICI")
     j = data.feature_index(feature)
     i = int(observation)
-    if not 0 <= i < data.n_rows:
-        raise InvalidArgumentError(
-            f"observation index {i} out of range for {data.n_rows} rows"
-        )
+    own = data.row(i)[j]
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
-    single = data.replace_columns({}, row_subset=np.array([i]))
-    y_i = target[i : i + 1]
-    base = float(loss(predict_batch(predictor, single, cache=cache), y_i)[0])
-    preds, inverse = cache.substitute(predictor, single, [j], values[:, None])
-    ys = (loss(preds[:, 0], np.repeat(y_i, len(preds))) - base)[inverse]
+    # The row's own value first: dedup merges it with the equal observed value.
+    preds, inverse = cache.substitute(predictor, data, [j], [(own,), *values[:, None]], rows=[i])
+    losses = loss(preds[:, 0], np.repeat(target[i : i + 1], len(preds)))
+    ys = (losses - losses[inverse[0]])[inverse[1:]]
     trace = cache.trace(
         predictor,
         data,
@@ -194,10 +187,11 @@ def _pi_values(
 ) -> tuple[np.ndarray, np.ndarray, PredictionCache, tuple[str, dict]]:
     """Per-substituted-value mean loss change over all observations, plus the
     cache that predicted them and the intervention step."""
-    target = data.numeric_target("the mean loss change")
+    target = loss.targets(data, "the mean loss change")
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
-    base_losses = loss(predict_batch(predictor, data, cache=cache), target)
+    (unchanged,), _ = cache.substitute(predictor, data, [], [()])
+    base_losses = loss(unchanged, target)
     preds, inverse = cache.substitute(predictor, data, [j], values[:, None])
     means = np.array([np.mean(loss(row, target) - base_losses) for row in preds])
     intervention = (
@@ -260,19 +254,19 @@ def pfi_permutation(
     the result is the mean over repeats (one permutation has high
     variance, hence the default of five).
     """
-    data.numeric_target("permutation importance")
+    target = loss.targets(data, "permutation importance")
     j = data.feature_index(feature)
     repeats = int(repeats)
     if repeats < 1:
         raise InvalidArgumentError(f"repeats must be at least 1, got {repeats}")
     child_seeds = spawn_seeds(seed, repeats)
     cache = PredictionCache(threads)
-    base = estimate_generalization_error(predictor, data, loss, cache=cache)
-    diffs = np.empty(repeats)
-    for r, child in enumerate(child_seeds):
-        permuted = intervene_permute(data, j, child)
-        diffs[r] = estimate_generalization_error(predictor, permuted, loss, cache=cache) - base
-    value = float(np.mean(diffs))
+    column = data.column(j)
+    # The column itself first: the unchanged data, then one permuted copy per repeat.
+    copies = [column] + [column[make_rng(child).permutation(data.n_rows)] for child in child_seeds]
+    preds, inverse = cache.substitute(predictor, data, [j], [(c,) for c in copies])
+    errors = np.array([np.mean(loss(row, target)) for row in preds])[inverse]
+    value = float(np.mean(errors[1:] - errors[0]))
     trace = cache.trace(
         predictor,
         data,
@@ -297,26 +291,14 @@ def _coalition_seed(seed: int, perturbed: frozenset[int]) -> int:
     return int(state[0])
 
 
-def _check_perturbation(data: Dataset, mode: str, seed: int | None) -> None:
+def _check_perturbation(data: Dataset, loss: LossFunction, mode: str, seed: int | None) -> None:
     if mode not in (PERTURB_EXHAUSTIVE, PERTURB_PERMUTATION):
         raise InvalidArgumentError(f"unknown perturbation mode {mode!r}")
     if mode == PERTURB_PERMUTATION and seed is None:
         raise InvalidArgumentError("permutation mode needs a seed")
     if seed is not None:  # exhaustive mode records a given seed, so check it too
         _seed_sequence(seed)
-    data.numeric_target("Shapley importance")
-
-
-def _permute_block(data: Dataset, perturbed: Iterable[int], seed: int) -> Dataset:
-    """Permute a block of columns jointly with one shared permutation."""
-    perm = make_rng(seed).permutation(data.n_rows)
-    new_cols = {t: data.column(t)[perm] for t in perturbed}
-    record = StageRecord(
-        INTERVENTION,
-        "permute a feature block jointly",
-        {"features": [data.meta[t].name for t in sorted(perturbed)], "seed": int(seed)},
-    )
-    return data.replace_columns(new_cols, record=record)
+    loss.targets(data, "Shapley importance")
 
 
 def _perturbed_ge(
@@ -332,19 +314,21 @@ def _perturbed_ge(
 
     Exhaustive mode substitutes the block's values from every observation
     in turn and averages over all n^2 (donor, receiver) pairs; permutation
-    mode applies one seeded joint permutation of the block.  Callers have
-    checked the target with :func:`_check_perturbation`.
+    mode applies one seeded joint permutation of the block; an empty block
+    is the unchanged data.  Callers have checked the target with
+    :func:`_check_perturbation`.
     """
-    if not perturbed:
-        return estimate_generalization_error(predictor, data, loss, cache=cache)
-    if mode == PERTURB_PERMUTATION:
-        shuffled = _permute_block(data, perturbed, _coalition_seed(seed, perturbed))
-        return estimate_generalization_error(predictor, shuffled, loss, cache=cache)
     block = sorted(perturbed)
-    donors = list(zip(*(data.column(t) for t in block)))
-    preds, inverse = cache.substitute(predictor, data, block, donors)
-    per_donor = np.array([np.mean(loss(row, data.target)) for row in preds])
-    return float(np.mean(per_donor[inverse]))
+    if not block:
+        patches = [()]
+    elif mode == PERTURB_PERMUTATION:
+        perm = make_rng(_coalition_seed(seed, perturbed)).permutation(data.n_rows)
+        patches = [tuple(data.column(t)[perm] for t in block)]
+    else:
+        patches = list(zip(*(data.column(t) for t in block)))
+    preds, inverse = cache.substitute(predictor, data, block, patches)
+    per_patch = np.array([np.mean(loss(row, data.target)) for row in preds])
+    return float(np.mean(per_patch[inverse]))
 
 
 def pfi_payout(
@@ -363,7 +347,7 @@ def pfi_payout(
     the all-perturbed baseline, so the empty coalition pays exactly zero
     and fully informative coalitions pay negatively (loss saved).
     """
-    _check_perturbation(data, mode, seed)
+    _check_perturbation(data, loss, mode, seed)
     members = frozenset(data.feature_index(k) for k in coalition)
     if not members:
         return 0.0
@@ -392,7 +376,7 @@ def sfimp(
     feature count is capped at :data:`~boxprobe.shapley.EXACT_FEATURE_CAP`.
     """
     p = data.n_features
-    _check_perturbation(data, mode, seed)
+    _check_perturbation(data, loss, mode, seed)
     j = data.feature_index(feature)
     cache = PredictionCache(threads)
     everything = frozenset(range(p))

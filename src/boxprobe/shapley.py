@@ -97,8 +97,8 @@ def pd_payout(
     cache = cache if cache is not None else PredictionCache()
     preds, _ = cache.substitute(predictor, data, members, [[x[j] for j in members]])
     pd_value = float(np.mean(preds[0]))
-    baseline = float(np.mean(cache.baseline(predictor, data)))
-    return pd_value - baseline
+    (unchanged,), _ = cache.substitute(predictor, data, [], [()])
+    return pd_value - float(np.mean(unchanged))
 
 
 def shapley_exact(

@@ -509,14 +509,16 @@ def test_data_levels_may_be_a_subset_of_the_models(tmp_path):
     assert main([*args, "--model", str(model), "--out", str(tmp_path / "pd.json")]) == 0
 
 
-@pytest.mark.parametrize("method", ["pfi", "ici"])
+# Row 1's target is 4; row 0's is 1, so ICI there must check the whole target.
+ZERO_ONE_RUNS = {"pfi": [], "ici": ["--row", "1"], "ici-row-0": ["--row", "0"]}
+
+
+@pytest.mark.parametrize("method", ZERO_ONE_RUNS)
 def test_zero_one_loss_on_a_continuous_target_exits_1(workspace, capsys, method):
-    args = [method, "--feature", "x1", "--loss", "zero_one"]
-    if method == "ici":
-        args += ["--row", "1"]  # target 4
+    args = [method.split("-")[0], "--feature", "x1", "--loss", "zero_one", *ZERO_ONE_RUNS[method]]
     code, out = run_to_file(workspace, "x.json", *args)
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: zero_one loss needs")
+    assert capsys.readouterr().err.startswith("error: zero_one loss needs 0/1 targets, got 4.0")
     assert not out.exists()
 
 

@@ -211,6 +211,32 @@ def test_prediction_cache_reuses_results():
     assert (record.parameters["batches"], record.parameters["rows"]) == (1 + 6, 6 + 6 * 6)
 
 
+def test_kernel_patches_a_column_at_chosen_rows():
+    data = columns_dataset(a=[1.0, 2.0, 3.0, 4.0], b=[0.5, 1.0, 1.5, 2.0])
+    predictor = linear_predictor([1.0, -2.0])
+    cache = PredictionCache()
+    patches = [(np.array([10.0, 20.0]),), (7.0,), (np.array([7.0, 7.0]),)]
+    preds, inverse = cache.substitute(predictor, data, ["a"], patches, rows=[3, 1])
+    assert preds[inverse].tolist() == [[10.0 - 4.0, 20.0 - 2.0], [3.0, 5.0], [3.0, 5.0]]
+    assert (cache.batches, cache.rows) == (3, 6)
+    with pytest.raises(InvalidArgumentError, match="3 values for 2 rows"):
+        cache.substitute(predictor, data, ["a"], [(np.array([1.0, 2.0, 3.0]),)], rows=[0, 1])
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        cache.substitute(predictor, data, ["a"], [(np.array([1.0, np.inf, 3.0, 4.0]),)])
+
+
+def test_unchanged_data_is_predicted_once_per_cache_predictor_and_data():
+    seen = []
+    predictor = handle(lambda X: seen.append(len(X)) or np.asarray(X) @ np.array([1.0, 1.0]), 2)
+    data = columns_dataset(a=[1.0, 2.0, 3.0], b=[0.0, 1.0, 0.0])
+    cache = PredictionCache()
+    first = predict_batch(predictor, data, cache=cache)
+    assert predict_batch(predictor, data, cache=cache).tolist() == first.tolist() == [1.0, 3.0, 3.0]
+    assert seen == [3] and (cache.batches, cache.rows) == (2, 6)
+    predict_batch(predictor, sample_observations(data, 2, seed=0), cache=cache)
+    assert seen == [3, 2]
+
+
 def test_threaded_prediction_matches_sequential():
     rng = np.random.default_rng(1)
     data = columns_dataset(a=rng.normal(size=64), b=rng.normal(size=64))

@@ -315,6 +315,13 @@ def test_ame_returns_its_step_and_trace(two_feature_data):
     assert aggregation.parameters == {"h": result.h}
 
 
+def test_ame_shift_that_overflows_is_rejected():
+    data = columns_dataset(x1=[1e308, 0.0, 1.0])
+    predictor = handle(lambda X: np.asarray(X, dtype=float)[:, 0], 1)
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError, match="non-finite"):
+        average_marginal_effect(predictor, data, 0, h=1e308)
+
+
 def test_ame_rejects_categorical():
     data = columns_dataset(c=["a", "b"], x=[1.0, 2.0])
     with pytest.raises(UnsupportedKindError):

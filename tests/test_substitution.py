@@ -1,11 +1,12 @@
 """The substitution kernel against a per-point reference, bit for bit.
 
-The reference is the loop the kernel replaces: one ``intervene_replace``
-and one predictor call per grid point, donor or coalition.  Every estimator
-that substitutes must return the same bits at any row budget and thread
-count for a model that rounds each row the same in any batch, and at the
-default budget for the fitted linear model, whose rounding does depend on
-the batch.
+The reference is the loop the kernel replaces: one ``intervene_replace``,
+``intervene_shift`` or ``intervene_permute`` and one predictor call per
+grid point, donor, coalition, shift or permutation.  Every estimator that
+substitutes must return the same bits at any row budget and thread count
+for a model that rounds each row the same in any batch, and at the default
+budget for the fitted linear model, whose rounding does depend on the
+batch.
 """
 
 import numpy as np
@@ -14,21 +15,28 @@ import pytest
 from boxprobe import (
     Dataset,
     ale_first_order,
+    average_marginal_effect,
+    default_step,
     exact_shapley_value,
     fit_linear,
     ice_curves,
     ici_curve,
+    intervene_permute,
     intervene_replace,
+    intervene_shift,
     observed_grid,
     pd_curve,
     pfi_exhaustive,
+    pfi_permutation,
     pi_curve,
     sfimp,
     shapley_exact,
     squared_loss,
 )
 from boxprobe import core
+from boxprobe.core import spawn_seeds
 from boxprobe.effects import _ale_bins
+from boxprobe.importance import _coalition_seed
 
 from conftest import handle
 
@@ -76,12 +84,41 @@ def reference_ici(predictor, data, i, j):
     return np.array([float(LOSS(predictor(intervene_replace(single, {j: v}).matrix()), y_i)[0]) - base for v in values])
 
 
+def generalization_error(predictor, data):
+    return float(np.mean(LOSS(predictor(data.matrix()), data.target)))
+
+
+def reference_ame(predictor, data, j, h):
+    upper = predictor(intervene_shift(data, j, h).matrix())
+    lower = predictor(intervene_shift(data, j, -h).matrix())
+    return float(np.mean((upper - lower) / (2.0 * h)))
+
+
+def reference_pfi(predictor, data, j, repeats, seed):
+    base = generalization_error(predictor, data)
+    diffs = [generalization_error(predictor, intervene_permute(data, j, child)) - base for child in spawn_seeds(seed, repeats)]
+    return float(np.mean(diffs))
+
+
+def reference_sfimp_permuted(predictor, data, j, seed):
+    p = data.n_features
+
+    def ge(block):
+        shuffled = data
+        for t in block:  # one seed per block, so every column draws the same permutation
+            shuffled = intervene_permute(shuffled, t, _coalition_seed(seed, block))
+        return generalization_error(predictor, shuffled)
+
+    everything = frozenset(range(p))
+    return exact_shapley_value(lambda k: ge(everything - k) - ge(everything) if k else 0.0, p, j)
+
+
 def reference_sfimp(predictor, data, j):
     y, p = data.target, data.n_features
 
     def ge(block):
         if not block:
-            return float(np.mean(LOSS(predictor(data.matrix()), y)))
+            return generalization_error(predictor, data)
         per_donor = [
             np.mean(LOSS(predictor(intervene_replace(data, {t: data.column(t)[l] for t in block}).matrix()), y))
             for l in range(data.n_rows)
@@ -152,6 +189,14 @@ def test_kernel_matches_per_point_reference(monkeypatch, model, budget, threads)
         assert same_bits(ici_curve(predictor, data, 3, j, LOSS, threads=threads).ys, reference_ici(predictor, data, 3, j))
 
     assert sfimp(predictor, data, 1, LOSS, threads=threads).value == reference_sfimp(predictor, data, 1)
+    permuted = sfimp(predictor, data, 1, LOSS, mode="permutation", seed=4, threads=threads)
+    assert permuted.value == reference_sfimp_permuted(predictor, data, 1, 4)
+    for j in (0, 2):
+        pfi = pfi_permutation(predictor, data, j, LOSS, repeats=3, seed=7, threads=threads)
+        assert pfi.value == reference_pfi(predictor, data, j, 3, 7)
+    for j in (0, 1):
+        h = default_step(data, j)
+        assert average_marginal_effect(predictor, data, j, threads=threads).value == reference_ame(predictor, data, j, h)
     x = (2.0, -1.0, "v", 0.5)
     assert shapley_exact(predictor, data, x, 3, threads=threads).value == reference_shapley(predictor, data, x, 3)
     assert same_bits(ale_first_order(predictor, data, 1, 3, threads=threads).ys, reference_ale(predictor, data, 1, 3))
