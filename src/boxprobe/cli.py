@@ -28,7 +28,7 @@ from .data import Dataset
 from .dataio import emit_json, emit_points_csv, emit_score_csv, load_csv, write_text
 from .effects import (
     EffectCurve,
-    _ice_builder,
+    _ice_row,
     ale_first_order,
     average_marginal_effect,
     equidistant_grid,
@@ -140,7 +140,7 @@ def _ice(config, data, predictor, j):
     if not 0 <= row < data.n_rows:
         raise InvalidArgumentError(f"row {row} out of range for {data.n_rows} observations")
     grid = _grid(data, j, points)
-    curve = _ice_builder(predictor, data, j, grid, config.threads)(row)
+    curve = _ice_row(predictor, data, j, grid, config.threads, row)
     return {"row": row, "grid": grid.source, "grid_points": len(grid)}, curve, None
 
 

@@ -144,6 +144,7 @@ class PredictionCache:
         features: Sequence[int | str],
         patches: Sequence[Sequence[Any]],
         rows: Sequence[int] | None = None,
+        reduce: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The substitution kernel: predict ``data`` with ``features`` patched by each patch.
 
@@ -162,6 +163,16 @@ class PredictionCache:
         would make, minus the repeats, so no bit moves even for a model whose
         bits depend on the batch; a larger m is split into chunks such a loop
         would not make, and such a model may then differ in the last bits.
+
+        ``reduce`` aggregates inside the kernel: it maps a (k, m) block of
+        distinct copies' predictions, one copy per row, to k values or k rows,
+        and the kernel returns those in place of the predictions.  The copies
+        are predicted into one reused buffer of k = max(1, ``ROW_BUDGET`` // m)
+        rows, reduced each time it fills and after the last copy, so a
+        reducing method holds at most ``ROW_BUDGET`` predictions (or one copy's
+        m) however many copies it predicts.  The reducer's output is copied
+        before the buffer is reused, so it may be a view of its block.  Held
+        unchanged-data predictions pass through the reducer too.
         """
         js = [data.feature_index(f) for f in features]
         if len(set(js)) != len(js):
@@ -188,10 +199,14 @@ class PredictionCache:
         unchanged = not js and rows is None
         held = self._unchanged
         if unchanged and held is not None and held[0] is predictor and held[1] is data:
-            return np.tile(held[2], (len(distinct), 1)), inverse
+            block = np.tile(held[2], (len(distinct), 1))
+            return (block if reduce is None else np.array(reduce(block))), inverse
         matrix = data.matrix()
-        out = np.empty((len(distinct), m))
+        k = len(distinct) if reduce is None else max(1, ROW_BUDGET // max(m, 1))
+        buffer = np.empty((min(k, len(distinct)), m))
+        out = buffer if reduce is None else None
         for u, values in enumerate(distinct):
+            row = buffer[u % k]
             for start in range(0, m, ROW_BUDGET):
                 stop = min(start + ROW_BUDGET, m)
                 block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
@@ -199,9 +214,16 @@ class PredictionCache:
                     block = block.copy()  # a row gather is a copy already
                 for j, v in zip(js, values):
                     block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
-                out[u, start:stop] = _run_predictor(predictor, block, self.threads)
-        if unchanged and len(out):
-            self._unchanged = (predictor, data, out[0].copy())
+                row[start:stop] = _run_predictor(predictor, block, self.threads)
+            if unchanged:
+                self._unchanged = (predictor, data, row.copy())
+            if reduce is not None and (u % k == k - 1 or u == len(distinct) - 1):
+                reduced = reduce(buffer[: u % k + 1])
+                if out is None:
+                    out = np.empty((len(distinct), *np.shape(reduced)[1:]))
+                out[u - u % k : u + 1] = reduced  # a copy, so a view of the buffer is safe
+        if out is None:  # no patches
+            out = np.array(reduce(buffer))
         return out, inverse
 
     def trace(
@@ -414,7 +436,19 @@ def intervene_shift(data: Dataset, feature: int | str, delta: float) -> Dataset:
         "shift feature column",
         {"feature": data.meta[j].name, "delta": delta},
     )
-    return data.replace_columns({j: data.column(j) + delta}, record=record)
+    return data.replace_columns({j: _shifted_column(data, j, delta)}, record=record)
+
+
+def _shifted_column(data: Dataset, j: int, delta: float) -> np.ndarray:
+    """Continuous column ``j`` plus ``delta``; a shift past the float64 range raises."""
+    with np.errstate(over="ignore"):
+        shifted = data.column(j) + delta
+    if not np.isfinite(shifted).all():
+        raise InvalidArgumentError(
+            f"shifting feature {data.meta[j].name!r} by {delta!r} overflows float64 "
+            "to non-finite values"
+        )
+    return shifted
 
 
 # ---------------------------------------------------------------------------

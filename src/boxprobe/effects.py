@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     PredictionCache,
     PredictorHandle,
+    _shifted_column,
     default_step,
     finite_difference,
     make_rng,
@@ -162,20 +163,21 @@ def _substitute_grid(
     features: int | str | Sequence[int | str],
     grid: Grid | Sequence[Grid] | None,
     threads: int,
+    reduce: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[
     int | tuple[int, ...], tuple[Any, ...], np.ndarray, np.ndarray, PredictionCache, tuple
 ]:
     """Predict every grid point of a feature or feature set.
 
     Returns the curve's feature and grid values, the predictions per
-    distinct point (one column per observation), the inverse index from
-    grid points to distinct points, the cache that predicted them and the
-    intervention step.
+    distinct point (one column per observation, or what ``reduce`` makes
+    of them in the kernel), the inverse index from grid points to distinct
+    points, the cache that predicted them and the intervention step.
     """
     feature_list, grids = _resolve_feature_set(data, features, grid)
     points = list(itertools.product(*(g.points for g in grids)))
     cache = PredictionCache(threads)
-    preds, inverse = cache.substitute(predictor, data, feature_list, points)
+    preds, inverse = cache.substitute(predictor, data, feature_list, points, reduce=reduce)
     intervention = (
         "replace feature columns with each grid value",
         {
@@ -189,19 +191,20 @@ def _substitute_grid(
     return tuple(feature_list), tuple(points), preds, inverse, cache, intervention
 
 
-def _ice_builder(
+def _ice_row(
     predictor: PredictorHandle,
     data: Dataset,
     features: int | str | Sequence[int | str],
     grid: Grid | Sequence[Grid] | None,
     threads: int,
-) -> Callable[[int], EffectCurve]:
-    """Predict the whole ICE grid; the returned function builds the curve of one observation."""
+    row: int,
+) -> EffectCurve:
+    """The ICE curve of one observation: the kernel keeps only its column of the grid."""
     feature, xs, preds, inverse, cache, intervention = _substitute_grid(
-        predictor, data, features, grid, threads
+        predictor, data, features, grid, threads, reduce=lambda b: b[:, row]
     )
     trace = cache.trace(predictor, data, intervention)
-    return lambda i: EffectCurve("ice", feature, xs, preds[inverse, i], trace, observation=i)
+    return EffectCurve("ice", feature, xs, preds[inverse], trace, observation=row)
 
 
 def ice_curves(
@@ -218,8 +221,14 @@ def ice_curves(
     at their observed values.  A feature set evaluates over the Cartesian
     product of the per-feature grids (grid values become tuples).
     """
-    curve = _ice_builder(predictor, data, features, grid, threads)
-    return [curve(i) for i in range(data.n_rows)]
+    feature, xs, preds, inverse, cache, intervention = _substitute_grid(
+        predictor, data, features, grid, threads
+    )
+    trace = cache.trace(predictor, data, intervention)
+    return [
+        EffectCurve("ice", feature, xs, preds[inverse, i], trace, observation=i)
+        for i in range(data.n_rows)
+    ]
 
 
 def pd_curve(
@@ -238,15 +247,15 @@ def pd_curve(
     (grid values become tuples); if the set covers every feature there is
     nothing to marginalize and the curve is the prediction itself.
     """
-    feature, xs, preds, inverse, cache, intervention = _substitute_grid(
-        predictor, data, features, grid, threads
+    feature, xs, means, inverse, cache, intervention = _substitute_grid(
+        predictor, data, features, grid, threads, reduce=lambda b: b.mean(axis=1)
     )
     aggregation = (
         "mean prediction over background rows at each grid point",
         {"background_rows": data.n_rows},
     )
     trace = cache.trace(predictor, data, intervention, aggregation)
-    return EffectCurve("pd", feature, xs, preds.mean(axis=1)[inverse], trace)
+    return EffectCurve("pd", feature, xs, means[inverse], trace)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +390,8 @@ def average_marginal_effect(
     if not (h > 0) or not np.isfinite(h):
         raise InvalidArgumentError(f"step h must be positive and finite, got {h}")
     cache = PredictionCache(threads)
-    column = data.column(j)
-    preds, inverse = cache.substitute(predictor, data, [j], [[column + h], [column - h]])
+    shifts = [[_shifted_column(data, j, h)], [_shifted_column(data, j, -h)]]
+    preds, inverse = cache.substitute(predictor, data, [j], shifts)
     upper, lower = preds[inverse]
     value = float(np.mean((upper - lower) / (2.0 * h)))
     trace = cache.trace(

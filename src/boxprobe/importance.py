@@ -95,11 +95,11 @@ def pd_importance(
     """
     j = data.feature_index(feature)
     grid = observed_grid(data, j)
-    _, xs, preds, inverse, cache, intervention = _substitute_grid(
-        predictor, data, j, grid, threads
+    _, xs, means, inverse, cache, intervention = _substitute_grid(
+        predictor, data, j, grid, threads, reduce=lambda b: b.mean(axis=1)
     )
     description = "partial dependence per grid value, then spread across observed values"
-    value, aggregation = _pd_spread(xs, preds.mean(axis=1)[inverse], data, j, description)
+    value, aggregation = _pd_spread(xs, means[inverse], data, j, description)
     trace = cache.trace(predictor, data, intervention, aggregation)
     return ImportanceScore("pd_sd", j, value, trace)
 
@@ -192,8 +192,13 @@ def _pi_values(
     cache = PredictionCache(threads)
     (unchanged,), _ = cache.substitute(predictor, data, [], [()])
     base_losses = loss(unchanged, target)
-    preds, inverse = cache.substitute(predictor, data, [j], values[:, None])
-    means = np.array([np.mean(loss(row, target) - base_losses) for row in preds])
+    means, inverse = cache.substitute(
+        predictor,
+        data,
+        [j],
+        values[:, None],
+        reduce=lambda b: (loss(b, target) - base_losses).mean(axis=1),
+    )
     intervention = (
         "substitute each observed feature value into every observation",
         {"feature": data.meta[j].name, "values": len(values)},
@@ -264,8 +269,10 @@ def pfi_permutation(
     column = data.column(j)
     # The column itself first: the unchanged data, then one permuted copy per repeat.
     copies = [column] + [column[make_rng(child).permutation(data.n_rows)] for child in child_seeds]
-    preds, inverse = cache.substitute(predictor, data, [j], [(c,) for c in copies])
-    errors = np.array([np.mean(loss(row, target)) for row in preds])[inverse]
+    per_copy, inverse = cache.substitute(
+        predictor, data, [j], [(c,) for c in copies], reduce=lambda b: loss(b, target).mean(axis=1)
+    )
+    errors = per_copy[inverse]
     value = float(np.mean(errors[1:] - errors[0]))
     trace = cache.trace(
         predictor,
@@ -326,8 +333,9 @@ def _perturbed_ge(
         patches = [tuple(data.column(t)[perm] for t in block)]
     else:
         patches = list(zip(*(data.column(t) for t in block)))
-    preds, inverse = cache.substitute(predictor, data, block, patches)
-    per_patch = np.array([np.mean(loss(row, data.target)) for row in preds])
+    per_patch, inverse = cache.substitute(
+        predictor, data, block, patches, reduce=lambda b: loss(b, data.target).mean(axis=1)
+    )
     return float(np.mean(per_patch[inverse]))
 
 

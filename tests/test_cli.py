@@ -416,6 +416,23 @@ def test_module_entry_point(workspace):
     assert json.loads(result.stdout)["method"] == "pd"
 
 
+def test_a_shift_past_the_float_range_names_the_feature_and_step(tmp_path):
+    data, model = tmp_path / "huge.csv", tmp_path / "model.json"
+    data.write_text("x1,x2,y\n1e308,1,2\n0,2,3\n1,0,1\n", encoding="utf-8")
+    fit = ["fit", "--data", str(data), "--target", "y", "--kind", "knn", "--k", "1"]
+    assert main([*fit, "--out", str(model)]) == 0
+    ame = ["ame", "--feature", "x1", "--h", "1e308", "--data", str(data), "--target", "y"]
+    result = subprocess.run(
+        [sys.executable, "-m", "boxprobe", *ame, "--model", str(model)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: shifting feature 'x1' by 1e+308 overflows float64 to non-finite values\n"
+    )
+
+
 # Each error type's exit status, written out so a new type needs a decision here.
 EXIT_STATUS = {
     errors.InvalidArgumentError: 1,

@@ -1,5 +1,7 @@
 """Stage primitives: sampling, interventions, prediction, finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,14 @@ def test_shift_adds_delta_and_may_extrapolate():
     out = intervene_shift(data, 0, 0.5)
     assert list(out.column(0)) == [1.5, 2.5]
     assert max(out.column(0)) > data.meta[0].observed_range[1]
+
+
+def test_shift_past_the_float_range_raises_without_a_numpy_warning():
+    data = columns_dataset(a=[1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=r"feature 'a' by 1e\+308 overflows"):
+            intervene_shift(data, 0, 1e308)
 
 
 def test_shift_rejects_categorical():

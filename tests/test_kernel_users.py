@@ -7,7 +7,9 @@ them builds a ``Dataset`` to predict on it, so none refers to the library
 primitives that do: ``predict_batch``, ``replace_columns``, the
 ``intervene_*`` functions and ``estimate_generalization_error``.  The
 kernel's own unchanged-data rule replaced ``PredictionCache.baseline`` and
-``importance._permute_block``, which must not come back.
+``importance._permute_block``, which must not come back.  Losses apply to
+whole blocks of predictions inside the kernel's reducers, so no loop or
+comprehension there calls ``loss(...)`` once per copy of the data.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boxprobe"
 ESTIMATORS = ("effects.py", "importance.py", "shapley.py")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 DATASET_BUILDERS = {"predict_batch", "replace_columns", "estimate_generalization_error"}
 
 
@@ -52,3 +55,18 @@ def test_the_kernel_replaced_the_baseline_and_the_block_permutation():
     defined = set().union(*(_defined(path) for path in SRC.glob("*.py")))
     assert {"baseline", "_permute_block"} & defined == set()
     assert "substitute" in _defined(SRC / "core.py")
+
+
+def _losses_in_loops(path):
+    """Line numbers of ``loss(...)`` calls inside a loop or comprehension."""
+    for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(loop, LOOPS):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "loss":
+                    yield node.lineno
+
+
+def test_no_estimator_applies_a_loss_once_per_copy():
+    assert {name: sorted(set(_losses_in_loops(SRC / name))) for name in ESTIMATORS} == {
+        name: [] for name in ESTIMATORS
+    }

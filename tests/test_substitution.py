@@ -6,8 +6,12 @@ grid point, donor, coalition, shift or permutation.  Every estimator that
 substitutes must return the same bits at any row budget and thread count
 for a model that rounds each row the same in any batch, and at the default
 budget for the fitted linear model, whose rounding does depend on the
-batch.
+batch.  Estimators that reduce inside the kernel must match however often
+it refills its reduction buffer, and must hold that buffer, not the
+prediction matrix.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from boxprobe import (
     average_marginal_effect,
     default_step,
     exact_shapley_value,
+    firm,
     fit_linear,
     ice_curves,
     ici_curve,
@@ -26,6 +31,7 @@ from boxprobe import (
     intervene_shift,
     observed_grid,
     pd_curve,
+    pd_importance,
     pfi_exhaustive,
     pfi_permutation,
     pi_curve,
@@ -34,9 +40,9 @@ from boxprobe import (
     squared_loss,
 )
 from boxprobe import core
-from boxprobe.core import spawn_seeds
-from boxprobe.effects import _ale_bins
-from boxprobe.importance import _coalition_seed
+from boxprobe.core import PredictionCache, spawn_seeds
+from boxprobe.effects import _ale_bins, _ice_row
+from boxprobe.importance import _coalition_seed, _pd_spread
 
 from conftest import handle
 
@@ -159,7 +165,14 @@ def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-BUDGETS = {"one row": lambda n: 1, "n rows": lambda n: n, "default": lambda n: core.ROW_BUDGET}
+# Each budget is also the kernel's reduction buffer, in rows: one copy,
+# refilled every copy; two copies, the last fill partial; every copy at once.
+BUDGETS = {
+    "one row": lambda n: 1,
+    "n rows": lambda n: n,
+    "2n + 1 rows": lambda n: 2 * n + 1,
+    "default": lambda n: core.ROW_BUDGET,
+}
 # The fitted linear model's BLAS matrix-vector product rounds a row
 # differently near the end of a batch, so its bits hold only under the
 # reference's own batches: one call per substituted copy of the data.
@@ -178,11 +191,16 @@ def test_kernel_matches_per_point_reference(monkeypatch, model, budget, threads)
     assert same_bits(pd_curve(predictor, data, 0, threads=threads).ys, grid.mean(axis=1))
     for i, curve in enumerate(ice_curves(predictor, data, 0, threads=threads)):
         assert same_bits(curve.ys, grid[:, i])
+        assert same_bits(_ice_row(predictor, data, 0, None, threads, i).ys, grid[:, i])
     pairs = [(a, c) for a in grid_a.points for c in grid_c.points]
     set_grid = reference_grid(predictor, data, [0, 2], pairs)
     assert same_bits(pd_curve(predictor, data, [0, 2], threads=threads).ys, set_grid.mean(axis=1))
 
-    for j in (0, 2):
+    for j, g in ((0, grid_a), (2, grid_c)):
+        pd_values = reference_grid(predictor, data, [j], [(v,) for v in g.points]).mean(axis=1)
+        spread, _ = _pd_spread(g.points, pd_values, data, j, "")
+        assert pd_importance(predictor, data, j, threads=threads).value == spread
+        assert firm(predictor, data, j, threads=threads).value == spread
         means = reference_pi(predictor, data, j)
         assert same_bits(pi_curve(predictor, data, j, LOSS, threads=threads).ys, means)
         assert pfi_exhaustive(predictor, data, j, LOSS, threads=threads).value == float(np.mean(means))
@@ -200,3 +218,75 @@ def test_kernel_matches_per_point_reference(monkeypatch, model, budget, threads)
     x = (2.0, -1.0, "v", 0.5)
     assert shapley_exact(predictor, data, x, 3, threads=threads).value == reference_shapley(predictor, data, x, 3)
     assert same_bits(ale_first_order(predictor, data, 1, 3, threads=threads).ys, reference_ale(predictor, data, 1, 3))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_reducer_output_is_copied_before_the_buffer_is_reused(monkeypatch, budget):
+    data = mixed_data()
+    predictor = handle(rowwise, 4)
+    monkeypatch.setattr(core, "ROW_BUDGET", BUDGETS[budget](data.n_rows))
+    patches = [(v,) for v in observed_grid(data, "b").points]
+    grid = reference_grid(predictor, data, [1], patches)
+    for i in (0, 4, 9):
+        column, inverse = PredictionCache().substitute(
+            predictor, data, [1], patches, reduce=lambda b: b[:, i]
+        )
+        assert same_bits(column[inverse], grid[:, i])
+    strided, inverse = PredictionCache().substitute(
+        predictor, data, [1], patches, reduce=lambda b: b[:, ::3]
+    )
+    assert same_bits(strided[inverse], grid[:, ::3])
+
+
+def counting(fn):
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return fn(X)
+
+    return handle(counted, 4), calls
+
+
+@pytest.mark.parametrize("order", [("whole", "mean"), ("mean", "whole")], ids=["whole first", "mean first"])
+def test_the_held_unchanged_data_passes_through_a_reducer(order):
+    data = mixed_data()
+    predictor, calls = counting(rowwise)
+    expected = rowwise(data.matrix())
+    cache = PredictionCache()
+    ask = {
+        "whole": lambda: cache.substitute(predictor, data, [], [(), ()]),
+        "mean": lambda: cache.substitute(predictor, data, [], [(), ()], reduce=lambda b: b.mean(axis=1)),
+    }
+    got = {name: ask[name]() for name in order}
+    assert calls == [data.n_rows]
+    whole, inverse = got["whole"]
+    assert same_bits(whole[inverse], [expected, expected])
+    means, inverse = got["mean"]
+    assert same_bits(means[inverse], [expected.mean(), expected.mean()])
+
+
+def test_reducing_estimators_hold_a_row_budget_not_the_matrix():
+    n = 3000
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    data = Dataset.from_columns({"a": a, "b": b}, target=a * b + b)
+    data.matrix()  # built once, outside the traced runs
+    predictor = handle(lambda X: X[:, 0] * X[:, 1] + X[:, 1], 2)
+    runs = {
+        "pd_curve": lambda: pd_curve(predictor, data, 0),
+        "pi_curve": lambda: pi_curve(predictor, data, 0, LOSS),
+        "pfi_exhaustive": lambda: pfi_exhaustive(predictor, data, 0, LOSS),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The kernel's buffer and the loss temporaries each stay within one
+        # budget; the grid, the patch keys and the result are O(n) Python
+        # objects, under 1 KiB a row.  The 3000 x 3000 prediction matrix
+        # alone would take 72 MB.
+        assert peak < 8 * core.ROW_BUDGET * 8 + 1024 * n, name
