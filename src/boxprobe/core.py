@@ -144,7 +144,7 @@ class PredictionCache:
         features: Sequence[int | str],
         patches: Sequence[Sequence[Any]],
         rows: Sequence[int] | None = None,
-        reduce: Callable[[np.ndarray], np.ndarray] | None = None,
+        reduce: Callable[[np.ndarray], np.ndarray] = lambda b: b,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The substitution kernel: predict ``data`` with ``features`` patched by each patch.
 
@@ -165,14 +165,15 @@ class PredictionCache:
         would not make, and such a model may then differ in the last bits.
 
         ``reduce`` aggregates inside the kernel: it maps a (k, m) block of
-        distinct copies' predictions, one copy per row, to k values or k rows,
-        and the kernel returns those in place of the predictions.  The copies
-        are predicted into one reused buffer of k = max(1, ``ROW_BUDGET`` // m)
-        rows, reduced each time it fills and after the last copy, so a
-        reducing method holds at most ``ROW_BUDGET`` predictions (or one copy's
-        m) however many copies it predicts.  The reducer's output is copied
-        before the buffer is reused, so it may be a view of its block.  Held
-        unchanged-data predictions pass through the reducer too.
+        copies' predictions, one copy per row, to k values or k rows, and the
+        kernel returns those in place of the predictions; the default keeps
+        the whole rows.  Each copy is predicted into one reused m-row buffer
+        and reduced as a one-copy block before the next, so a reducing method
+        holds one copy's predictions however many copies it predicts.  The
+        reducer's output is copied out of the buffer, so it may be a view of
+        its block; it must also accept a block of no copies, which gives the
+        shape of its output.  Held unchanged-data predictions pass through
+        the reducer too.
         """
         js = [data.feature_index(f) for f in features]
         if len(set(js)) != len(js):
@@ -198,32 +199,25 @@ class PredictionCache:
         self.rows += len(patches) * m
         unchanged = not js and rows is None
         held = self._unchanged
-        if unchanged and held is not None and held[0] is predictor and held[1] is data:
-            block = np.tile(held[2], (len(distinct), 1))
-            return (block if reduce is None else np.array(reduce(block))), inverse
+        reuse = unchanged and held is not None and held[0] is predictor and held[1] is data
         matrix = data.matrix()
-        k = len(distinct) if reduce is None else max(1, ROW_BUDGET // max(m, 1))
-        buffer = np.empty((min(k, len(distinct)), m))
-        out = buffer if reduce is None else None
+        copy = np.empty((1, m))  # one copy's predictions, reused for every copy
+        out = np.empty((len(distinct), *np.shape(reduce(copy[:0]))[1:]))
         for u, values in enumerate(distinct):
-            row = buffer[u % k]
-            for start in range(0, m, ROW_BUDGET):
-                stop = min(start + ROW_BUDGET, m)
-                block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
-                if js and rows is None:
-                    block = block.copy()  # a row gather is a copy already
-                for j, v in zip(js, values):
-                    block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
-                row[start:stop] = _run_predictor(predictor, block, self.threads)
-            if unchanged:
-                self._unchanged = (predictor, data, row.copy())
-            if reduce is not None and (u % k == k - 1 or u == len(distinct) - 1):
-                reduced = reduce(buffer[: u % k + 1])
-                if out is None:
-                    out = np.empty((len(distinct), *np.shape(reduced)[1:]))
-                out[u - u % k : u + 1] = reduced  # a copy, so a view of the buffer is safe
-        if out is None:  # no patches
-            out = np.array(reduce(buffer))
+            if reuse:
+                copy[0] = held[2]
+            else:
+                for start in range(0, m, ROW_BUDGET):
+                    stop = min(start + ROW_BUDGET, m)
+                    block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
+                    if js and rows is None:
+                        block = block.copy()  # a row gather is a copy already
+                    for j, v in zip(js, values):
+                        block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
+                    copy[0, start:stop] = _run_predictor(predictor, block, self.threads)
+                if unchanged:
+                    self._unchanged = (predictor, data, copy[0].copy())
+            out[u] = reduce(copy)[0]  # a copy, so a view of the buffer is safe
         return out, inverse
 
     def trace(
@@ -294,7 +288,13 @@ def predict_batch(
 
 @dataclass(frozen=True)
 class LossFunction:
-    """Pointwise loss with a stable tag; vectorized over prediction/target pairs."""
+    """Pointwise loss with a stable tag, applied elementwise.
+
+    ``fn`` takes predictions and targets and returns one loss per
+    prediction.  It must broadcast: the estimators pass a (k, m) block of
+    predictions, k copies of the data, against the (m,) targets, and
+    expect a (k, m) block of losses.
+    """
 
     tag: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]

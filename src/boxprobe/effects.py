@@ -163,15 +163,15 @@ def _substitute_grid(
     features: int | str | Sequence[int | str],
     grid: Grid | Sequence[Grid] | None,
     threads: int,
-    reduce: Callable[[np.ndarray], np.ndarray] | None = None,
+    reduce: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[
     int | tuple[int, ...], tuple[Any, ...], np.ndarray, np.ndarray, PredictionCache, tuple
 ]:
     """Predict every grid point of a feature or feature set.
 
     Returns the curve's feature and grid values, the predictions per
-    distinct point (one column per observation, or what ``reduce`` makes
-    of them in the kernel), the inverse index from grid points to distinct
+    distinct point, as ``reduce`` makes them of one column per observation
+    in the kernel, the inverse index from grid points to distinct
     points, the cache that predicted them and the intervention step.
     """
     feature_list, grids = _resolve_feature_set(data, features, grid)
@@ -222,7 +222,7 @@ def ice_curves(
     product of the per-feature grids (grid values become tuples).
     """
     feature, xs, preds, inverse, cache, intervention = _substitute_grid(
-        predictor, data, features, grid, threads
+        predictor, data, features, grid, threads, reduce=lambda b: b
     )
     trace = cache.trace(predictor, data, intervention)
     return [

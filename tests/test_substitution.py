@@ -6,9 +6,9 @@ grid point, donor, coalition, shift or permutation.  Every estimator that
 substitutes must return the same bits at any row budget and thread count
 for a model that rounds each row the same in any batch, and at the default
 budget for the fitted linear model, whose rounding does depend on the
-batch.  Estimators that reduce inside the kernel must match however often
-it refills its reduction buffer, and must hold that buffer, not the
-prediction matrix.
+batch.  Estimators that reduce inside the kernel must match whatever the
+reducer returns, a view of the reused buffer included, and must hold one
+copy's predictions, not the prediction matrix.
 """
 
 import tracemalloc
@@ -18,6 +18,7 @@ import pytest
 
 from boxprobe import (
     Dataset,
+    LossFunction,
     ale_first_order,
     average_marginal_effect,
     default_step,
@@ -74,11 +75,11 @@ def reference_grid(predictor, data, features, points):
     return np.vstack(rows)
 
 
-def reference_pi(predictor, data, j):
+def reference_pi(predictor, data, j, loss=LOSS):
     y = data.target
-    base_losses = LOSS(predictor(data.matrix()), y)
+    base_losses = loss(predictor(data.matrix()), y)
     values = np.sort(data.column(j), kind="stable")
-    means = [np.mean(LOSS(predictor(intervene_replace(data, {j: v}).matrix()), y) - base_losses) for v in values]
+    means = [np.mean(loss(predictor(intervene_replace(data, {j: v}).matrix()), y) - base_losses) for v in values]
     return np.array(means)
 
 
@@ -90,8 +91,8 @@ def reference_ici(predictor, data, i, j):
     return np.array([float(LOSS(predictor(intervene_replace(single, {j: v}).matrix()), y_i)[0]) - base for v in values])
 
 
-def generalization_error(predictor, data):
-    return float(np.mean(LOSS(predictor(data.matrix()), data.target)))
+def generalization_error(predictor, data, loss=LOSS):
+    return float(np.mean(loss(predictor(data.matrix()), data.target)))
 
 
 def reference_ame(predictor, data, j, h):
@@ -100,9 +101,12 @@ def reference_ame(predictor, data, j, h):
     return float(np.mean((upper - lower) / (2.0 * h)))
 
 
-def reference_pfi(predictor, data, j, repeats, seed):
-    base = generalization_error(predictor, data)
-    diffs = [generalization_error(predictor, intervene_permute(data, j, child)) - base for child in spawn_seeds(seed, repeats)]
+def reference_pfi(predictor, data, j, repeats, seed, loss=LOSS):
+    base = generalization_error(predictor, data, loss)
+    diffs = [
+        generalization_error(predictor, intervene_permute(data, j, child), loss) - base
+        for child in spawn_seeds(seed, repeats)
+    ]
     return float(np.mean(diffs))
 
 
@@ -119,14 +123,14 @@ def reference_sfimp_permuted(predictor, data, j, seed):
     return exact_shapley_value(lambda k: ge(everything - k) - ge(everything) if k else 0.0, p, j)
 
 
-def reference_sfimp(predictor, data, j):
+def reference_sfimp(predictor, data, j, loss=LOSS):
     y, p = data.target, data.n_features
 
     def ge(block):
         if not block:
-            return generalization_error(predictor, data)
+            return generalization_error(predictor, data, loss)
         per_donor = [
-            np.mean(LOSS(predictor(intervene_replace(data, {t: data.column(t)[l] for t in block}).matrix()), y))
+            np.mean(loss(predictor(intervene_replace(data, {t: data.column(t)[l] for t in block}).matrix()), y))
             for l in range(data.n_rows)
         ]
         return float(np.mean(per_donor))
@@ -165,12 +169,11 @@ def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-# Each budget is also the kernel's reduction buffer, in rows: one copy,
-# refilled every copy; two copies, the last fill partial; every copy at once.
+# The most rows of one predictor call: every copy split into one-row calls,
+# one call per copy exactly, and the default.
 BUDGETS = {
     "one row": lambda n: 1,
     "n rows": lambda n: n,
-    "2n + 1 rows": lambda n: 2 * n + 1,
     "default": lambda n: core.ROW_BUDGET,
 }
 # The fitted linear model's BLAS matrix-vector product rounds a row
@@ -238,6 +241,29 @@ def test_reducer_output_is_copied_before_the_buffer_is_reused(monkeypatch, budge
     assert same_bits(strided[inverse], grid[:, ::3])
 
 
+def test_a_custom_loss_broadcasts_over_a_block_of_copies():
+    data = mixed_data()
+    predictor = handle(rowwise, 4)
+    shapes = []
+
+    def absolute(p, y):
+        shapes.append((np.shape(p), np.shape(y)))
+        return np.abs(p - y)
+
+    loss = LossFunction("absolute", absolute)
+    means = reference_pi(predictor, data, 0, loss)
+    shapes.clear()
+    assert same_bits(pi_curve(predictor, data, 0, loss).ys, means)
+    assert pfi_exhaustive(predictor, data, 0, loss).value == float(np.mean(means))
+    pfi = pfi_permutation(predictor, data, 2, loss, repeats=3, seed=7)
+    assert pfi.value == reference_pfi(predictor, data, 2, 3, 7, loss)
+    assert sfimp(predictor, data, 1, loss).value == reference_sfimp(predictor, data, 1, loss)
+    m = (data.n_rows,)
+    assert {y for _, y in shapes} == {m}
+    assert {p[1:] for p, _ in shapes if len(p) == 2} == {m}
+    assert {p for p, _ in shapes if len(p) != 2} <= {m}
+
+
 def counting(fn):
     calls = []
 
@@ -285,8 +311,8 @@ def test_reducing_estimators_hold_a_row_budget_not_the_matrix():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The kernel's buffer and the loss temporaries each stay within one
-        # budget; the grid, the patch keys and the result are O(n) Python
+        # The kernel's one-copy buffer, the predictor's input block and the
+        # loss temporaries each stay within one budget; the grid, the patch keys and the result are O(n) Python
         # objects, under 1 KiB a row.  The 3000 x 3000 prediction matrix
         # alone would take 72 MB.
         assert peak < 8 * core.ROW_BUDGET * 8 + 1024 * n, name
