@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, _is_number
+from .data import Dataset, FeatureMeta, _is_number, decode
 from .errors import InvalidArgumentError, ShapeError, UnsupportedKindError
 from .trace import INTERVENTION, SAMPLING, STAGES, StageRecord, StageTrace, assemble_trace
 
@@ -74,6 +74,11 @@ class PredictorHandle:
     what make deduplicated, chunked and threaded evaluation transparent.
     Threads change no bit only for a row-stable callable (each row rounded
     the same in any batch); the linear reference model's BLAS product is not.
+
+    The callable sees level strings, in an object matrix unless every
+    feature is continuous.  Called with the schema ``meta`` of a code matrix
+    (:func:`~boxprobe.data.encode`), the handle decodes it once per call for
+    the callable; reference models read the codes directly.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], Any], n_features: int, name: str = "predictor"):
@@ -83,10 +88,10 @@ class PredictorHandle:
         if self.n_features < 1:
             raise InvalidArgumentError("a predictor needs at least one feature")
 
-    def _predict(self, matrix: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fn(matrix), dtype=float)
+    def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None) -> Any:
+        return self._fn(matrix if meta is None else decode(matrix, meta))
 
-    def __call__(self, matrix: np.ndarray) -> np.ndarray:
+    def __call__(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None = None) -> np.ndarray:
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ShapeError(f"expected a 2-D feature matrix, got ndim={matrix.ndim}")
@@ -95,8 +100,7 @@ class PredictorHandle:
                 f"predictor {self.name!r} expects {self.n_features} features, "
                 f"got {matrix.shape[1]}"
             )
-        out = self._predict(matrix)
-        out = np.asarray(out, dtype=float).reshape(-1)
+        out = np.asarray(self._evaluate(matrix, meta), dtype=float).reshape(-1)
         if out.shape[0] != matrix.shape[0]:
             raise ShapeError(
                 f"predictor {self.name!r} returned {out.shape[0]} predictions "
@@ -130,12 +134,14 @@ class PredictionCache:
         self.rows = 0
         self._unchanged: tuple[PredictorHandle, Dataset, np.ndarray] | None = None
 
-    def predict(self, predictor: PredictorHandle, matrix: np.ndarray) -> np.ndarray:
-        """Predict one batch, counted as one logical batch."""
+    def predict(
+        self, predictor: PredictorHandle, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None = None
+    ) -> np.ndarray:
+        """Predict one batch, counted as one logical batch; with ``meta``, a code matrix."""
         matrix = np.asarray(matrix)
         self.batches += 1
         self.rows += matrix.shape[0]
-        return _run_predictor(predictor, matrix, self.threads)
+        return _run_predictor(predictor, matrix, self.threads, meta)
 
     def substitute(
         self,
@@ -155,8 +161,9 @@ class PredictionCache:
         inverse)``: one row of m predictions per distinct patch, and for each
         of the G patches the index of its distinct row, so
         ``predictions[inverse]`` is the (G, m) grid; aggregate per distinct
-        row before expanding.  Values are checked once against the schema;
-        patches are distinct by bit pattern, so 0.0 and -0.0 stay apart.
+        row before expanding.  Values are checked once against the schema and
+        written as codes into the data's code matrix; patches are distinct by
+        the bit pattern of their codes, so 0.0 and -0.0 stay apart.
         Counts G logical batches of m rows.  The predictor sees each distinct
         copy once, in calls of at most :data:`ROW_BUDGET` rows.  While
         m <= ``ROW_BUDGET`` those are the batches a loop over the patches
@@ -200,7 +207,7 @@ class PredictionCache:
         unchanged = not js and rows is None
         held = self._unchanged
         reuse = unchanged and held is not None and held[0] is predictor and held[1] is data
-        matrix = data.matrix()
+        matrix = data.codes()
         copy = np.empty((1, m))  # one copy's predictions, reused for every copy
         out = np.empty((len(distinct), *np.shape(reduce(copy[:0]))[1:]))
         for u, values in enumerate(distinct):
@@ -214,7 +221,7 @@ class PredictionCache:
                         block = block.copy()  # a row gather is a copy already
                     for j, v in zip(js, values):
                         block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
-                    copy[0, start:stop] = _run_predictor(predictor, block, self.threads)
+                    copy[0, start:stop] = _run_predictor(predictor, block, self.threads, data.meta)
                 if unchanged:
                     self._unchanged = (predictor, data, copy[0].copy())
             out[u] = reduce(copy)[0]  # a copy, so a view of the buffer is safe
@@ -238,14 +245,15 @@ class PredictionCache:
 
 
 def _check_patch(data: Dataset, j: int, value: Any, m: int) -> tuple[Any, Any]:
-    """One patch value for column ``j`` of an m-row copy, checked, and its bit pattern."""
+    """One patch value for column ``j`` of an m-row copy, checked and encoded, and its bit pattern."""
     if not isinstance(value, np.ndarray):
         v = data.check_value(j, value)
-        return v, (v.hex() if isinstance(v, float) else v)
-    column = data.check_column(j, value)
-    if len(column) != m:
-        raise InvalidArgumentError(f"a patch of {len(column)} values for {m} rows")
-    return column, (column.tobytes() if column.dtype == float else tuple(column))
+        code = data.meta[j].codes.get(v, v)  # a continuous value is its own code
+        return code, code.hex()
+    codes = data.check_column(j, value)
+    if len(codes) != m:
+        raise InvalidArgumentError(f"a patch of {len(codes)} values for {m} rows")
+    return codes, codes.tobytes()
 
 
 def _worker_count(threads: int, rows: int) -> int:
@@ -257,16 +265,18 @@ def _worker_count(threads: int, rows: int) -> int:
     return max(1, min(threads, cpus, rows // 2))
 
 
-def _run_predictor(predictor: PredictorHandle, matrix: np.ndarray, threads: int) -> np.ndarray:
+def _run_predictor(
+    predictor: PredictorHandle, matrix: np.ndarray, threads: int, meta: Sequence[FeatureMeta] | None
+) -> np.ndarray:
     m = matrix.shape[0]
     if threads <= 1 or m < 2 * threads:
-        return predictor(matrix)
+        return predictor(matrix, meta)
     # Contiguous chunks, concatenated in order: identical to one full call
     # for row-wise predictors, regardless of thread count.
     bounds = np.linspace(0, m, threads + 1).astype(int)
     chunks = [matrix[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
     with ThreadPoolExecutor(max_workers=_worker_count(threads, m)) as pool:
-        parts = list(pool.map(predictor, chunks))
+        parts = list(pool.map(predictor, chunks, [meta] * len(chunks)))
     return np.concatenate(parts)
 
 
@@ -498,12 +508,11 @@ def finite_difference(
         raise UnsupportedKindError(
             f"finite differences need a continuous feature; got {center!r} at index {j}"
         )
-    numeric = all(_is_number(v) for v in x)
-    matrix = np.array([x, x], dtype=(float if numeric else object))
-    matrix[0, j] = float(center) + h
-    matrix[1, j] = float(center) - h
+    point = Dataset([x])  # infers x's schema: numbers are continuous, anything else a level
+    matrix = np.repeat(point.codes(), 2, axis=0)
+    matrix[:, j] = float(center) + h, float(center) - h
     cache = cache if cache is not None else PredictionCache()
-    preds = cache.predict(predictor, matrix)
+    preds = cache.predict(predictor, matrix, point.meta)
     fd = float(preds[0] - preds[1])
     return fd, fd / (2.0 * h)
 

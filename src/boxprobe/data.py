@@ -1,13 +1,14 @@
 """Immutable tabular data with per-feature metadata.
 
 A :class:`Dataset` holds an n x p feature matrix (continuous columns as
-float64, categorical columns as level strings), optional targets, and the
+float64, categorical columns as float64 level codes), optional targets, and the
 provenance records of the operations that produced it.  Datasets are never
 mutated; sampling and interventions return new instances.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from numbers import Real
 from typing import Any, Mapping, Sequence
@@ -75,6 +76,11 @@ class FeatureMeta:
                     )
                 object.__setattr__(self, "observed_range", (lo, hi))
 
+    @functools.cached_property
+    def codes(self) -> dict[str, float]:
+        """Each level's code: its index in ``levels``, as a float."""
+        return {level: float(i) for i, level in enumerate(self.levels or ())}
+
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (Real, np.floating, np.integer)) and not isinstance(
@@ -102,13 +108,35 @@ def _unregistered(value: str, meta: FeatureMeta) -> InvalidLevelError:
     )
 
 
-def _as_level_column(values: Sequence[Any], meta: FeatureMeta) -> np.ndarray:
-    col = np.array([str(v) for v in values], dtype=object)
-    allowed = set(meta.levels)
-    for v in col:
-        if v not in allowed:
-            raise _unregistered(v, meta)
-    return col
+def _level_codes(values: Sequence[Any], meta: FeatureMeta) -> np.ndarray:
+    try:
+        return np.fromiter((meta.codes[str(v)] for v in values), float, count=len(values))
+    except KeyError as exc:
+        raise _unregistered(exc.args[0], meta) from None
+
+
+def _levels(codes: np.ndarray, meta: FeatureMeta) -> np.ndarray:
+    return np.array(meta.levels, dtype=object)[codes.astype(np.intp)]
+
+
+def encode(columns: Sequence[Sequence[Any]], meta: Sequence[FeatureMeta]) -> np.ndarray:
+    """The C-contiguous float64 code matrix of ``columns``, one per feature of
+    ``meta`` (``matrix.T`` for a matrix); a value that is not a level raises."""
+    return np.column_stack([
+        np.asarray(col, dtype=float) if m.kind == CONTINUOUS else _level_codes(col, m)
+        for col, m in zip(columns, meta, strict=True)
+    ])
+
+
+def decode(codes: np.ndarray, meta: Sequence[FeatureMeta]) -> np.ndarray:
+    """The matrix users see for a code matrix: the codes themselves if every
+    feature is continuous, else an object matrix of floats and level strings."""
+    if all(m.kind == CONTINUOUS for m in meta):
+        return codes
+    out = np.empty(codes.shape, dtype=object)
+    for j, m in enumerate(meta):
+        out[:, j] = codes[:, j] if m.kind == CONTINUOUS else _levels(codes[:, j], m)
+    return out
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -133,9 +161,14 @@ class Dataset:
 
     A new dataset has no provenance; derived ones record theirs through
     :meth:`replace_columns`, and result traces carry it.
+
+    Each column is stored as float64: a categorical value as its code, the
+    index of its level in ``levels``.  :meth:`column`, :meth:`row` and
+    :meth:`matrix` decode the codes to level strings; the kernel and the
+    reference models read :meth:`codes`.
     """
 
-    __slots__ = ("_columns", "_meta", "_target", "_provenance", "_matrix", "_name_index")
+    __slots__ = ("_columns", "_meta", "_target", "_provenance", "_matrix", "_codes", "_name_index")
 
     def __init__(
         self,
@@ -183,16 +216,16 @@ class Dataset:
                 if m.observed_range is None:
                     m = FeatureMeta(m.name, CONTINUOUS, observed_range=(col.min(), col.max()))
             else:
-                col = _as_level_column(raw, m)
+                col = _level_codes(raw, m)
             columns.append(_freeze(col))
             fixed_meta.append(m)
         name_index = {m.name: j for j, m in enumerate(fixed_meta)}
         self._set(_columns=tuple(columns), _meta=tuple(fixed_meta), _provenance=(), _matrix=None,
-                  _target=_build_target(target, n), _name_index=name_index)
+                  _codes=None, _target=_build_target(target, n), _name_index=name_index)
 
     def _set(self, **state: Any) -> None:
         """Write instance state: the only writer, reached through the checks of
-        :meth:`_build` or :meth:`replace_columns`, or by the :meth:`matrix` memo."""
+        :meth:`_build` or :meth:`replace_columns`, or by a memo."""
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -277,7 +310,10 @@ class Dataset:
         return self._target
 
     def column(self, feature: int | str) -> np.ndarray:
-        return self._columns[self.feature_index(feature)]
+        """One feature's values: float64, or level strings for a categorical."""
+        j = self.feature_index(feature)
+        col, m = self._columns[j], self._meta[j]
+        return col if m.kind == CONTINUOUS else _freeze(_levels(col, m))
 
     def row(self, i: int) -> tuple[Any, ...]:
         """Feature values of observation ``i`` as plain Python scalars."""
@@ -285,22 +321,19 @@ class Dataset:
             raise InvalidArgumentError(
                 f"observation index {i} out of range for {self.n_rows} rows"
             )
-        out = []
-        for col, m in zip(self._columns, self._meta):
-            out.append(float(col[i]) if m.kind == CONTINUOUS else str(col[i]))
-        return tuple(out)
+        return tuple(decode(self.codes()[i : i + 1], self._meta)[0].tolist())
 
     def matrix(self) -> np.ndarray:
         """The n x p feature matrix (float64 if all columns are continuous)."""
         if self._matrix is None:
-            if all(m.kind == CONTINUOUS for m in self._meta):
-                mat = np.column_stack(self._columns).astype(float)
-            else:
-                mat = np.empty((self.n_rows, self.n_features), dtype=object)
-                for j, col in enumerate(self._columns):
-                    mat[:, j] = col
-            self._set(_matrix=_freeze(mat))
+            self._set(_matrix=_freeze(decode(self.codes(), self._meta)))
         return self._matrix
+
+    def codes(self) -> np.ndarray:
+        """The n x p code matrix (:func:`encode`), frozen."""
+        if self._codes is None:
+            self._set(_codes=_freeze(np.column_stack(self._columns)))
+        return self._codes
 
     # -- derivation ------------------------------------------------------------
 
@@ -328,7 +361,7 @@ class Dataset:
         provenance = self._provenance + ((record,) if record is not None else ())
         out = object.__new__(Dataset)
         out._set(_columns=tuple(cols), _meta=self._meta, _provenance=provenance, _matrix=None,
-                 _target=target, _name_index=self._name_index)
+                 _codes=None, _target=target, _name_index=self._name_index)
         return out
 
     def check_value(self, j: int, value: Any) -> Any:
@@ -349,11 +382,11 @@ class Dataset:
         return v
 
     def check_column(self, j: int, values: Sequence[Any]) -> np.ndarray:
-        """Validate prospective values for column ``j``; returns them as a typed array."""
+        """Validate prospective values for column ``j``; returns them as codes."""
         m = self._meta[j]
         if m.kind == CONTINUOUS:
             return _as_float_column(values, m.name)
-        return _as_level_column(values, m)
+        return _level_codes(values, m)
 
     def check_vector(self, x: Sequence[Any]) -> tuple[Any, ...]:
         """Validate a full feature vector against this dataset's schema."""

@@ -23,7 +23,7 @@ from .core import (
     finite_difference,
     make_rng,
 )
-from .data import CATEGORICAL, CONTINUOUS, Dataset
+from .data import CATEGORICAL, CONTINUOUS, Dataset, encode
 from .errors import DegenerateBinningError, InvalidArgumentError, SingularFitError
 from .trace import StageTrace
 
@@ -469,12 +469,11 @@ def lime_explain(
 
     rng = make_rng(seed)
     perturbed = center + sd * rng.standard_normal(num_samples)
-    numeric = all(isinstance(v, float) for v in x)
-    matrix = np.array([list(x)] * num_samples, dtype=(float if numeric else object))
+    matrix = np.repeat(encode([[v] for v in x], data.meta), num_samples, axis=0)
     matrix[:, j] = perturbed
 
     cache = PredictionCache(threads)
-    preds = cache.predict(predictor, matrix)
+    preds = cache.predict(predictor, matrix, data.meta)
     weights = np.exp(-((perturbed - center) ** 2) / kernel_width**2)
 
     if np.unique(perturbed).size < 2:

@@ -56,6 +56,10 @@ class SingularFitError(BoxprobeError):
     """Least-squares design is rank deficient; no unique fit exists."""
 
 
+class NumericRangeError(BoxprobeError):
+    """A computation on valid inputs leaves the float64 range (a knn distance)."""
+
+
 class UndefinedVarianceError(BoxprobeError):
     """Sample standard deviation is undefined (fewer than two values)."""
 

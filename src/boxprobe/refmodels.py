@@ -17,9 +17,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import PredictorHandle
-from .data import CONTINUOUS, Dataset, FeatureMeta, _is_number
+from .data import CONTINUOUS, Dataset, FeatureMeta, _is_number, decode, encode
 from .dataio import write_text
-from .errors import DataFormatError, InvalidArgumentError, SingularFitError
+from .errors import DataFormatError, InvalidArgumentError, NumericRangeError, SingularFitError
 
 MODEL_FORMAT = "boxprobe-model"
 MODEL_VERSION = 1
@@ -38,6 +38,10 @@ class ReferenceModel(PredictorHandle):
 
     The schema holds each feature's name, kind and levels (no observed range).
     Constructors check every parameter; fitting and loading both pass there.
+    ``_predict`` reads a code matrix over the schema.  A matrix of level
+    strings, or codes over other levels, is decoded and encoded over the
+    schema first; a value that is not a level raises
+    :class:`~boxprobe.errors.InvalidLevelError`.
     """
 
     kind = "reference"
@@ -45,6 +49,12 @@ class ReferenceModel(PredictorHandle):
     def __init__(self, schema: Sequence[FeatureMeta]):
         self.schema = tuple(FeatureMeta(m.name, m.kind, m.levels) for m in schema)
         super().__init__(self._predict, len(self.schema), name=self.kind)
+
+    def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None) -> np.ndarray:
+        if meta is not None and all(a.levels == b.levels for a, b in zip(meta, self.schema)):
+            return self._predict(matrix)
+        rows = matrix if meta is None else decode(matrix, meta)
+        return self._predict(encode(rows.T, self.schema))
 
     def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -70,19 +80,25 @@ class ReferenceModel(PredictorHandle):
 # ---------------------------------------------------------------------------
 
 
-def _design_matrix(X: np.ndarray, schema: Sequence[FeatureMeta]) -> np.ndarray:
-    """Continuous columns as-is; categoricals one-hot with the first level dropped."""
-    cols = []
-    for j, m in enumerate(schema):
-        if m.kind == CONTINUOUS:
-            cols.append(X[:, j].astype(float))
-        else:
-            raw = X[:, j]
-            for level in m.levels[1:]:
-                cols.append((raw == level).astype(float))
-    if not cols:
-        return np.zeros((X.shape[0], 0))
-    return np.column_stack(cols)
+def _design_columns(schema: Sequence[FeatureMeta]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each design column's feature, then the one-hot columns and the code each indicates."""
+    pairs = [(j, code) for j, m in enumerate(schema)
+             for code in ([-1] if m.kind == CONTINUOUS else range(1, len(m.levels)))]
+    features = np.array([j for j, _ in pairs], dtype=np.intp)
+    codes = np.array([code for _, code in pairs], dtype=float)
+    return features, np.flatnonzero(codes >= 0), codes[codes >= 0]
+
+
+def _design_matrix(X: np.ndarray, columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The design of code matrix ``X``: continuous columns as they are,
+    categoricals one-hot with the first level dropped, by one ``take`` and
+    one code comparison.  It must be C-contiguous: ``X[:, features]`` is
+    F-ordered, and numpy then sends ``design @ coefficients`` to another
+    BLAS kernel, whose last bits differ."""
+    features, onehot, codes = columns
+    design = X.take(features, axis=1)
+    design[:, onehot] = design[:, onehot] == codes
+    return design
 
 
 class LinearModel(ReferenceModel):
@@ -94,15 +110,15 @@ class LinearModel(ReferenceModel):
         super().__init__(schema)
         self.intercept = float(_finite(intercept, "intercept"))
         self.coefficients = _finite(coefficients, "coefficients")
-        width = sum(1 if m.kind == CONTINUOUS else len(m.levels) - 1 for m in self.schema)
+        self._columns = _design_columns(self.schema)
+        width = len(self._columns[0])
         if self.coefficients.shape != (width,):
             raise InvalidArgumentError(
                 f"the design has {width} columns, got {self.coefficients.size} coefficients"
             )
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        design = _design_matrix(np.asarray(X), self.schema)
-        return design @ self.coefficients + self.intercept
+        return _design_matrix(X, self._columns) @ self.coefficients + self.intercept
 
     def _parameters(self) -> dict[str, Any]:
         return {
@@ -118,7 +134,7 @@ def fit_linear(data: Dataset) -> LinearModel:
     if n <= p:
         raise SingularFitError(f"need more observations than features (n={n}, p={p})")
     design = np.column_stack(
-        (np.ones(n), _design_matrix(data.matrix(), data.meta))
+        (np.ones(n), _design_matrix(data.codes(), _design_columns(data.meta)))
     )
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
@@ -148,28 +164,19 @@ class KNNModel(ReferenceModel):
         super().__init__(schema)
         self.k = int(k)
         schema = self.schema
-        rows = [
-            [float(v) if m.kind == CONTINUOUS else str(v) for m, v in zip(schema, r, strict=True)]
-            for r in train
-        ]
-        numeric = all(m.kind == CONTINUOUS for m in schema)
-        self.train = np.array(rows, dtype=(float if numeric else object))
         self.target = _finite(target, "knn targets")
-        n = len(self.train)
+        n = len(train)
         if self.target.shape != (n,):
             raise InvalidArgumentError(f"knn needs {n} targets, got {self.target.size}")
         if not 1 <= self.k <= n:
             raise InvalidArgumentError(f"k must be between 1 and n={n}, got {self.k}")
-        self.columns = [
-            self.train[:, j].astype(float if m.kind == CONTINUOUS else object)
-            for j, m in enumerate(schema)
-        ]
+        self.columns = encode(np.array(train, dtype=object).T, schema).T.copy()  # a row per feature
+        self.train = decode(self.columns.T, schema)  # floats and level strings, as saved
         for m, col in zip(schema, self.columns):
             if m.kind == CONTINUOUS:
                 _finite(col, f"training values of {m.name!r}")
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X)
         n_rows, n_train = X.shape[0], len(self.target)
         block = max(1, min(BUDGET // (8 * n_train), n_rows))
         total = np.empty((block, n_train))
@@ -181,26 +188,41 @@ class KNNModel(ReferenceModel):
             out[start : start + m] = self._predict_block(queries, total[:m], scratch[:m])
         return out
 
-    def _predict_block(
-        self, queries: np.ndarray, total: np.ndarray, scratch: np.ndarray
-    ) -> np.ndarray:
+    def _kth(self, total: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Each row's k-th smallest distance, partitioned in ``scratch``."""
+        np.copyto(scratch, total)
+        scratch.partition(self.k - 1, axis=1)
+        return scratch[:, self.k - 1]
+
+    def _distances(self, queries: np.ndarray, total: np.ndarray, scratch: np.ndarray, check=False):
+        """Sum each feature's distance into ``total``; with ``check``, raise at
+        the first feature that leaves some row's k-th distance infinite."""
         total.fill(0.0)
         for j, (m, col) in enumerate(zip(self.schema, self.columns)):
             if m.kind == CONTINUOUS:
-                np.subtract(col, queries[:, j, None].astype(float), out=scratch)
+                np.subtract(col, queries[:, j, None], out=scratch)
                 np.multiply(scratch, scratch, out=scratch)
                 total += scratch
             else:
                 total += col != queries[:, j, None]  # match/no-match distance
+            if check and np.isinf(self._kth(total, scratch)).any():
+                raise NumericRangeError(f"knn distances overflow float64 at feature {m.name!r}")
+
+    def _predict_block(
+        self, queries: np.ndarray, total: np.ndarray, scratch: np.ndarray
+    ) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an infinite distance is fine beyond the k-th
+            self._distances(queries, total, scratch)
+            kth = self._kth(total, scratch)
+            if np.isinf(kth).any():  # rare: sum again to name the feature
+                self._distances(queries, total, scratch, check=True)
         # Every row at or below the k-th distance is a candidate.  With exactly
         # k candidates, a stable sort of them (in index order) by distance is
         # the head of the row's stable argsort; a tie at the k-th distance
         # (or a NaN query) takes the full stable argsort, so equal distances
         # still resolve to the lower training index.
         k = self.k
-        np.copyto(scratch, total)
-        scratch.partition(k - 1, axis=1)
-        candidates = total <= scratch[:, k - 1, None]
+        candidates = total <= kth[:, None]
         count = candidates.sum(axis=1)
         neighbours = np.empty((len(total), k), dtype=np.intp)
         exact = np.flatnonzero(count == k)
@@ -248,29 +270,30 @@ class StumpModel(ReferenceModel):
             p = len(self.schema)
             if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < p:
                 raise InvalidArgumentError(f"stump feature {feature!r} is not an index below {p}")
-            if split_kind not in ("le", "eq"):
-                raise InvalidArgumentError(f"unknown stump split kind {split_kind!r}")
-            if split_kind == "le" and not (_is_number(threshold) and np.isfinite(threshold)):
+            meta = self.schema[feature]
+            kind = "le" if meta.kind == CONTINUOUS else "eq"
+            if split_kind != kind:
+                raise InvalidArgumentError(
+                    f"a stump on {meta.kind} feature {meta.name!r} needs an {kind!r} split, got {split_kind!r}"
+                )
+            if kind == "le" and not (_is_number(threshold) and np.isfinite(threshold)):
                 raise InvalidArgumentError(
                     f"an 'le' split needs a finite numeric threshold, got {threshold!r}"
                 )
+            # x <= t, or x == the level's code; a threshold that is no level matches no row
+            self._code = float(threshold) if kind == "le" else meta.codes.get(threshold, np.nan)
         self.feature = feature
         self.split_kind = split_kind  # "le" (x <= t) or "eq" (x == level)
         self.threshold = threshold
         self.left_value = float(_finite(left_value, "left value"))
         self.right_value = float(_finite(right_value, "right value"))
 
-    def _mask(self, X: np.ndarray) -> np.ndarray:
-        col = X[:, self.feature]
-        if self.split_kind == "le":
-            return col.astype(float) <= float(self.threshold)
-        return col == self.threshold
-
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X)
         if self.feature is None:
             return np.full(X.shape[0], self.left_value)
-        return np.where(self._mask(X), self.left_value, self.right_value)
+        col = X[:, self.feature]
+        left = col <= self._code if self.split_kind == "le" else col == self._code
+        return np.where(left, self.left_value, self.right_value)
 
     def _parameters(self) -> dict[str, Any]:
         return {
@@ -283,14 +306,15 @@ class StumpModel(ReferenceModel):
 
 
 def _split_candidates(data: Dataset, j: int):
-    meta = data.meta[j]
+    """Each split of feature ``j``: its kind, its threshold and the rows it sends left."""
+    meta, column = data.meta[j], data.codes()[:, j]
     if meta.kind == CONTINUOUS:
-        unique = np.unique(data.column(j))
-        for a, b in zip(unique, unique[1:]):
-            yield "le", float((a + b) / 2.0)
+        unique = np.unique(column)
+        for threshold in ((unique[:-1] + unique[1:]) / 2.0).tolist():
+            yield "le", threshold, column <= threshold
     else:
-        for level in meta.levels:
-            yield "eq", level
+        for level, code in meta.codes.items():
+            yield "eq", level, column == code
 
 
 def fit_stump(data: Dataset) -> StumpModel:
@@ -308,14 +332,9 @@ def fit_stump(data: Dataset) -> StumpModel:
 
     best = None  # (sse, feature, split_kind, threshold, left, right)
     for j in range(data.n_features):
-        column = data.column(j)
-        for split_kind, threshold in _split_candidates(data, j):
-            if split_kind == "le":
-                mask = column.astype(float) <= threshold
-            else:
-                mask = column == threshold
+        for split_kind, threshold, mask in _split_candidates(data, j):
             n_left = int(np.sum(mask))
-            if n_left == 0 or n_left == len(column):
+            if n_left == 0 or n_left == data.n_rows:
                 continue
             left, right = y[mask], y[~mask]
             sse = float(np.sum((left - left.mean()) ** 2) + np.sum((right - right.mean()) ** 2))

@@ -22,7 +22,7 @@ from .core import (
     PredictorHandle,
     make_rng,
 )
-from .data import Dataset
+from .data import Dataset, encode
 from .errors import CapacityError, InvalidArgumentError
 from .trace import StageTrace
 
@@ -169,7 +169,7 @@ def shapley_mc(
     x = data.check_vector(x)
     p = data.n_features
     n = data.n_rows
-    matrix = data.matrix()
+    matrix = data.codes()
 
     rng = make_rng(seed)
     orders = np.empty((iterations, p), dtype=np.intp)
@@ -181,14 +181,14 @@ def shapley_mc(
     # Features up to and including the explained one take x's values.
     from_x = rank <= rank[:, j, None]
     z = matrix[background]
-    explained = np.array(x, dtype=matrix.dtype)
-    rows = np.empty((2 * iterations, p), dtype=matrix.dtype)
+    explained = encode([[v] for v in x], data.meta)[0]
+    rows = np.empty((2 * iterations, p))
     rows[0::2] = np.where(from_x, explained, z)
     from_x[:, j] = False
     rows[1::2] = np.where(from_x, explained, z)
 
     cache = PredictionCache(threads)
-    preds = cache.predict(predictor, rows)
+    preds = cache.predict(predictor, rows, data.meta)
     contributions = preds[0::2] - preds[1::2]
     value = float(np.mean(contributions))
     se = (

@@ -433,6 +433,36 @@ def test_a_shift_past_the_float_range_names_the_feature_and_step(tmp_path):
     )
 
 
+def test_knn_predicts_beside_a_training_value_1e308_away(tmp_path):
+    data, model = tmp_path / "huge.csv", tmp_path / "model.json"
+    data.write_text("x1,x2,y\n1e308,1,2\n0,2,3\n1,0,1\n", encoding="utf-8")
+    fit = ["fit", "--data", str(data), "--target", "y", "--kind", "knn", "--k", "1"]
+    assert main([*fit, "--out", str(model)]) == 0
+    pd = ["pd", "--feature", "x2", "--data", str(data), "--target", "y"]
+    result = subprocess.run(
+        [sys.executable, "-m", "boxprobe", *pd, "--model", str(model)],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["method"] == "pd"
+
+
+def test_knn_distances_past_the_float_range_name_the_feature(tmp_path):
+    data, model = tmp_path / "huge.csv", tmp_path / "model.json"
+    data.write_text("x1,x2,y\n1e308,1,2\n0,2,3\n1,0,1\n", encoding="utf-8")
+    fit = ["fit", "--data", str(data), "--target", "y", "--kind", "knn", "--k", "1"]
+    assert main([*fit, "--out", str(model)]) == 0
+    ame = ["ame", "--feature", "x1", "--h", "1e300", "--data", str(data), "--target", "y"]
+    result = subprocess.run(
+        [sys.executable, "-m", "boxprobe", *ame, "--model", str(model)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == errors.NumericRangeError.exit_code == 3
+    assert result.stderr == "error: knn distances overflow float64 at feature 'x1'\n"
+
+
 # Each error type's exit status, written out so a new type needs a decision here.
 EXIT_STATUS = {
     errors.InvalidArgumentError: 1,
@@ -445,6 +475,7 @@ EXIT_STATUS = {
     errors.CapacityError: 3,
     errors.DegenerateBinningError: 3,
     errors.SingularFitError: 3,
+    errors.NumericRangeError: 3,
     errors.UndefinedVarianceError: 3,
 }
 

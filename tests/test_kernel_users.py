@@ -10,6 +10,11 @@ kernel's own unchanged-data rule replaced ``PredictionCache.baseline`` and
 ``importance._permute_block``, which must not come back.  Losses apply to
 whole blocks of predictions inside the kernel's reducers, so no loop or
 comprehension there calls ``loss(...)`` once per copy of the data.
+
+Rows reach the black box as one float64 code matrix, whatever the column
+kinds, so neither the estimators nor the kernel (with the rows
+``finite_difference`` composes) pick a matrix dtype: no ``dtype=object``,
+no ``<matrix>.dtype`` and no ``float if numeric else object``.
 """
 
 import ast
@@ -19,6 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "boxprobe"
 ESTIMATORS = ("effects.py", "importance.py", "shapley.py")
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 DATASET_BUILDERS = {"predict_batch", "replace_columns", "estimate_generalization_error"}
+KERNEL = {"PredictionCache", "_check_patch", "_run_predictor", "finite_difference"}
 
 
 def _names(path):
@@ -69,4 +75,30 @@ def _losses_in_loops(path):
 def test_no_estimator_applies_a_loss_once_per_copy():
     assert {name: sorted(set(_losses_in_loops(SRC / name))) for name in ESTIMATORS} == {
         name: [] for name in ESTIMATORS
+    }
+
+
+def _is_object(node):
+    return isinstance(node, ast.Name) and node.id == "object"
+
+
+def _dtype_choices(tree):
+    """Line numbers of ``dtype=object``, ``<name>.dtype`` and ``... else object``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "dtype" and _is_object(node.value):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "dtype":
+            yield node.lineno
+        elif isinstance(node, ast.IfExp) and (_is_object(node.body) or _is_object(node.orelse)):
+            yield node.lineno
+
+
+def test_no_estimator_or_kernel_picks_a_matrix_dtype():
+    trees = {name: ast.parse((SRC / name).read_text(encoding="utf-8")) for name in ESTIMATORS}
+    core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    kernel = [node for node in core.body if getattr(node, "name", None) in KERNEL]
+    assert {node.name for node in kernel} == KERNEL
+    trees.update({node.name: node for node in kernel})
+    assert {name: sorted(set(_dtype_choices(tree))) for name, tree in trees.items()} == {
+        name: [] for name in trees
     }

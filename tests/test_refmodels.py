@@ -2,7 +2,10 @@
 
 import copy
 import json
+import os
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from boxprobe.errors import (
     DataFormatError,
     InvalidArgumentError,
     MissingTargetError,
+    NumericRangeError,
     SingularFitError,
 )
 
@@ -237,6 +241,24 @@ def test_knn_memory_is_bounded_by_the_block_budget():
     assert peak < 6 * refmodels.BUDGET + out.nbytes
 
 
+def test_knn_predicts_past_infinite_distances_beyond_the_kth():
+    schema = [FeatureMeta("x1", CONTINUOUS)]
+    model = refmodels.KNNModel(schema, 2, [[1e308], [0.0], [1.0]], [5.0, 1.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        assert model(np.array([[0.0], [0.5]])).tolist() == [2.0, 2.0]
+    with pytest.raises(NumericRangeError, match="at feature 'x1'"):
+        model(np.array([[-1e308]]))  # every distance is infinite
+
+
+def test_knn_names_the_feature_that_makes_the_kth_distance_infinite():
+    schema = [FeatureMeta("x1", CONTINUOUS), FeatureMeta("x2", CONTINUOUS)]
+    model = refmodels.KNNModel(schema, 1, [[1e308, 0.0], [0.0, 1e200]], [1.0, 2.0])
+    # x1 already puts the first row at an infinite distance; x2 the nearest one.
+    with pytest.raises(NumericRangeError, match="at feature 'x2'"):
+        model(np.array([[0.0, -1e200]]))
+
+
 # -- stump ----------------------------------------------------------------------
 
 
@@ -315,6 +337,68 @@ def test_save_load_round_trip(tmp_path, kind):
     assert np.array_equal(model(data.matrix()), restored(data.matrix()))
 
 
+NUMBERS = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+PARAMETERS = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def mixed_models(draw):
+    """A random valid reference model on a random mixed schema, and rows to predict."""
+
+    def feature(j):
+        if draw(st.booleans()):
+            return FeatureMeta(f"x{j}", CONTINUOUS)
+        levels = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+        return FeatureMeta(f"x{j}", CATEGORICAL, tuple(levels))
+
+    schema = [feature(j) for j in range(draw(st.integers(1, 3)))]
+
+    def rows(count):
+        return [[draw(NUMBERS if m.kind == CONTINUOUS else st.sampled_from(m.levels)) for m in schema]
+                for _ in range(count)]
+
+    kind = draw(st.sampled_from(["linear", "knn", "stump"]))
+    if kind == "linear":
+        width = sum(1 if m.kind == CONTINUOUS else len(m.levels) - 1 for m in schema)
+        coefficients = draw(st.lists(PARAMETERS, min_size=width, max_size=width))
+        model = refmodels.LinearModel(schema, draw(PARAMETERS), coefficients)
+    elif kind == "knn":
+        n = draw(st.integers(1, 6))
+        target = draw(st.lists(PARAMETERS, min_size=n, max_size=n))
+        model = refmodels.KNNModel(schema, draw(st.integers(1, n)), rows(n), target)
+    else:
+        j = draw(st.sampled_from([None, *range(len(schema))]))
+        if j is None:
+            split = (None, None)
+        elif schema[j].kind == CONTINUOUS:
+            split = ("le", draw(NUMBERS))
+        else:
+            split = ("eq", draw(st.sampled_from(schema[j].levels)))
+        model = refmodels.StumpModel(schema, j, *split, draw(PARAMETERS), draw(PARAMETERS))
+    dtype = float if all(m.kind == CONTINUOUS for m in schema) else object
+    return model, np.array(rows(draw(st.integers(1, 5))), dtype=dtype)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mixed_models())
+def test_save_load_predict_is_the_identity(case):
+    model, queries = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            saved = fh.read()
+        restored = load_model(path)
+        save_model(restored, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == saved
+    assert restored.schema == model.schema
+    assert_same_bits(restored(queries), model(queries))
+    if model.kind == "knn":  # the file keeps level strings, not codes
+        for row in json.loads(saved)["parameters"]["train"]:
+            assert [isinstance(v, str) for v in row] == [m.kind == CATEGORICAL for m in model.schema]
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all")
@@ -357,9 +441,12 @@ _BROKEN = {
     "knn_k_above_n": ("knn", ("parameters", "k"), 3),
     "knn_target_count": ("knn", ("parameters", "target"), [0.0]),
     "knn_row_width": ("knn", ("parameters", "train"), [[0.0], [1.0]]),
+    "knn_unregistered_level": ("knn", ("parameters", "train"), [[0.0, "a"], [1.0, "z"]]),
     "stump_feature_range": ("stump", ("parameters", "feature"), 5),
     "stump_split_kind": ("stump", ("parameters", "split_kind"), "lt"),
     "stump_threshold": ("stump", ("parameters", "threshold"), "abc"),
+    "stump_le_on_categorical": ("stump", ("parameters", "feature"), 1),
+    "stump_eq_on_continuous": ("stump", ("parameters", "split_kind"), "eq"),
 }
 
 
