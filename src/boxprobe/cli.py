@@ -6,9 +6,11 @@ CSV data).  Runs are deterministic: the same configuration and seed yield
 byte-identical output, whatever ``--threads`` says.
 
 Each subcommand is one entry of ``_METHODS``: its help text, its flag
-declarations (the only place a default lives) and a runner.  The click
-commands and :class:`RunConfig`'s parameter check are generated from that
-table.
+declarations (the only place a default, type, choice or required flag is
+stated) and a runner.  The click commands are generated from that table,
+so click alone parses and checks the flags; :func:`run` takes the parsed
+flag dict as it is and adds the one check a flag declaration cannot
+express, ``--threads`` of at least 1.
 
 Exit codes: 0 success, else the ``exit_code`` of the error type raised (1
 usage, 2 data, 3 numeric or capacity), applied in :func:`main` alone, where
@@ -18,7 +20,6 @@ click's own usage errors exit like ``InvalidArgumentError``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple
 
 import click
@@ -55,60 +56,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 
 
-@dataclass
-class RunConfig:
-    """One fully specified analysis run.
-
-    Unknown methods and parameters, and missing required flags, are
-    rejected.  ``params`` is completed from the method's flag declarations:
-    absent values take the flag default, given ones the flag's type.
-    """
-
-    method: str
-    data_path: str
-    model_path: str | None = None
-    target: str | None = None
-    feature: str | None = None
-    seed: int = 0
-    out_path: str | None = None
-    fmt: str = "json"
-    threads: int = 1
-    kind_overrides: dict[str, str] = field(default_factory=dict)
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise InvalidArgumentError(f"unknown method {self.method!r}")
-        flags = _METHODS[self.method].flags
-        declared = {opt.name: opt for opt in flags if opt.name not in _NOT_PARAMS}
-        unknown = set(self.params) - set(declared)
-        if unknown:
-            raise InvalidArgumentError(
-                f"unknown parameters for {self.method}: {sorted(unknown)}"
-            )
-        if self.threads < 1:
-            raise InvalidArgumentError("threads must be at least 1")
-        if self.fmt not in ("json", "csv"):
-            raise InvalidArgumentError(f"unknown output format {self.fmt!r}")
-        for opt in flags:
-            source = self.params if opt.name in declared else vars(self)
-            if opt.required and source.get(opt.name) is None:
-                raise InvalidArgumentError(f"{self.method} needs {opt.opts[0]}")
-        self.params = {
-            name: _convert(opt, self.params.get(name, opt.default))
-            for name, opt in declared.items()
-        }
-
-
-def _convert(opt: click.Option, value: Any) -> Any:
-    if value is None:
-        return None
-    try:
-        return opt.type.convert(value, opt, None)
-    except click.BadParameter as exc:
-        raise InvalidArgumentError(exc.format_message()) from exc
-
-
 def _resolve_feature(data: Dataset, spec: str) -> int:
     spec = spec.strip()
     try:
@@ -120,8 +67,10 @@ def _resolve_feature(data: Dataset, spec: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Runners: (config, data, predictor, feature index) -> (document params,
-# result, seed used).  A result is an EffectCurve or a (score, trace) pair.
+# Runners: (flags, data, predictor, feature index) -> (document params,
+# result, seed used).  ``flags`` maps each flag's name to the value click
+# parsed, or to its declared default.  A result is an EffectCurve or a
+# (score, trace) pair.
 # Runners call estimators through this module's global names, looked up at
 # call time, so tooling that swaps those names sees every call.
 # ---------------------------------------------------------------------------
@@ -135,36 +84,36 @@ def _loss(params: dict[str, Any]):
     return loss_by_name(params["loss"], params["threshold"])
 
 
-def _ice(config, data, predictor, j):
-    row, points = config.params["row"], config.params["grid_points"]
+def _ice(flags, data, predictor, j):
+    row, points = flags["row"], flags["grid_points"]
     if not 0 <= row < data.n_rows:
         raise InvalidArgumentError(f"row {row} out of range for {data.n_rows} observations")
     grid = _grid(data, j, points)
-    curve = _ice_row(predictor, data, j, grid, config.threads, row)
+    curve = _ice_row(predictor, data, j, grid, flags["threads"], row)
     return {"row": row, "grid": grid.source, "grid_points": len(grid)}, curve, None
 
 
-def _pd(config, data, predictor, j):
-    features = [_resolve_feature(data, s) for s in config.feature.split(",") if s.strip()]
-    points = config.params["grid_points"]
+def _pd(flags, data, predictor, j):
+    features = [_resolve_feature(data, s) for s in flags["feature"].split(",") if s.strip()]
+    points = flags["grid_points"]
     if len(features) == 1:
         grid = _grid(data, features[0], points)
-        curve = pd_curve(predictor, data, features[0], grid=grid, threads=config.threads)
+        curve = pd_curve(predictor, data, features[0], grid=grid, threads=flags["threads"])
         return {"grid": grid.source, "grid_points": len(grid)}, curve, None
     if points is not None:
         raise InvalidArgumentError("--grid-points applies to single-feature runs")
-    curve = pd_curve(predictor, data, features, threads=config.threads)
+    curve = pd_curve(predictor, data, features, threads=flags["threads"])
     return {"grid": "observed_values", "grid_points": len(curve.xs)}, curve, None
 
 
-def _ale(config, data, predictor, j):
-    intervals = config.params["intervals"]
-    curve = ale_first_order(predictor, data, j, intervals, threads=config.threads)
+def _ale(flags, data, predictor, j):
+    intervals = flags["intervals"]
+    curve = ale_first_order(predictor, data, j, intervals, threads=flags["threads"])
     return {"intervals": intervals}, curve, None
 
 
-def _me(config, data, predictor, j):
-    row, h = config.params["row"], config.params["h"]
+def _me(flags, data, predictor, j):
+    row, h = flags["row"], flags["h"]
     x = data.row(row)
     h = h if h is not None else default_step(data, j)
     cache = PredictionCache()
@@ -174,19 +123,19 @@ def _me(config, data, predictor, j):
     return {"row": row, "h": h}, (value, trace), None
 
 
-def _ame(config, data, predictor, j):
-    result = average_marginal_effect(predictor, data, j, h=config.params["h"], threads=config.threads)
+def _ame(flags, data, predictor, j):
+    result = average_marginal_effect(predictor, data, j, h=flags["h"], threads=flags["threads"])
     return {"h": result.h}, (result.value, result.trace), None
 
 
-def _shapley(config, data, predictor, j):
-    row, samples = config.params["row"], config.params["samples"]
+def _shapley(flags, data, predictor, j):
+    row, samples = flags["row"], flags["samples"]
     x = data.row(row)
     if samples is None:
-        result, seed = shapley_exact(predictor, data, x, j, threads=config.threads), None
+        result, seed = shapley_exact(predictor, data, x, j, threads=flags["threads"]), None
     else:
-        seed = config.seed
-        result = shapley_mc(predictor, data, x, j, samples, seed, threads=config.threads)
+        seed = flags["seed"]
+        result = shapley_mc(predictor, data, x, j, samples, seed, threads=flags["threads"])
     doc_params = {
         "row": row,
         "mode": result.mode,
@@ -197,17 +146,17 @@ def _shapley(config, data, predictor, j):
     return doc_params, (result.value, result.trace), seed
 
 
-def _lime(config, data, predictor, j):
-    row = config.params["row"]
+def _lime(flags, data, predictor, j):
+    row = flags["row"]
     result = lime_explain(
         predictor,
         data,
         data.row(row),
         j,
-        num_samples=config.params["samples"],
-        kernel_width=config.params["kernel_width"],
-        seed=config.seed,
-        threads=config.threads,
+        num_samples=flags["samples"],
+        kernel_width=flags["kernel_width"],
+        seed=flags["seed"],
+        threads=flags["threads"],
     )
     doc_params = {
         "row": row,
@@ -216,47 +165,47 @@ def _lime(config, data, predictor, j):
         "perturbation_sd": result.perturbation_sd,
         "intercept": result.intercept,
     }
-    return doc_params, (result.slope, result.trace), config.seed
+    return doc_params, (result.slope, result.trace), flags["seed"]
 
 
-def _pd_importance(config, data, predictor, j):
-    score = pd_importance(predictor, data, j, threads=config.threads)
+def _pd_importance(flags, data, predictor, j):
+    score = pd_importance(predictor, data, j, threads=flags["threads"])
     return {}, (score.value, score.trace), None
 
 
-def _firm(config, data, predictor, j):
-    score = firm(predictor, data, j, threads=config.threads)
+def _firm(flags, data, predictor, j):
+    score = firm(predictor, data, j, threads=flags["threads"])
     return {}, (score.value, score.trace), None
 
 
-def _pfi(config, data, predictor, j):
-    loss, repeats = _loss(config.params), config.params["repeats"]
-    if config.params["mode"] == "exhaustive":
-        score = pfi_exhaustive(predictor, data, j, loss, threads=config.threads)
+def _pfi(flags, data, predictor, j):
+    loss, repeats = _loss(flags), flags["repeats"]
+    if flags["mode"] == "exhaustive":
+        score = pfi_exhaustive(predictor, data, j, loss, threads=flags["threads"])
         doc_params = {"loss": loss.tag, "mode": "exhaustive", "repeats": None}
         return doc_params, (score.value, score.trace), None
     score = pfi_permutation(
-        predictor, data, j, loss, repeats=repeats, seed=config.seed, threads=config.threads
+        predictor, data, j, loss, repeats=repeats, seed=flags["seed"], threads=flags["threads"]
     )
     doc_params = {"loss": loss.tag, "mode": "permutation", "repeats": repeats}
-    return doc_params, (score.value, score.trace), config.seed
+    return doc_params, (score.value, score.trace), flags["seed"]
 
 
-def _ici(config, data, predictor, j):
-    row, loss = config.params["row"], _loss(config.params)
-    curve = ici_curve(predictor, data, row, j, loss, threads=config.threads)
+def _ici(flags, data, predictor, j):
+    row, loss = flags["row"], _loss(flags)
+    curve = ici_curve(predictor, data, row, j, loss, threads=flags["threads"])
     return {"row": row, "loss": loss.tag}, curve, None
 
 
-def _pi(config, data, predictor, j):
-    loss = _loss(config.params)
-    return {"loss": loss.tag}, pi_curve(predictor, data, j, loss, threads=config.threads), None
+def _pi(flags, data, predictor, j):
+    loss = _loss(flags)
+    return {"loss": loss.tag}, pi_curve(predictor, data, j, loss, threads=flags["threads"]), None
 
 
-def _sfimp(config, data, predictor, j):
-    loss, mode = _loss(config.params), config.params["mode"]
-    seed = config.seed if mode == "permutation" else None
-    score = sfimp(predictor, data, j, loss, mode=mode, seed=seed, threads=config.threads)
+def _sfimp(flags, data, predictor, j):
+    loss, mode = _loss(flags), flags["mode"]
+    seed = flags["seed"] if mode == "permutation" else None
+    score = sfimp(predictor, data, j, loss, mode=mode, seed=seed, threads=flags["threads"])
     return {"loss": loss.tag, "mode": mode}, (score.value, score.trace), seed
 
 
@@ -355,22 +304,18 @@ _METHODS: dict[str, _Method] = {
                      _mode("exhaustive", "permutation")),
 }
 
-# Flags that fill RunConfig fields rather than its ``params``.
-_NOT_PARAMS = {f.name for f in fields(RunConfig)} | {"kind_spec"}
-
-
 # ---------------------------------------------------------------------------
 # Running
 # ---------------------------------------------------------------------------
 
 
-def _execute(config: RunConfig, data: Dataset, predictor) -> dict[str, Any]:
+def _execute(method: str, flags: dict[str, Any], data: Dataset, predictor) -> dict[str, Any]:
     """Run one method and return the output document."""
     # pd accepts a comma-separated feature set and resolves it in its runner
-    j = None if config.method == "pd" else _resolve_feature(data, config.feature)
-    doc_params, result, seed = _METHODS[config.method].runner(config, data, predictor, j)
-    if config.params.get("loss") == "zero_one":
-        doc_params["threshold"] = config.params["threshold"]
+    j = None if method == "pd" else _resolve_feature(data, flags["feature"])
+    doc_params, result, seed = _METHODS[method].runner(flags, data, predictor, j)
+    if flags.get("loss") == "zero_one":
+        doc_params["threshold"] = flags["threshold"]
     if isinstance(result, EffectCurve):
         feature, trace = result.feature, result.trace
         body = {
@@ -384,7 +329,7 @@ def _execute(config: RunConfig, data: Dataset, predictor) -> dict[str, Any]:
         body = {"score": score}
     return {
         "schema_version": SCHEMA_VERSION,
-        "method": config.method,
+        "method": method,
         "feature": (
             [data.meta[f].name for f in feature]
             if isinstance(feature, tuple)
@@ -397,22 +342,16 @@ def _execute(config: RunConfig, data: Dataset, predictor) -> dict[str, Any]:
     }
 
 
-def _render(doc: dict[str, Any], fmt: str, feature_label: Any) -> str:
+def _render(doc: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
         return emit_json(doc)
+    feature_label = doc["feature"]
     if "points" in doc:
         names = feature_label if isinstance(feature_label, list) else [feature_label or "x"]
         xs = [p["x"] for p in doc["points"]]
         ys = [p["y"] for p in doc["points"]]
         return emit_points_csv(xs, ys, names)
     return emit_score_csv(doc["method"], str(feature_label), doc["score"])
-
-
-def _write(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        write_text(out_path, text)
 
 
 def _match_columns(data: Dataset, model: ReferenceModel) -> None:
@@ -437,26 +376,28 @@ def _match_columns(data: Dataset, model: ReferenceModel) -> None:
             )
 
 
-def run(config: RunConfig) -> None:
-    """Execute one configured run, writing its document or model file.
+def run(method: str, flags: dict[str, Any]) -> None:
+    """Execute one run of ``method`` with its parsed ``flags``, writing its
+    document or model file.
 
     Raises the :class:`BoxprobeError` of the first failure; :func:`main`
     turns it into an ``error:`` line and the type's ``exit_code``.
     """
-    data = load_csv(config.data_path, target=config.target, kinds=config.kind_overrides)
-    if config.method == "fit":
-        save_model(_fit(data, config.params), config.out_path)
+    if flags.get("threads", 1) < 1:  # before any file is read
+        raise InvalidArgumentError("threads must be at least 1")
+    kinds = _overrides(flags.get("kind_spec", ()))
+    data = load_csv(flags["data_path"], target=flags["target"], kinds=kinds)
+    if method == "fit":
+        save_model(_fit(data, flags), flags["out_path"])
         return
-    predictor = load_model(config.model_path)
+    predictor = load_model(flags["model_path"])
     if isinstance(predictor, ReferenceModel):
         _match_columns(data, predictor)
-    doc = _execute(config, data, predictor)
-    _write(_render(doc, config.fmt, doc["feature"]), config.out_path)
-
-
-# ---------------------------------------------------------------------------
-# Click wiring
-# ---------------------------------------------------------------------------
+    text = _render(_execute(method, flags, data, predictor), flags["fmt"])
+    if flags["out_path"] is None:
+        sys.stdout.write(text)
+    else:
+        write_text(flags["out_path"], text)
 
 
 def _overrides(kind_spec) -> dict[str, str]:
@@ -464,18 +405,19 @@ def _overrides(kind_spec) -> dict[str, str]:
     for item in kind_spec:
         name, sep, kind = item.partition("=")
         if not sep or not name or not kind:
-            raise click.UsageError(f"--kind expects NAME=KIND, got {item!r}")
+            raise InvalidArgumentError(f"--kind expects NAME=KIND, got {item!r}")
         out[name] = kind
     return out
 
 
-def _command(method: str, entry: _Method) -> click.Command:
-    def callback(kind_spec=(), **values):
-        config = {name: values.pop(name) for name in list(values) if name in _NOT_PARAMS}
-        kinds = _overrides(kind_spec)
-        run(RunConfig(method, kind_overrides=kinds, params=values, **config))
+# ---------------------------------------------------------------------------
+# Click wiring
+# ---------------------------------------------------------------------------
 
-    return click.Command(method, callback=callback, params=list(entry.flags), help=entry.help)
+
+def _command(method: str, entry: _Method) -> click.Command:
+    return click.Command(method, callback=lambda **flags: run(method, flags),
+                         params=list(entry.flags), help=entry.help)
 
 
 @click.group(commands=[_command(name, entry) for name, entry in _METHODS.items()])

@@ -151,36 +151,36 @@ class PredictionCache:
         patches: Sequence[Sequence[Any]],
         rows: Sequence[int] | None = None,
         reduce: Callable[[np.ndarray], np.ndarray] = lambda b: b,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """The substitution kernel: predict ``data`` with ``features`` patched by each patch.
 
         A patch holds one value per feature: a scalar, set in every row, or an
         array with one value per row of the copy, which holds only ``rows``
         if given.  A patch of no features is the unchanged data, predicted at
-        most once per cache, predictor and data.  Returns ``(predictions,
-        inverse)``: one row of m predictions per distinct patch, and for each
-        of the G patches the index of its distinct row, so
-        ``predictions[inverse]`` is the (G, m) grid; aggregate per distinct
-        row before expanding.  Values are checked once against the schema and
-        written as codes into the data's code matrix; patches are distinct by
-        the bit pattern of their codes, so 0.0 and -0.0 stay apart.
-        Counts G logical batches of m rows.  The predictor sees each distinct
-        copy once, in calls of at most :data:`ROW_BUDGET` rows.  While
-        m <= ``ROW_BUDGET`` those are the batches a loop over the patches
-        would make, minus the repeats, so no bit moves even for a model whose
-        bits depend on the batch; a larger m is split into chunks such a loop
-        would not make, and such a model may then differ in the last bits.
+        most once per cache, predictor and data.  Returns one row of m
+        predictions per patch, in patch order.  Values are checked against
+        the schema, each feature's scalars in one
+        :meth:`~boxprobe.data.Dataset.check_column` call, and written as codes
+        into the data's code matrix.  Deduplication is internal: patches are
+        distinct by the bit pattern of their codes, so 0.0 and -0.0 stay
+        apart, and the predictor sees each distinct copy once, in calls of at
+        most :data:`ROW_BUDGET` rows; repeated patches share the result.
+        Counts G logical batches of m rows.  While m <= ``ROW_BUDGET`` the
+        predictor calls are those a loop over the patches would make, minus
+        the repeats, so no bit moves even for a model whose bits depend on
+        the batch; a larger m is split into chunks such a loop would not
+        make, and such a model may then differ in the last bits.
 
         ``reduce`` aggregates inside the kernel: it maps a (k, m) block of
         copies' predictions, one copy per row, to k values or k rows, and the
-        kernel returns those in place of the predictions; the default keeps
-        the whole rows.  Each copy is predicted into one reused m-row buffer
-        and reduced as a one-copy block before the next, so a reducing method
-        holds one copy's predictions however many copies it predicts.  The
-        reducer's output is copied out of the buffer, so it may be a view of
-        its block; it must also accept a block of no copies, which gives the
-        shape of its output.  Held unchanged-data predictions pass through
-        the reducer too.
+        kernel returns one of those per patch in place of the predictions;
+        the default keeps the whole rows.  Each distinct copy is predicted
+        into one reused m-row buffer and reduced as a one-copy block before
+        the next, so a reducing method holds one copy's predictions however
+        many copies it predicts.  The reducer's output is copied out of the
+        buffer, so it may be a view of its block; it must also accept a block
+        of no copies, which gives the shape of its output.  Held
+        unchanged-data predictions pass through the reducer too.
         """
         js = [data.feature_index(f) for f in features]
         if len(set(js)) != len(js):
@@ -192,16 +192,10 @@ class PredictionCache:
             )
         rows = None if rows is None else np.asarray(rows, dtype=np.intp)
         m = data.n_rows if rows is None else len(rows)
-        slots: dict[tuple, int] = {}
-        distinct: list[list[Any]] = []
-        inverse = np.empty(len(patches), dtype=np.intp)
-        for g, patch in enumerate(patches):
-            checked = [_check_patch(data, j, v, m) for j, v in zip(js, patch, strict=True)]
-            key = tuple(k for _, k in checked)
-            if key not in slots:
-                slots[key] = len(distinct)
-                distinct.append([v for v, _ in checked])
-            inverse[g] = slots[key]
+        coded = _patch_codes(data, js, patches, m)
+        slot: dict[tuple, int] = {}  # bit pattern -> its distinct copy, in order of first use
+        inverse = [slot.setdefault(_bits(values), len(slot)) for values in coded]
+        distinct = dict(zip(inverse, coded))  # patches with equal bits hold equal codes
         self.batches += len(patches)
         self.rows += len(patches) * m
         unchanged = not js and rows is None
@@ -210,7 +204,7 @@ class PredictionCache:
         matrix = data.codes()
         copy = np.empty((1, m))  # one copy's predictions, reused for every copy
         out = np.empty((len(distinct), *np.shape(reduce(copy[:0]))[1:]))
-        for u, values in enumerate(distinct):
+        for u, values in distinct.items():
             if reuse:
                 copy[0] = held[2]
             else:
@@ -225,7 +219,7 @@ class PredictionCache:
                 if unchanged:
                     self._unchanged = (predictor, data, copy[0].copy())
             out[u] = reduce(copy)[0]  # a copy, so a view of the buffer is safe
-        return out, inverse
+        return out if len(out) == len(inverse) else out[inverse]
 
     def trace(
         self,
@@ -244,16 +238,32 @@ class PredictionCache:
         return assemble_trace(data.provenance, records)
 
 
-def _check_patch(data: Dataset, j: int, value: Any, m: int) -> tuple[Any, Any]:
-    """One patch value for column ``j`` of an m-row copy, checked and encoded, and its bit pattern."""
-    if not isinstance(value, np.ndarray):
-        v = data.check_value(j, value)
-        code = data.meta[j].codes.get(v, v)  # a continuous value is its own code
-        return code, code.hex()
-    codes = data.check_column(j, value)
-    if len(codes) != m:
-        raise InvalidArgumentError(f"a patch of {len(codes)} values for {m} rows")
-    return codes, codes.tobytes()
+def _patch_codes(
+    data: Dataset, js: Sequence[int], patches: Sequence[Sequence[Any]], m: int
+) -> list[list[Any]]:
+    """Each patch's values for columns ``js`` of an m-row copy, checked and
+    encoded: a float code for a scalar, an array of m codes for an array.
+    Each column's scalars are checked in one call."""
+    for patch in patches:
+        if len(patch) != len(js):
+            raise InvalidArgumentError(f"a patch of {len(patch)} values for {len(js)} features")
+    coded = [list(patch) for patch in patches]
+    for k, j in enumerate(js):
+        scalars = [values for values in coded if not isinstance(values[k], np.ndarray)]
+        codes = data.check_column(j, [values[k] for values in scalars])
+        for values, code in zip(scalars, codes.tolist()):
+            values[k] = code
+        for values in coded:
+            if isinstance(values[k], np.ndarray):
+                values[k] = data.check_column(j, values[k])
+                if len(values[k]) != m:
+                    raise InvalidArgumentError(f"a patch of {len(values[k])} values for {m} rows")
+    return coded
+
+
+def _bits(values: Sequence[Any]) -> tuple:
+    """The bit pattern of one patch's codes: patches with equal bits predict alike."""
+    return tuple(v.hex() if isinstance(v, float) else v.tobytes() for v in values)
 
 
 def _worker_count(threads: int, rows: int) -> int:
@@ -287,7 +297,7 @@ def predict_batch(
 ) -> np.ndarray:
     """Predict on a dataset as it is: the substitution kernel's empty patch."""
     cache = cache if cache is not None else PredictionCache()
-    (preds,), _ = cache.substitute(predictor, data, [], [()])
+    (preds,) = cache.substitute(predictor, data, [], [()])
     return preds
 
 

@@ -83,7 +83,8 @@ class FeatureMeta:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (Real, np.floating, np.integer)) and not isinstance(
+    # concrete types first: the abstract Real check is the slow one
+    return isinstance(value, (float, int, np.floating, np.integer, Real)) and not isinstance(
         value, (bool, np.bool_)
     )
 
@@ -92,7 +93,7 @@ def _as_float_column(values: Sequence[Any], name: str) -> np.ndarray:
     col = np.array(values, dtype=float)
     if col.ndim != 1:
         raise InvalidArgumentError(f"column {name!r} is not one-dimensional")
-    if not np.all(np.isfinite(col)):
+    if not np.isfinite(col).all():
         raise InvalidArgumentError(
             f"column {name!r} contains missing or non-finite values; "
             "missing data is rejected at construction"
@@ -110,7 +111,7 @@ def _unregistered(value: str, meta: FeatureMeta) -> InvalidLevelError:
 
 def _level_codes(values: Sequence[Any], meta: FeatureMeta) -> np.ndarray:
     try:
-        return np.fromiter((meta.codes[str(v)] for v in values), float, count=len(values))
+        return np.array([meta.codes[str(v)] for v in values], dtype=float)
     except KeyError as exc:
         raise _unregistered(exc.args[0], meta) from None
 
@@ -365,28 +366,29 @@ class Dataset:
         return out
 
     def check_value(self, j: int, value: Any) -> Any:
-        """Validate one prospective value for column ``j``; returns it normalized."""
+        """Validate one prospective value for column ``j`` (:meth:`check_column`'s
+        rule); returns it as a float or a level string."""
+        code = float(self.check_column(j, [value])[0])
         m = self._meta[j]
-        if m.kind == CONTINUOUS:
-            if not _is_number(value):
-                raise UnsupportedKindError(
-                    f"feature {m.name!r} is continuous; got non-numeric {value!r}"
-                )
-            v = float(value)
-            if not np.isfinite(v):
-                raise InvalidArgumentError(f"non-finite value for feature {m.name!r}")
-            return v
-        v = str(value)
-        if v not in m.levels:
-            raise _unregistered(v, m)
-        return v
+        return code if m.kind == CONTINUOUS else m.levels[int(code)]
 
     def check_column(self, j: int, values: Sequence[Any]) -> np.ndarray:
-        """Validate prospective values for column ``j``; returns them as codes."""
+        """Validate prospective values for column ``j``; returns them as codes, a new array.
+
+        The one rule for a value: a finite real number, not a bool or a
+        string, for a continuous feature; a registered level for a
+        categorical one.
+        """
         m = self._meta[j]
-        if m.kind == CONTINUOUS:
-            return _as_float_column(values, m.name)
-        return _level_codes(values, m)
+        if m.kind == CATEGORICAL:
+            return _level_codes(values, m)
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+            for v in values:
+                if not _is_number(v):
+                    raise UnsupportedKindError(
+                        f"feature {m.name!r} is continuous; got non-numeric {v!r}"
+                    )
+        return _as_float_column(values, m.name)
 
     def check_vector(self, x: Sequence[Any]) -> tuple[Any, ...]:
         """Validate a full feature vector against this dataset's schema."""

@@ -164,20 +164,18 @@ def _substitute_grid(
     grid: Grid | Sequence[Grid] | None,
     threads: int,
     reduce: Callable[[np.ndarray], np.ndarray],
-) -> tuple[
-    int | tuple[int, ...], tuple[Any, ...], np.ndarray, np.ndarray, PredictionCache, tuple
-]:
+) -> tuple[int | tuple[int, ...], tuple[Any, ...], np.ndarray, PredictionCache, tuple]:
     """Predict every grid point of a feature or feature set.
 
-    Returns the curve's feature and grid values, the predictions per
-    distinct point, as ``reduce`` makes them of one column per observation
-    in the kernel, the inverse index from grid points to distinct
-    points, the cache that predicted them and the intervention step.
+    Returns the curve's feature and grid values, one reduced value or row
+    per grid point, in grid order, as ``reduce`` makes it in the kernel of
+    one column per observation, the cache that predicted them and the
+    intervention step.
     """
     feature_list, grids = _resolve_feature_set(data, features, grid)
     points = list(itertools.product(*(g.points for g in grids)))
     cache = PredictionCache(threads)
-    preds, inverse = cache.substitute(predictor, data, feature_list, points, reduce=reduce)
+    preds = cache.substitute(predictor, data, feature_list, points, reduce=reduce)
     intervention = (
         "replace feature columns with each grid value",
         {
@@ -187,8 +185,8 @@ def _substitute_grid(
         },
     )
     if len(feature_list) == 1:
-        return feature_list[0], tuple(p[0] for p in points), preds, inverse, cache, intervention
-    return tuple(feature_list), tuple(points), preds, inverse, cache, intervention
+        return feature_list[0], tuple(p[0] for p in points), preds, cache, intervention
+    return tuple(feature_list), tuple(points), preds, cache, intervention
 
 
 def _ice_row(
@@ -200,11 +198,11 @@ def _ice_row(
     row: int,
 ) -> EffectCurve:
     """The ICE curve of one observation: the kernel keeps only its column of the grid."""
-    feature, xs, preds, inverse, cache, intervention = _substitute_grid(
+    feature, xs, preds, cache, intervention = _substitute_grid(
         predictor, data, features, grid, threads, reduce=lambda b: b[:, row]
     )
     trace = cache.trace(predictor, data, intervention)
-    return EffectCurve("ice", feature, xs, preds[inverse], trace, observation=row)
+    return EffectCurve("ice", feature, xs, preds, trace, observation=row)
 
 
 def ice_curves(
@@ -221,12 +219,12 @@ def ice_curves(
     at their observed values.  A feature set evaluates over the Cartesian
     product of the per-feature grids (grid values become tuples).
     """
-    feature, xs, preds, inverse, cache, intervention = _substitute_grid(
+    feature, xs, preds, cache, intervention = _substitute_grid(
         predictor, data, features, grid, threads, reduce=lambda b: b
     )
     trace = cache.trace(predictor, data, intervention)
     return [
-        EffectCurve("ice", feature, xs, preds[inverse, i], trace, observation=i)
+        EffectCurve("ice", feature, xs, preds[:, i], trace, observation=i)
         for i in range(data.n_rows)
     ]
 
@@ -247,7 +245,7 @@ def pd_curve(
     (grid values become tuples); if the set covers every feature there is
     nothing to marginalize and the curve is the prediction itself.
     """
-    feature, xs, means, inverse, cache, intervention = _substitute_grid(
+    feature, xs, means, cache, intervention = _substitute_grid(
         predictor, data, features, grid, threads, reduce=lambda b: b.mean(axis=1)
     )
     aggregation = (
@@ -255,7 +253,7 @@ def pd_curve(
         {"background_rows": data.n_rows},
     )
     trace = cache.trace(predictor, data, intervention, aggregation)
-    return EffectCurve("pd", feature, xs, means[inverse], trace)
+    return EffectCurve("pd", feature, xs, means, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +324,7 @@ def ale_first_order(
         members = np.flatnonzero(idx == k)
         counts[k] = members.size
         bounds = [[edges[k + 1]], [edges[k]]]
-        (upper, lower), _ = cache.substitute(predictor, data, [j], bounds, rows=members)
+        upper, lower = cache.substitute(predictor, data, [j], bounds, rows=members)
         local_effects[k] = np.mean(upper - lower)
 
     accumulated = np.cumsum(local_effects)
@@ -391,8 +389,7 @@ def average_marginal_effect(
         raise InvalidArgumentError(f"step h must be positive and finite, got {h}")
     cache = PredictionCache(threads)
     shifts = [[_shifted_column(data, j, h)], [_shifted_column(data, j, -h)]]
-    preds, inverse = cache.substitute(predictor, data, [j], shifts)
-    upper, lower = preds[inverse]
+    upper, lower = cache.substitute(predictor, data, [j], shifts)
     value = float(np.mean((upper - lower) / (2.0 * h)))
     trace = cache.trace(
         predictor,

@@ -95,11 +95,11 @@ def pd_importance(
     """
     j = data.feature_index(feature)
     grid = observed_grid(data, j)
-    _, xs, means, inverse, cache, intervention = _substitute_grid(
+    _, xs, means, cache, intervention = _substitute_grid(
         predictor, data, j, grid, threads, reduce=lambda b: b.mean(axis=1)
     )
     description = "partial dependence per grid value, then spread across observed values"
-    value, aggregation = _pd_spread(xs, means[inverse], data, j, description)
+    value, aggregation = _pd_spread(xs, means, data, j, description)
     trace = cache.trace(predictor, data, intervention, aggregation)
     return ImportanceScore("pd_sd", j, value, trace)
 
@@ -162,10 +162,10 @@ def ici_curve(
     own = data.row(i)[j]
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
-    # The row's own value first: dedup merges it with the equal observed value.
-    preds, inverse = cache.substitute(predictor, data, [j], [(own,), *values[:, None]], rows=[i])
+    # The row's own value first: the kernel predicts it once with the equal observed value.
+    preds = cache.substitute(predictor, data, [j], [(own,), *values[:, None]], rows=[i])
     losses = loss(preds[:, 0], np.repeat(target[i : i + 1], len(preds)))
-    ys = (losses - losses[inverse[0]])[inverse[1:]]
+    ys = losses[1:] - losses[0]
     trace = cache.trace(
         predictor,
         data,
@@ -190,9 +190,9 @@ def _pi_values(
     target = loss.targets(data, "the mean loss change")
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
-    (unchanged,), _ = cache.substitute(predictor, data, [], [()])
+    (unchanged,) = cache.substitute(predictor, data, [], [()])
     base_losses = loss(unchanged, target)
-    means, inverse = cache.substitute(
+    means = cache.substitute(
         predictor,
         data,
         [j],
@@ -203,7 +203,7 @@ def _pi_values(
         "substitute each observed feature value into every observation",
         {"feature": data.meta[j].name, "values": len(values)},
     )
-    return values, means[inverse], cache, intervention
+    return values, means, cache, intervention
 
 
 def pi_curve(
@@ -269,10 +269,9 @@ def pfi_permutation(
     column = data.column(j)
     # The column itself first: the unchanged data, then one permuted copy per repeat.
     copies = [column] + [column[make_rng(child).permutation(data.n_rows)] for child in child_seeds]
-    per_copy, inverse = cache.substitute(
+    errors = cache.substitute(
         predictor, data, [j], [(c,) for c in copies], reduce=lambda b: loss(b, target).mean(axis=1)
     )
-    errors = per_copy[inverse]
     value = float(np.mean(errors[1:] - errors[0]))
     trace = cache.trace(
         predictor,
@@ -333,10 +332,10 @@ def _perturbed_ge(
         patches = [tuple(data.column(t)[perm] for t in block)]
     else:
         patches = list(zip(*(data.column(t) for t in block)))
-    per_patch, inverse = cache.substitute(
+    per_patch = cache.substitute(
         predictor, data, block, patches, reduce=lambda b: loss(b, data.target).mean(axis=1)
     )
-    return float(np.mean(per_patch[inverse]))
+    return float(np.mean(per_patch))
 
 
 def pfi_payout(

@@ -90,14 +90,21 @@ def pd_payout(
 
     The empty coalition pays exactly zero by construction.
     """
-    x = data.check_vector(x)
+    return _pd_payout(predictor, data, data.check_vector(x), coalition, cache)
+
+
+def _pd_payout(
+    predictor: PredictorHandle, data: Dataset, x: tuple, coalition: Iterable[int],
+    cache: PredictionCache | None,
+) -> float:
+    """:func:`pd_payout` at a vector ``x`` that :meth:`Dataset.check_vector` returned."""
     members = sorted({data.feature_index(k) for k in coalition})
     if not members:
         return 0.0
     cache = cache if cache is not None else PredictionCache()
-    preds, _ = cache.substitute(predictor, data, members, [[x[j] for j in members]])
-    pd_value = float(np.mean(preds[0]))
-    (unchanged,), _ = cache.substitute(predictor, data, [], [()])
+    (preds,) = cache.substitute(predictor, data, members, [[x[j] for j in members]])
+    pd_value = float(np.mean(preds))
+    (unchanged,) = cache.substitute(predictor, data, [], [()])
     return pd_value - float(np.mean(unchanged))
 
 
@@ -118,7 +125,7 @@ def shapley_exact(
     j = data.feature_index(feature)
     x = data.check_vector(x)
     cache = PredictionCache(threads)
-    payout = functools.cache(lambda k: pd_payout(predictor, data, x, k, cache=cache))
+    payout = functools.cache(lambda k: _pd_payout(predictor, data, x, k, cache))
     value = exact_shapley_value(payout, p, j)
     full = payout(frozenset(range(p)))
     trace = cache.trace(
@@ -196,7 +203,7 @@ def shapley_mc(
         if iterations > 1
         else None
     )
-    full = pd_payout(predictor, data, x, range(p), cache=cache)
+    full = _pd_payout(predictor, data, x, range(p), cache)
 
     trace = cache.trace(
         predictor,

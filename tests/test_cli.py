@@ -9,7 +9,7 @@ import pytest
 import boxprobe.cli
 from boxprobe import PredictorHandle, load_csv, load_model, pd_curve, pfi_permutation, squared_loss
 from boxprobe import errors
-from boxprobe.cli import RunConfig, cli, main
+from boxprobe.cli import cli, main
 from boxprobe.dataio import emit_json
 from boxprobe.errors import InvalidArgumentError
 
@@ -320,35 +320,50 @@ def test_help_exits_0():
     assert main(["pd", "--help"]) == 0
 
 
-def test_runconfig_rejects_unknown_method_and_params():
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(method="mystery", data_path="x.csv")
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(method="pd", data_path="x.csv", params={"wat": 1})
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(method="pd", data_path="x.csv", threads=0)
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(method="pd", data_path="x.csv", fmt="yaml")
+# A run's configuration is its flags: click parses and checks them, and
+# ``run`` adds the --threads check.  Each bad configuration exits 1 with an
+# ``error:`` line before any file is read, so paths that do not exist (which
+# would exit 2) must not be reached.
+NO_FILES = ("--data", "no/such/data.csv", "--model", "no/such/model.json")
+
+
+def exits_before_reading(capsys, *argv):
+    code = main([*argv, *NO_FILES])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error: ")
+    return err
+
+
+def test_runconfig_rejects_unknown_method_and_params(capsys):
+    assert "mystery" in exits_before_reading(capsys, "mystery", "--feature", "x1")
+    assert "--wat" in exits_before_reading(capsys, "pd", "--feature", "x1", "--wat", "1")
+    for argv in (("pd", "--feature", "x1"), ("me", "--feature", "x1", "--row", "0")):
+        err = exits_before_reading(capsys, *argv, "--threads", "0")
+        assert err == "error: threads must be at least 1\n"
+    assert "yaml" in exits_before_reading(capsys, "pd", "--feature", "x1", "--format", "yaml")
 
 
 @pytest.mark.parametrize("method", sorted(set(cli.commands) - {"fit"}))
-def test_runconfig_rejects_missing_feature(method):
-    with pytest.raises(InvalidArgumentError, match="--feature"):
-        RunConfig(method=method, data_path="x.csv", model_path="m.json")
+def test_runconfig_rejects_missing_feature(capsys, method):
+    assert "--feature" in exits_before_reading(capsys, method)
 
 
-def test_runconfig_fills_and_checks_params_from_flags():
-    config = RunConfig(method="pfi", data_path="x.csv", model_path="m.json", feature="x1",
-                       params={"repeats": "3"})
-    assert config.params == {"loss": "squared", "threshold": 0.5, "mode": "permutation",
-                             "repeats": 3}
-    fit = RunConfig(method="fit", data_path="x.csv", target="y", out_path="m.json")
-    assert fit.params == {"model_kind": "linear", "k": 3}
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(method="pfi", data_path="x.csv", model_path="m.json", feature="x1",
-                  params={"mode": "bogus"})
-    with pytest.raises(InvalidArgumentError, match="--row"):
-        RunConfig(method="ice", data_path="x.csv", model_path="m.json", feature="x1")
+def test_runconfig_fills_and_checks_params_from_flags(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(boxprobe.cli, "run", lambda method, flags: seen.append((method, flags)))
+    assert main(["pfi", *NO_FILES, "--feature", "x1", "--repeats", "3"]) == 0
+    assert main(["fit", "--data", "x.csv", "--target", "y", "--out", "m.json"]) == 0
+    assert seen == [
+        ("pfi", {"data_path": NO_FILES[1], "model_path": NO_FILES[3], "target": None, "seed": 0,
+                 "out_path": None, "fmt": "json", "threads": 1, "kind_spec": (), "feature": "x1",
+                 "loss": "squared", "threshold": 0.5, "mode": "permutation", "repeats": 3}),
+        ("fit", {"data_path": "x.csv", "target": "y", "model_kind": "linear", "k": 3,
+                 "out_path": "m.json"}),
+    ]
+    monkeypatch.undo()
+    assert "bogus" in exits_before_reading(capsys, "pfi", "--feature", "x1", "--mode", "bogus")
+    assert "--row" in exits_before_reading(capsys, "ice", "--feature", "x1")
 
 
 def test_ice_checks_row_before_predicting(workspace, monkeypatch):

@@ -226,13 +226,62 @@ def test_kernel_patches_a_column_at_chosen_rows():
     predictor = linear_predictor([1.0, -2.0])
     cache = PredictionCache()
     patches = [(np.array([10.0, 20.0]),), (7.0,), (np.array([7.0, 7.0]),)]
-    preds, inverse = cache.substitute(predictor, data, ["a"], patches, rows=[3, 1])
-    assert preds[inverse].tolist() == [[10.0 - 4.0, 20.0 - 2.0], [3.0, 5.0], [3.0, 5.0]]
+    preds = cache.substitute(predictor, data, ["a"], patches, rows=[3, 1])
+    assert preds.tolist() == [[10.0 - 4.0, 20.0 - 2.0], [3.0, 5.0], [3.0, 5.0]]
     assert (cache.batches, cache.rows) == (3, 6)
     with pytest.raises(InvalidArgumentError, match="3 values for 2 rows"):
         cache.substitute(predictor, data, ["a"], [(np.array([1.0, 2.0, 3.0]),)], rows=[0, 1])
     with pytest.raises(InvalidArgumentError, match="non-finite"):
         cache.substitute(predictor, data, ["a"], [(np.array([1.0, np.inf, 3.0, 4.0]),)])
+
+
+def _rejects(attempt):
+    try:
+        attempt()
+    except UnsupportedKindError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("value", ["1.5", True, np.bool_(False), np.str_("2")], ids=repr)
+def test_a_continuous_value_follows_one_rule_however_it_arrives(value):
+    """A string or a bool is no continuous value, as a scalar or inside an array."""
+    data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
+    predictor = linear_predictor([1.0, -2.0])
+
+    def patch(value):
+        return lambda: PredictionCache().substitute(predictor, data, ["a"], [(value,)])
+
+    ways = {
+        "check_value": lambda: data.check_value(0, value),
+        "check_column": lambda: data.check_column(0, [1.0, value]),
+        "intervene_replace": lambda: intervene_replace(data, {"a": value}),
+        "replace_columns": lambda: data.replace_columns({0: [value, 1.0]}),
+        "scalar patch": patch(value),
+        "object array patch": patch(np.array([1.0, value], dtype=object)),
+        "typed array patch": patch(np.array([value, value])),
+    }
+    assert {way: _rejects(attempt) for way, attempt in ways.items()} == dict.fromkeys(ways, True)
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2), np.float32(2.0)], ids=repr)
+def test_any_real_number_is_a_continuous_value(value):
+    data = columns_dataset(a=[1.0, 3.0], b=[0.5, 1.0])
+    predictor = linear_predictor([1.0, -2.0])
+    assert data.check_value(0, value) == 2.0 and type(data.check_value(0, value)) is float
+    scalar, array = PredictionCache().substitute(
+        predictor, data, ["a"], [(value,), (np.array([value, value]),)]
+    )
+    assert scalar.tolist() == array.tolist() == [2.0 - 1.0, 2.0 - 2.0]
+
+
+def test_a_patch_needs_one_value_per_feature():
+    data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
+    predictor = linear_predictor([1.0, -2.0])
+    for features, patch in ((["a"], ()), (["a"], (1.0, 2.0)), ([], (1.0,)), (["a", "b"], (1.0,))):
+        message = f"a patch of {len(patch)} values for {len(features)} features"
+        with pytest.raises(InvalidArgumentError, match=message):
+            PredictionCache().substitute(predictor, data, features, [patch])
 
 
 def test_unchanged_data_is_predicted_once_per_cache_predictor_and_data():

@@ -9,7 +9,9 @@ primitives that do: ``predict_batch``, ``replace_columns``, the
 kernel's own unchanged-data rule replaced ``PredictionCache.baseline`` and
 ``importance._permute_block``, which must not come back.  Losses apply to
 whole blocks of predictions inside the kernel's reducers, so no loop or
-comprehension there calls ``loss(...)`` once per copy of the data.
+comprehension there calls ``loss(...)`` once per copy of the data.  The
+kernel returns one result per patch, in patch order, so deduplication stays
+inside it: no estimator refers to an ``inverse`` index.
 
 Rows reach the black box as one float64 code matrix, whatever the column
 kinds, so neither the estimators nor the kernel (with the rows
@@ -24,7 +26,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "boxprobe"
 ESTIMATORS = ("effects.py", "importance.py", "shapley.py")
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 DATASET_BUILDERS = {"predict_batch", "replace_columns", "estimate_generalization_error"}
-KERNEL = {"PredictionCache", "_check_patch", "_run_predictor", "finite_difference"}
+KERNEL = {"PredictionCache", "_patch_codes", "_bits", "_run_predictor", "finite_difference"}
 
 
 def _names(path):
@@ -61,6 +63,10 @@ def test_the_kernel_replaced_the_baseline_and_the_block_permutation():
     defined = set().union(*(_defined(path) for path in SRC.glob("*.py")))
     assert {"baseline", "_permute_block"} & defined == set()
     assert "substitute" in _defined(SRC / "core.py")
+
+
+def test_no_estimator_repeats_the_kernels_dedup():
+    assert {name for name in ESTIMATORS if "inverse" in set(_names(SRC / name))} == set()
 
 
 def _losses_in_loops(path):

@@ -4,9 +4,13 @@ Whatever the substitution kernel merges, the prediction record counts the
 grid the estimator is defined over (G batches of n rows), and the partial
 dependence, the averaged loss-change curve (PI) and the exhaustive
 permutation importance equal their per-value ``intervene_replace``
-references bit for bit.  Building a dataset from rows or from columns gives
-the same bits.
+references bit for bit.  The kernel itself, on random patch lists with
+repeats, scalars and arrays, level strings and optional rows, returns each
+patch's predictions as a per-patch loop would, at any row budget and thread
+count.  Building a dataset from rows or from columns gives the same bits.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 
 from boxprobe import (
     Dataset,
+    PredictionCache,
     FeatureMeta,
     custom_grid,
     ice_curves,
@@ -23,6 +28,8 @@ from boxprobe import (
     pi_curve,
     squared_loss,
 )
+
+from boxprobe import core
 
 from conftest import handle
 
@@ -133,3 +140,76 @@ def test_rows_and_columns_build_the_same_dataset(table):
             assert bits(by_rows.column(j)) == bits(by_columns.column(j))
         assert bits(by_rows.matrix()) == bits(by_columns.matrix())
         assert bits(by_rows.target) == bits(by_columns.target)
+
+
+# Patch values: mostly signed zeros, so patches the kernel must keep apart repeat.
+PATCH_VALUES = st.sampled_from([-0.0, 0.0, 0.0, -0.0, 2.0])
+
+
+def mixed_rowwise(X):
+    """Exact elementwise operations on (continuous, level, continuous) rows,
+    sensitive to the sign of zero in both continuous columns."""
+    X = np.asarray(X)
+    a, c = X[:, 0].astype(float), X[:, 2].astype(float)
+    signs = np.copysign(1.0, a) + np.copysign(2.0, c)
+    return signs + 3.0 * a * c + np.where(X[:, 1] == "b", c, -a)
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(1, 8))
+    data = Dataset.from_columns({
+        "x1": draw(st.lists(VALUES, min_size=n, max_size=n)),
+        "x2": draw(st.lists(LEVELS, min_size=n, max_size=n)),
+        "x3": draw(st.lists(VALUES, min_size=n, max_size=n)),
+    })
+    features = draw(st.lists(st.integers(0, 2), unique=True, max_size=3))
+    rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    m = n if rows is None else len(rows)
+
+    def value(j):
+        pool = st.sampled_from(data.meta[1].levels) if j == 1 else PATCH_VALUES
+        array = st.lists(pool, min_size=m, max_size=m).map(
+            lambda vs: np.array(vs, dtype=object if j == 1 else float)
+        )
+        return pool | array
+
+    candidates = draw(st.lists(st.tuples(*map(value, features)), min_size=1, max_size=4))
+    patches = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8))
+    return data, features, patches, rows, m
+
+
+def patch_key(patch):
+    """Equal for patches the kernel may predict once: equal values, floats by bits."""
+    def key(v):
+        return v.hex() if isinstance(v, float) else v
+
+    return tuple(
+        tuple(map(key, v.tolist())) if isinstance(v, np.ndarray) else ("scalar", key(v)) for v in patch
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases(), st.sampled_from([1, 7, None]), st.sampled_from([1, 2, 3]))
+def test_kernel_equals_a_per_patch_loop(case, budget, threads):
+    data, features, patches, rows, m = case
+    base = data.matrix() if rows is None else data.matrix()[rows]
+    expected = []
+    for patch in patches:
+        X = base.copy()
+        for j, v in zip(features, patch):
+            X[:, j] = v
+        expected.append(mixed_rowwise(X))
+    expected = np.array(expected)
+    seen = []
+    predictor = handle(lambda X: seen.append(len(X)) or mixed_rowwise(X), 3)
+    with mock.patch.object(core, "ROW_BUDGET", budget or core.ROW_BUDGET):
+        cache = PredictionCache(threads)
+        got = cache.substitute(predictor, data, features, patches, rows=rows)
+        means = cache.substitute(predictor, data, features, patches, rows=rows, reduce=lambda b: b.mean(axis=1))
+    assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
+    assert means.tobytes() == expected.mean(axis=1).tobytes()
+    assert (cache.batches, cache.rows) == (2 * len(patches), 2 * len(patches) * m)
+    distinct = len(set(map(patch_key, patches)))
+    held = not features and rows is None  # the unchanged data, predicted once per cache
+    assert sum(seen) == (1 if held else 2) * distinct * m

@@ -1,8 +1,11 @@
 """Tooling guard: each input rule is checked in one place.
 
 - A missing target is rejected only by ``data.py`` (``Dataset.numeric_target``).
+- A value for a feature column is checked by ``Dataset.check_column``: in
+  ``data.py`` only it, ``_infer_meta`` (which picks a column's kind) and
+  ``_build_target`` ask whether a value is a number.
 - A categorical feature where a continuous one is needed is rejected only by
-  ``data.py`` (``Dataset.continuous_index``, ``Dataset.check_value``) and by
+  ``data.py`` (``Dataset.continuous_index``, ``Dataset.check_column``) and by
   ``core.finite_difference``, which checks a raw vector, not a dataset.
 - A seed enters numpy only through ``core._seed_sequence``, which rejects
   negative seeds: no other function builds a ``SeedSequence``, the one
@@ -69,6 +72,14 @@ def test_modules_are_found():
 
 def test_only_data_rejects_a_missing_target():
     assert {module for module, _ in _where(_raises, "MissingTargetError")} == {"data.py"}
+
+
+def test_only_check_column_holds_the_value_rule():
+    assert {function for function, _ in _calls(SRC / "data.py", "_is_number")} == {
+        "check_column",
+        "_infer_meta",
+        "_build_target",
+    }
 
 
 def test_kind_is_checked_by_data_and_the_raw_vector_difference():
