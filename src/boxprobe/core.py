@@ -106,7 +106,7 @@ class PredictorHandle:
                 f"predictor {self.name!r} returned {out.shape[0]} predictions "
                 f"for {matrix.shape[0]} rows"
             )
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise InvalidArgumentError(
                 f"predictor {self.name!r} returned non-finite predictions"
             )
@@ -174,13 +174,15 @@ class PredictionCache:
         ``reduce`` aggregates inside the kernel: it maps a (k, m) block of
         copies' predictions, one copy per row, to k values or k rows, and the
         kernel returns one of those per patch in place of the predictions;
-        the default keeps the whole rows.  Each distinct copy is predicted
-        into one reused m-row buffer and reduced as a one-copy block before
-        the next, so a reducing method holds one copy's predictions however
-        many copies it predicts.  The reducer's output is copied out of the
-        buffer, so it may be a view of its block; it must also accept a block
-        of no copies, which gives the shape of its output.  Held
-        unchanged-data predictions pass through the reducer too.
+        the default keeps the whole rows.  The distinct copies are reduced in
+        blocks of k = max(1, ``ROW_BUDGET`` // m), one reducer call per block:
+        each copy is still predicted in its own calls, into its row of one
+        reused (k, m) buffer, so a reducing method holds one row budget of
+        predictions however many copies it predicts.  The reducer's output is
+        copied out of the buffer, so it may be a view of its block; it must
+        also accept a block of no copies, which gives the shape of its output.
+        Held unchanged-data predictions fill their row and pass through the
+        reducer too.
         """
         js = [data.feature_index(f) for f in features]
         if len(set(js)) != len(js):
@@ -195,30 +197,33 @@ class PredictionCache:
         coded = _patch_codes(data, js, patches, m)
         slot: dict[tuple, int] = {}  # bit pattern -> its distinct copy, in order of first use
         inverse = [slot.setdefault(_bits(values), len(slot)) for values in coded]
-        distinct = dict(zip(inverse, coded))  # patches with equal bits hold equal codes
         self.batches += len(patches)
         self.rows += len(patches) * m
         unchanged = not js and rows is None
         held = self._unchanged
         reuse = unchanged and held is not None and held[0] is predictor and held[1] is data
         matrix = data.codes()
-        copy = np.empty((1, m))  # one copy's predictions, reused for every copy
-        out = np.empty((len(distinct), *np.shape(reduce(copy[:0]))[1:]))
-        for u, values in distinct.items():
-            if reuse:
-                copy[0] = held[2]
-            else:
-                for start in range(0, m, ROW_BUDGET):
-                    stop = min(start + ROW_BUDGET, m)
-                    block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
-                    if js and rows is None:
-                        block = block.copy()  # a row gather is a copy already
-                    for j, v in zip(js, values):
-                        block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
-                    copy[0, start:stop] = _run_predictor(predictor, block, self.threads, data.meta)
-                if unchanged:
-                    self._unchanged = (predictor, data, copy[0].copy())
-            out[u] = reduce(copy)[0]  # a copy, so a view of the buffer is safe
+        copies = list(dict(zip(inverse, coded)).values())  # one per slot: equal bits, equal codes
+        k = max(1, ROW_BUDGET // max(m, 1))  # copies per reducer call
+        buffer = np.empty((min(k, len(copies)), m))  # one block's predictions, reused
+        out = np.empty((len(copies), *np.shape(reduce(buffer[:0]))[1:]))
+        for first in range(0, len(copies), k):
+            preds = buffer[: min(k, len(copies) - first)]
+            for copy, values in zip(preds, copies[first : first + k]):
+                if reuse:
+                    copy[:] = held[2]
+                else:
+                    for start in range(0, m, ROW_BUDGET):
+                        stop = min(start + ROW_BUDGET, m)
+                        block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
+                        if js and rows is None:
+                            block = block.copy()  # a row gather is a copy already
+                        for j, v in zip(js, values):
+                            block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
+                        copy[start:stop] = _run_predictor(predictor, block, self.threads, data.meta)
+                    if unchanged:
+                        self._unchanged = (predictor, data, copy.copy())
+            out[first : first + len(preds)] = reduce(preds)  # copied out, so a view is safe
         return out if len(out) == len(inverse) else out[inverse]
 
     def trace(

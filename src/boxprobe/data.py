@@ -89,18 +89,6 @@ def _is_number(value: Any) -> bool:
     )
 
 
-def _as_float_column(values: Sequence[Any], name: str) -> np.ndarray:
-    col = np.array(values, dtype=float)
-    if col.ndim != 1:
-        raise InvalidArgumentError(f"column {name!r} is not one-dimensional")
-    if not np.isfinite(col).all():
-        raise InvalidArgumentError(
-            f"column {name!r} contains missing or non-finite values; "
-            "missing data is rejected at construction"
-        )
-    return col
-
-
 def _unregistered(value: str, meta: FeatureMeta) -> InvalidLevelError:
     """The error for a value that is not among a categorical feature's levels."""
     return InvalidLevelError(
@@ -207,17 +195,22 @@ class Dataset:
         n = max(len(raw) for raw in raw_columns)
         if n == 0:
             raise InvalidArgumentError("a dataset needs at least one observation")
+        self._set(_meta=tuple(meta))  # the schema check_column reads
         columns: list[np.ndarray] = []
         fixed_meta: list[FeatureMeta] = []
-        for raw, m in zip(raw_columns, meta):
+        for j, (raw, m) in enumerate(zip(raw_columns, meta)):
             if len(raw) != n:
                 raise InvalidArgumentError(f"column {m.name!r} has {len(raw)} values, expected {n}")
-            if m.kind == CONTINUOUS:
-                col = _as_float_column(raw, m.name)
-                if m.observed_range is None:
-                    m = FeatureMeta(m.name, CONTINUOUS, observed_range=(col.min(), col.max()))
-            else:
-                col = _level_codes(raw, m)
+            if m.kind == CONTINUOUS:  # a missing value keeps the construction message
+                values = np.asarray(raw)
+                if values.dtype.kind == "f" and not np.isfinite(values).all():
+                    raise InvalidArgumentError(
+                        f"column {m.name!r} contains missing or non-finite values; "
+                        "missing data is rejected at construction"
+                    )
+            col = self.check_column(j, raw)
+            if m.kind == CONTINUOUS and m.observed_range is None:
+                m = FeatureMeta(m.name, CONTINUOUS, observed_range=(col.min(), col.max()))
             columns.append(_freeze(col))
             fixed_meta.append(m)
         name_index = {m.name: j for j, m in enumerate(fixed_meta)}
@@ -388,7 +381,16 @@ class Dataset:
                     raise UnsupportedKindError(
                         f"feature {m.name!r} is continuous; got non-numeric {v!r}"
                     )
-        return _as_float_column(values, m.name)
+        col = np.array(values, dtype=float)
+        if col.ndim != 1:
+            raise InvalidArgumentError(f"column {m.name!r} is not one-dimensional")
+        finite = np.isfinite(col)
+        if not finite.all():
+            raise InvalidArgumentError(
+                f"feature {m.name!r} got the non-finite value {float(col[~finite][0])!r}; "
+                "its values must be finite"
+            )
+        return col
 
     def check_vector(self, x: Sequence[Any]) -> tuple[Any, ...]:
         """Validate a full feature vector against this dataset's schema."""

@@ -14,6 +14,8 @@ import json
 import math
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .data import CATEGORICAL, CONTINUOUS, Dataset
 from .errors import DataFormatError
 
@@ -96,7 +98,7 @@ def load_csv(
                 f"holds {raw[bad]!r}"
             )
         else:
-            values, kind = parsed, CONTINUOUS
+            values, kind = np.array(parsed), CONTINUOUS  # float64: no per-value check
         if name == target:
             target_values = values
         else:

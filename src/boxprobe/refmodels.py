@@ -41,17 +41,24 @@ class ReferenceModel(PredictorHandle):
     ``_predict`` reads a code matrix over the schema.  A matrix of level
     strings, or codes over other levels, is decoded and encoded over the
     schema first; a value that is not a level raises
-    :class:`~boxprobe.errors.InvalidLevelError`.
+    :class:`~boxprobe.errors.InvalidLevelError`.  The last tuple ``meta``
+    whose levels matched is remembered by identity, so a run that passes its
+    data's own schema on every call compares the levels once.
     """
 
     kind = "reference"
 
     def __init__(self, schema: Sequence[FeatureMeta]):
         self.schema = tuple(FeatureMeta(m.name, m.kind, m.levels) for m in schema)
+        self._same_levels: Sequence[FeatureMeta] | None = None  # the last meta found to match
         super().__init__(self._predict, len(self.schema), name=self.kind)
 
     def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None) -> np.ndarray:
-        if meta is not None and all(a.levels == b.levels for a, b in zip(meta, self.schema)):
+        if meta is not None and (
+            meta is self._same_levels
+            or all(a.levels == b.levels for a, b in zip(meta, self.schema))
+        ):
+            self._same_levels = tuple(meta)  # a tuple is itself, so a list is never remembered
             return self._predict(matrix)
         rows = matrix if meta is None else decode(matrix, meta)
         return self._predict(encode(rows.T, self.schema))
@@ -97,7 +104,8 @@ def _design_matrix(X: np.ndarray, columns: tuple[np.ndarray, np.ndarray, np.ndar
     BLAS kernel, whose last bits differ."""
     features, onehot, codes = columns
     design = X.take(features, axis=1)
-    design[:, onehot] = design[:, onehot] == codes
+    if onehot.size:
+        design[:, onehot] = design[:, onehot] == codes
     return design
 
 

@@ -116,3 +116,28 @@ def test_a_public_call_on_an_unregistered_level_raises(fit):
     rows[0, 1] = "z"
     with pytest.raises(InvalidLevelError, match="'z' is not a registered level of feature 'c'"):
         fit(data)(rows)
+
+
+@pytest.mark.parametrize("fit", [fit_linear, fit_stump])
+def test_a_remembered_schema_stands_for_itself_only(fit):
+    """A model remembers the last matching ``meta`` object; any other is still
+    decoded and encoded over the model's own levels, or rejected."""
+    data = mixed_data()
+    model = fit(data)
+    assert model(data.codes(), data.meta).tobytes() == model(data.matrix()).tobytes()
+    c = data.column("c")
+    rows = data.matrix()[c != "b"]  # two of the three levels
+    for levels in (("c", "a"), ("a", "c"), ("c", "b", "a"), ("b", "a", "c")):
+        other = tuple(FeatureMeta(m.name, m.kind, levels if m.levels else None) for m in data.meta)
+        codes = encode(rows.T, other)
+        for _ in range(2):  # the second call with the same object
+            assert model(codes, other).tobytes() == model(rows).tobytes(), levels
+        assert model(data.codes(), data.meta).tobytes() == model(data.matrix()).tobytes()
+    unknown = tuple(
+        FeatureMeta(m.name, m.kind, LEVELS + ("z",) if m.levels else None) for m in data.meta
+    )
+    codes = data.codes().copy()
+    codes[0, 1] = 3.0  # "z"
+    for _ in range(2):
+        with pytest.raises(InvalidLevelError, match="'z' is not a registered level of feature 'c'"):
+            model(codes, unknown)

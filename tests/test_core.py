@@ -235,6 +235,30 @@ def test_kernel_patches_a_column_at_chosen_rows():
         cache.substitute(predictor, data, ["a"], [(np.array([1.0, np.inf, 3.0, 4.0]),)])
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=repr)
+def test_a_non_finite_substituted_value_names_the_feature_and_the_value(value):
+    data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
+    predictor = linear_predictor([1.0, -2.0])
+
+    def patch(value):
+        return lambda: PredictionCache().substitute(predictor, data, ["a"], [(value,)])
+
+    ways = {
+        "intervene_replace": lambda: intervene_replace(data, {"a": value}),
+        "replace_columns": lambda: data.replace_columns({0: [1.0, value]}),
+        "scalar patch": patch(value),
+        "array patch": patch(np.array([1.0, value])),
+    }
+    for way, attempt in ways.items():
+        with pytest.raises(InvalidArgumentError) as raised:
+            attempt()
+        assert str(raised.value) == (
+            f"feature 'a' got the non-finite value {value!r}; its values must be finite"
+        ), way
+    with pytest.raises(InvalidArgumentError, match="missing data is rejected at construction"):
+        columns_dataset(a=[1.0, value], b=[0.5, 1.0])
+
+
 def _rejects(attempt):
     try:
         attempt()

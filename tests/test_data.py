@@ -45,6 +45,16 @@ def test_missing_values_rejected():
         columns_dataset(a=[1.0, 2.0], target=[1.0, float("inf")])
 
 
+@pytest.mark.parametrize("value", ["1.5", True, np.True_], ids=repr)
+def test_construction_applies_the_value_rule(value):
+    """A string or a bool in a continuous column is no number at construction either."""
+    meta = [FeatureMeta("a", CONTINUOUS), FeatureMeta("b", CONTINUOUS)]
+    with pytest.raises(UnsupportedKindError, match="feature 'a' is continuous; got non-numeric"):
+        Dataset([[value, 2.0], [1.0, 3.0]], meta=meta)
+    with pytest.raises(UnsupportedKindError, match="feature 'a' is continuous; got non-numeric"):
+        Dataset.from_columns({"a": [1.0, value], "b": [2.0, 3.0]}, kinds={"a": CONTINUOUS})
+
+
 def test_unregistered_level_rejected():
     meta = [FeatureMeta("c", CATEGORICAL, levels=("a", "b"))]
     with pytest.raises(InvalidLevelError, match="'c'"):

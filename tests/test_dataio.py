@@ -129,3 +129,18 @@ def test_emit_points_csv():
 
 def test_emit_score_csv():
     assert emit_score_csv("pfi", "x1", 2.0) == "method,feature,score\npfi,x1,2.0\n"
+
+
+def test_continuous_columns_skip_the_per_value_check(tmp_path, monkeypatch):
+    """A parsed column reaches the dataset as a float64 array, which needs no
+    per-value kind check; a non-finite cell keeps the CSV's own message."""
+    from boxprobe import data as data_module
+
+    asked = []
+    is_number = data_module._is_number
+    monkeypatch.setattr(data_module, "_is_number", lambda v: asked.append(v) or is_number(v))
+    data = load_csv(write(tmp_path, "a,b,c\n1,2,x\n3,4.5,y\n"))
+    assert asked == []
+    assert data.column("b").tolist() == [2.0, 4.5]
+    with pytest.raises(DataFormatError, match="column 'a' is declared continuous but line 3 holds 'inf'"):
+        load_csv(write(tmp_path, "a\n1\ninf\n"), kinds={"a": CONTINUOUS})

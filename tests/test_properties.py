@@ -6,8 +6,9 @@ dependence, the averaged loss-change curve (PI) and the exhaustive
 permutation importance equal their per-value ``intervene_replace``
 references bit for bit.  The kernel itself, on random patch lists with
 repeats, scalars and arrays, level strings and optional rows, returns each
-patch's predictions as a per-patch loop would, at any row budget and thread
-count.  Building a dataset from rows or from columns gives the same bits.
+patch's predictions, or each patch's share of a reduced block of copies, as
+a per-patch loop would, at any row budget and thread count.  Building a
+dataset from rows or from columns gives the same bits.
 """
 
 from unittest import mock
@@ -142,6 +143,8 @@ def test_rows_and_columns_build_the_same_dataset(table):
         assert bits(by_rows.target) == bits(by_columns.target)
 
 
+LOSS = squared_loss()
+
 # Patch values: mostly signed zeros, so patches the kernel must keep apart repeat.
 PATCH_VALUES = st.sampled_from([-0.0, 0.0, 0.0, -0.0, 2.0])
 
@@ -203,13 +206,25 @@ def test_kernel_equals_a_per_patch_loop(case, budget, threads):
     expected = np.array(expected)
     seen = []
     predictor = handle(lambda X: seen.append(len(X)) or mixed_rowwise(X), 3)
+    y = np.arange(m, dtype=float)
+    base = LOSS(expected[0], y)
+    reducers = {  # a block of copies in, one value or row per copy out
+        "mean": lambda b: b.mean(axis=1),
+        "loss change": lambda b: (LOSS(b, y) - base).mean(axis=1),
+        "column": lambda b: b[:, m - 1],
+    }
     with mock.patch.object(core, "ROW_BUDGET", budget or core.ROW_BUDGET):
         cache = PredictionCache(threads)
         got = cache.substitute(predictor, data, features, patches, rows=rows)
-        means = cache.substitute(predictor, data, features, patches, rows=rows, reduce=lambda b: b.mean(axis=1))
+        reduced = {
+            name: cache.substitute(predictor, data, features, patches, rows=rows, reduce=reduce)
+            for name, reduce in reducers.items()
+        }
     assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
-    assert means.tobytes() == expected.mean(axis=1).tobytes()
-    assert (cache.batches, cache.rows) == (2 * len(patches), 2 * len(patches) * m)
+    for name, reduce in reducers.items():
+        assert reduced[name].tobytes() == reduce(expected).tobytes(), name
+    calls = 1 + len(reducers)
+    assert (cache.batches, cache.rows) == (calls * len(patches), calls * len(patches) * m)
     distinct = len(set(map(patch_key, patches)))
     held = not features and rows is None  # the unchanged data, predicted once per cache
-    assert sum(seen) == (1 if held else 2) * distinct * m
+    assert sum(seen) == (1 if held else calls) * distinct * m

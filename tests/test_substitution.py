@@ -237,6 +237,37 @@ def test_reducer_output_is_copied_before_the_buffer_is_reused(monkeypatch, budge
     assert same_bits(strided, grid[:, ::3])
 
 
+@pytest.mark.parametrize("budget", [1, 7, "m", "default"])
+@pytest.mark.parametrize("rows", [None, [3, 1, 3]], ids=["all rows", "three rows"])
+def test_the_reducer_gets_blocks_of_a_row_budget_of_copies(monkeypatch, budget, rows):
+    data = mixed_data()
+    m = data.n_rows if rows is None else len(rows)
+    monkeypatch.setattr(core, "ROW_BUDGET", {"m": m, "default": core.ROW_BUDGET}.get(budget, budget))
+    k = max(1, core.ROW_BUDGET // m)
+    points = [float(v) for v in observed_grid(data, "b").points]
+    patches = [(v,) for v in points + points[::2]]  # every other point repeats
+    distinct = len({v.hex() for v in points})
+    y = data.target if rows is None else data.target[rows]
+    blocks = []
+
+    def loss_change(b):
+        blocks.append(len(b))
+        return (LOSS(b, y) - 1.0).mean(axis=1)
+
+    predictor = handle(rowwise, 4)
+    got = PredictionCache().substitute(predictor, data, [1], patches, rows=rows, reduce=loss_change)
+    full, last = divmod(distinct, k)
+    assert blocks == [0] + [k] * full + ([last] if last else [])  # the first is the shape probe
+    assert len(blocks) == -(-distinct // k) + 1
+    base = data.matrix() if rows is None else data.matrix()[rows]
+    per_copy = []
+    for (v,) in patches:
+        X = base.copy()
+        X[:, 1] = v
+        per_copy.append((LOSS(rowwise(X), y) - 1.0).mean())
+    assert same_bits(got, per_copy)
+
+
 def test_a_custom_loss_broadcasts_over_a_block_of_copies():
     data = mixed_data()
     predictor = handle(rowwise, 4)
