@@ -77,8 +77,8 @@ class PredictorHandle:
 
     The callable sees level strings, in an object matrix unless every
     feature is continuous.  Called with the schema ``meta`` of a code matrix
-    (:func:`~boxprobe.data.encode`), the handle decodes it once per call for
-    the callable; reference models read the codes directly.
+    (:func:`~boxprobe.data.encode`), one entry per feature, the handle decodes
+    it once per call for the callable; reference models read the codes directly.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], Any], n_features: int, name: str = "predictor"):
@@ -99,6 +99,11 @@ class PredictorHandle:
             raise ShapeError(
                 f"predictor {self.name!r} expects {self.n_features} features, "
                 f"got {matrix.shape[1]}"
+            )
+        if meta is not None and len(meta) != self.n_features:
+            raise ShapeError(
+                f"predictor {self.name!r} expects {self.n_features} features, "
+                f"got {len(meta)} schema entries"
             )
         out = np.asarray(self._evaluate(matrix, meta), dtype=float).reshape(-1)
         if out.shape[0] != matrix.shape[0]:
@@ -121,9 +126,8 @@ class PredictionCache:
     into its prediction record, so a result's counts come from the cache
     that predicted.  The substitution kernel :meth:`substitute` counts what
     the estimator is defined to predict, while the predictor sees each
-    distinct patched copy of the data once, and the unchanged data at most
-    once per cache, predictor and data.  Predictors are pure, so no result
-    changes.
+    distinct patched copy of one call's data once.  Predictors are pure, so
+    no result changes.
     """
 
     def __init__(self, threads: int = 1):
@@ -132,7 +136,6 @@ class PredictionCache:
         self.threads = int(threads)
         self.batches = 0
         self.rows = 0
-        self._unchanged: tuple[PredictorHandle, Dataset, np.ndarray] | None = None
 
     def predict(
         self, predictor: PredictorHandle, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None = None
@@ -147,29 +150,29 @@ class PredictionCache:
         self,
         predictor: PredictorHandle,
         data: Dataset,
-        features: Sequence[int | str],
-        patches: Sequence[Sequence[Any]],
+        patches: Sequence[Mapping[int | str, Any]],
         rows: Sequence[int] | None = None,
         reduce: Callable[[np.ndarray], np.ndarray] = lambda b: b,
     ) -> np.ndarray:
-        """The substitution kernel: predict ``data`` with ``features`` patched by each patch.
+        """The substitution kernel: predict a copy of ``data`` patched by each patch.
 
-        A patch holds one value per feature: a scalar, set in every row, or an
-        array with one value per row of the copy, which holds only ``rows``
-        if given.  A patch of no features is the unchanged data, predicted at
-        most once per cache, predictor and data.  Returns one row of m
-        predictions per patch, in patch order.  Values are checked against
-        the schema, each feature's scalars in one
-        :meth:`~boxprobe.data.Dataset.check_column` call, and written as codes
-        into the data's code matrix.  Deduplication is internal: patches are
-        distinct by the bit pattern of their codes, so 0.0 and -0.0 stay
-        apart, and the predictor sees each distinct copy once, in calls of at
-        most :data:`ROW_BUDGET` rows; repeated patches share the result.
-        Counts G logical batches of m rows.  While m <= ``ROW_BUDGET`` the
-        predictor calls are those a loop over the patches would make, minus
-        the repeats, so no bit moves even for a model whose bits depend on
-        the batch; a larger m is split into chunks such a loop would not
-        make, and such a model may then differ in the last bits.
+        A patch maps features, by index or name, to a scalar, set in every
+        row, or an array with one value per row of the copy, which holds only
+        ``rows`` if given; ``{}`` is the unchanged data.  Patches may set
+        different features, so one call can carry a method's whole
+        intervention stage.  Returns one row of m predictions per patch, in
+        patch order.  Values are checked against the schema, each column's
+        scalars in one :meth:`~boxprobe.data.Dataset.check_column` call per
+        set of features, and written as codes into the data's code matrix.
+        Deduplication is internal: patches are distinct by their features and
+        the bit pattern of their codes, so 0.0 and -0.0 stay apart, and the
+        predictor sees each distinct copy once, in calls of at most
+        :data:`ROW_BUDGET` rows; repeated patches share the result.  Counts G
+        logical batches of m rows.  While m <= ``ROW_BUDGET`` the predictor
+        calls are those a loop over the patches would make, minus the repeats,
+        so no bit moves even for a model whose bits depend on the batch; a
+        larger m is split into chunks such a loop would not make, and such a
+        model may then differ in the last bits.
 
         ``reduce`` aggregates inside the kernel: it maps a (k, m) block of
         copies' predictions, one copy per row, to k values or k rows, and the
@@ -181,12 +184,7 @@ class PredictionCache:
         predictions however many copies it predicts.  The reducer's output is
         copied out of the buffer, so it may be a view of its block; it must
         also accept a block of no copies, which gives the shape of its output.
-        Held unchanged-data predictions fill their row and pass through the
-        reducer too.
         """
-        js = [data.feature_index(f) for f in features]
-        if len(set(js)) != len(js):
-            raise InvalidArgumentError("a feature is substituted twice")
         if data.n_features != predictor.n_features:
             raise ShapeError(
                 f"dataset has {data.n_features} features but predictor "
@@ -194,14 +192,11 @@ class PredictionCache:
             )
         rows = None if rows is None else np.asarray(rows, dtype=np.intp)
         m = data.n_rows if rows is None else len(rows)
-        coded = _patch_codes(data, js, patches, m)
-        slot: dict[tuple, int] = {}  # bit pattern -> its distinct copy, in order of first use
-        inverse = [slot.setdefault(_bits(values), len(slot)) for values in coded]
+        coded = _patch_codes(data, patches, m)
+        slot: dict[tuple, int] = {}  # features and bits -> its distinct copy, in order of first use
+        inverse = [slot.setdefault((js, _bits(values)), len(slot)) for js, values in coded]
         self.batches += len(patches)
         self.rows += len(patches) * m
-        unchanged = not js and rows is None
-        held = self._unchanged
-        reuse = unchanged and held is not None and held[0] is predictor and held[1] is data
         matrix = data.codes()
         copies = list(dict(zip(inverse, coded)).values())  # one per slot: equal bits, equal codes
         k = max(1, ROW_BUDGET // max(m, 1))  # copies per reducer call
@@ -209,20 +204,15 @@ class PredictionCache:
         out = np.empty((len(copies), *np.shape(reduce(buffer[:0]))[1:]))
         for first in range(0, len(copies), k):
             preds = buffer[: min(k, len(copies) - first)]
-            for copy, values in zip(preds, copies[first : first + k]):
-                if reuse:
-                    copy[:] = held[2]
-                else:
-                    for start in range(0, m, ROW_BUDGET):
-                        stop = min(start + ROW_BUDGET, m)
-                        block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
-                        if js and rows is None:
-                            block = block.copy()  # a row gather is a copy already
-                        for j, v in zip(js, values):
-                            block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
-                        copy[start:stop] = _run_predictor(predictor, block, self.threads, data.meta)
-                    if unchanged:
-                        self._unchanged = (predictor, data, copy.copy())
+            for copy, (js, values) in zip(preds, copies[first : first + k]):
+                for start in range(0, m, ROW_BUDGET):
+                    stop = min(start + ROW_BUDGET, m)
+                    block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
+                    if js and rows is None:
+                        block = block.copy()  # a row gather is a copy already
+                    for j, v in zip(js, values):
+                        block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
+                    copy[start:stop] = _run_predictor(predictor, block, self.threads, data.meta)
             out[first : first + len(preds)] = reduce(preds)  # copied out, so a view is safe
         return out if len(out) == len(inverse) else out[inverse]
 
@@ -244,25 +234,33 @@ class PredictionCache:
 
 
 def _patch_codes(
-    data: Dataset, js: Sequence[int], patches: Sequence[Sequence[Any]], m: int
-) -> list[list[Any]]:
-    """Each patch's values for columns ``js`` of an m-row copy, checked and
-    encoded: a float code for a scalar, an array of m codes for an array.
-    Each column's scalars are checked in one call."""
-    for patch in patches:
-        if len(patch) != len(js):
-            raise InvalidArgumentError(f"a patch of {len(patch)} values for {len(js)} features")
-    coded = [list(patch) for patch in patches]
-    for k, j in enumerate(js):
-        scalars = [values for values in coded if not isinstance(values[k], np.ndarray)]
-        codes = data.check_column(j, [values[k] for values in scalars])
-        for values, code in zip(scalars, codes.tolist()):
-            values[k] = code
-        for values in coded:
-            if isinstance(values[k], np.ndarray):
-                values[k] = data.check_column(j, values[k])
-                if len(values[k]) != m:
-                    raise InvalidArgumentError(f"a patch of {len(values[k])} values for {m} rows")
+    data: Dataset, patches: Sequence[Mapping[int | str, Any]], m: int
+) -> list[tuple[tuple[int, ...], list[Any]]]:
+    """Each patch's column indices and its values for them in an m-row copy,
+    checked and encoded: a float code for a scalar, an array of m codes for an
+    array.  Patches naming the same features are checked together, each
+    column's scalars in one call."""
+    groups: dict[tuple, list[int]] = {}  # the features a patch names -> its patches
+    for i, patch in enumerate(patches):
+        groups.setdefault(tuple(patch), []).append(i)
+    coded: list[Any] = [None] * len(patches)
+    for features, members in groups.items():
+        js = tuple(data.feature_index(f) for f in features)
+        if len(set(js)) != len(js):
+            raise InvalidArgumentError(f"a patch names a feature twice: {list(features)}")
+        group = [list(patches[i].values()) for i in members]
+        for k, j in enumerate(js):
+            scalars = [values for values in group if not isinstance(values[k], np.ndarray)]
+            codes = data.check_column(j, [values[k] for values in scalars])
+            for values, code in zip(scalars, codes.tolist()):
+                values[k] = code
+            for values in group:
+                if isinstance(values[k], np.ndarray):
+                    values[k] = data.check_column(j, values[k])
+                    if len(values[k]) != m:
+                        raise InvalidArgumentError(f"a patch of {len(values[k])} values for {m} rows")
+        for i, values in zip(members, group):
+            coded[i] = (js, values)
     return coded
 
 
@@ -302,7 +300,7 @@ def predict_batch(
 ) -> np.ndarray:
     """Predict on a dataset as it is: the substitution kernel's empty patch."""
     cache = cache if cache is not None else PredictionCache()
-    (preds,) = cache.substitute(predictor, data, [], [()])
+    (preds,) = cache.substitute(predictor, data, [{}])
     return preds
 
 

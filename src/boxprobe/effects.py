@@ -175,7 +175,8 @@ def _substitute_grid(
     feature_list, grids = _resolve_feature_set(data, features, grid)
     points = list(itertools.product(*(g.points for g in grids)))
     cache = PredictionCache(threads)
-    preds = cache.substitute(predictor, data, feature_list, points, reduce=reduce)
+    patches = [dict(zip(feature_list, point)) for point in points]
+    preds = cache.substitute(predictor, data, patches, reduce=reduce)
     intervention = (
         "replace feature columns with each grid value",
         {
@@ -323,8 +324,7 @@ def ale_first_order(
     for k in range(n_int):
         members = np.flatnonzero(idx == k)
         counts[k] = members.size
-        bounds = [[edges[k + 1]], [edges[k]]]
-        upper, lower = cache.substitute(predictor, data, [j], bounds, rows=members)
+        upper, lower = cache.substitute(predictor, data, [{j: edges[k + 1]}, {j: edges[k]}], rows=members)
         local_effects[k] = np.mean(upper - lower)
 
     accumulated = np.cumsum(local_effects)
@@ -388,8 +388,8 @@ def average_marginal_effect(
     if not (h > 0) or not np.isfinite(h):
         raise InvalidArgumentError(f"step h must be positive and finite, got {h}")
     cache = PredictionCache(threads)
-    shifts = [[_shifted_column(data, j, h)], [_shifted_column(data, j, -h)]]
-    upper, lower = cache.substitute(predictor, data, [j], shifts)
+    shifts = [{j: _shifted_column(data, j, h)}, {j: _shifted_column(data, j, -h)}]
+    upper, lower = cache.substitute(predictor, data, shifts)
     value = float(np.mean((upper - lower) / (2.0 * h)))
     trace = cache.trace(
         predictor,

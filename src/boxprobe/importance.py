@@ -9,7 +9,6 @@ loss-based payout).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -26,7 +25,7 @@ from .core import (
 from .data import CONTINUOUS, Dataset
 from .effects import EffectCurve, _substitute_grid, observed_grid, pd_curve
 from .errors import InvalidArgumentError, UndefinedVarianceError
-from .shapley import exact_shapley_value
+from .shapley import _coalitions, exact_shapley_value
 from .trace import AGGREGATION, StageRecord, StageTrace
 
 PERTURB_EXHAUSTIVE = "exhaustive"
@@ -163,7 +162,7 @@ def ici_curve(
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
     # The row's own value first: the kernel predicts it once with the equal observed value.
-    preds = cache.substitute(predictor, data, [j], [(own,), *values[:, None]], rows=[i])
+    preds = cache.substitute(predictor, data, [{j: v} for v in (own, *values)], rows=[i])
     losses = loss(preds[:, 0], np.repeat(target[i : i + 1], len(preds)))
     ys = losses[1:] - losses[0]
     trace = cache.trace(
@@ -190,14 +189,10 @@ def _pi_values(
     target = loss.targets(data, "the mean loss change")
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
-    (unchanged,) = cache.substitute(predictor, data, [], [()])
+    (unchanged,) = cache.substitute(predictor, data, [{}])
     base_losses = loss(unchanged, target)
     means = cache.substitute(
-        predictor,
-        data,
-        [j],
-        values[:, None],
-        reduce=lambda b: (loss(b, target) - base_losses).mean(axis=1),
+        predictor, data, [{j: v} for v in values], reduce=lambda b: (loss(b, target) - base_losses).mean(axis=1)
     )
     intervention = (
         "substitute each observed feature value into every observation",
@@ -270,7 +265,7 @@ def pfi_permutation(
     # The column itself first: the unchanged data, then one permuted copy per repeat.
     copies = [column] + [column[make_rng(child).permutation(data.n_rows)] for child in child_seeds]
     errors = cache.substitute(
-        predictor, data, [j], [(c,) for c in copies], reduce=lambda b: loss(b, target).mean(axis=1)
+        predictor, data, [{j: c} for c in copies], reduce=lambda b: loss(b, target).mean(axis=1)
     )
     value = float(np.mean(errors[1:] - errors[0]))
     trace = cache.trace(
@@ -326,14 +321,14 @@ def _perturbed_ge(
     """
     block = sorted(perturbed)
     if not block:
-        patches = [()]
+        patches = [{}]
     elif mode == PERTURB_PERMUTATION:
         perm = make_rng(_coalition_seed(seed, perturbed)).permutation(data.n_rows)
-        patches = [tuple(data.column(t)[perm] for t in block)]
+        patches = [{t: data.column(t)[perm] for t in block}]
     else:
-        patches = list(zip(*(data.column(t) for t in block)))
+        patches = [dict(zip(block, donor)) for donor in zip(*(data.column(t) for t in block))]
     per_patch = cache.substitute(
-        predictor, data, block, patches, reduce=lambda b: loss(b, data.target).mean(axis=1)
+        predictor, data, patches, reduce=lambda b: loss(b, data.target).mean(axis=1)
     )
     return float(np.mean(per_patch))
 
@@ -385,18 +380,13 @@ def sfimp(
     p = data.n_features
     _check_perturbation(data, loss, mode, seed)
     j = data.feature_index(feature)
+    blocks = _coalitions(p)
     cache = PredictionCache(threads)
+    # One kernel call per block: a single plan would hold p·2^(p-1)·n donor values at once.
+    ge = {block: _perturbed_ge(predictor, data, block, loss, mode, seed, cache) for block in blocks}
     everything = frozenset(range(p))
-    perturbed_ge = functools.cache(
-        lambda block: _perturbed_ge(predictor, data, block, loss, mode, seed, cache)
-    )
-
-    def payout(coalition: frozenset[int]) -> float:
-        if not coalition:
-            return 0.0
-        return perturbed_ge(everything - coalition) - perturbed_ge(everything)
-
-    value = exact_shapley_value(payout, p, j)
+    payouts = {k: ge[everything - k] - ge[everything] if k else 0.0 for k in blocks}
+    value = exact_shapley_value(payouts.__getitem__, p, j)
     trace = cache.trace(
         predictor,
         data,

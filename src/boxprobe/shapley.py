@@ -9,7 +9,6 @@ or a permutation-sampling estimate (Monte Carlo mode).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,28 +52,34 @@ def coalition_weight(coalition_size: int, n_features: int) -> float:
     )
 
 
-def exact_shapley_value(
-    payout: Callable[[frozenset[int]], float], n_features: int, feature: int
-) -> float:
-    """Exact value of ``feature`` under an arbitrary coalition payout function.
+def _coalitions(n_features: int) -> list[frozenset[int]]:
+    """Every coalition of ``n_features`` features, by size, then lexicographically.
 
-    Enumerates every coalition not containing the feature and sums the
-    factorially weighted marginal payout gains.  Shared by the effect-based
-    and the performance-based (loss payout) Shapley computations; checks
-    :data:`EXACT_FEATURE_CAP` before the first payout, so no caller
-    predicts beyond the cap.
+    Checks :data:`EXACT_FEATURE_CAP` first, so no caller that enumerates
+    through here predicts beyond the cap.
     """
     if n_features > EXACT_FEATURE_CAP:
         raise CapacityError(
             f"exact enumeration over {n_features} features exceeds the cap of "
             f"{EXACT_FEATURE_CAP}; Monte Carlo sampling scales to more features"
         )
-    others = [k for k in range(n_features) if k != feature]
+    features = range(n_features)
+    return [frozenset(k) for size in range(n_features + 1) for k in itertools.combinations(features, size)]
+
+
+def exact_shapley_value(
+    payout: Callable[[frozenset[int]], float], n_features: int, feature: int
+) -> float:
+    """Exact value of ``feature`` under an arbitrary coalition payout function.
+
+    Sums the factorially weighted marginal payout gains over every coalition
+    of :func:`_coalitions` not containing the feature.  Shared by the
+    effect-based and the performance-based (loss payout) Shapley computations.
+    """
     total = 0.0
-    for size in range(n_features):
-        weight = coalition_weight(size, n_features)
-        for combo in itertools.combinations(others, size):
-            coalition = frozenset(combo)
+    for coalition in _coalitions(n_features):
+        if feature not in coalition:
+            weight = coalition_weight(len(coalition), n_features)
             total += weight * (payout(coalition | {feature}) - payout(coalition))
     return total
 
@@ -90,22 +95,24 @@ def pd_payout(
 
     The empty coalition pays exactly zero by construction.
     """
-    return _pd_payout(predictor, data, data.check_vector(x), coalition, cache)
-
-
-def _pd_payout(
-    predictor: PredictorHandle, data: Dataset, x: tuple, coalition: Iterable[int],
-    cache: PredictionCache | None,
-) -> float:
-    """:func:`pd_payout` at a vector ``x`` that :meth:`Dataset.check_vector` returned."""
-    members = sorted({data.feature_index(k) for k in coalition})
+    x = data.check_vector(x)
+    members = frozenset(data.feature_index(k) for k in coalition)
     if not members:
         return 0.0
     cache = cache if cache is not None else PredictionCache()
-    (preds,) = cache.substitute(predictor, data, members, [[x[j] for j in members]])
-    pd_value = float(np.mean(preds))
-    (unchanged,) = cache.substitute(predictor, data, [], [()])
-    return pd_value - float(np.mean(unchanged))
+    return _pd_payouts(predictor, data, x, [members], cache)[0]
+
+
+def _pd_payouts(
+    predictor: PredictorHandle, data: Dataset, x: tuple, members: Sequence[Iterable[int]],
+    cache: PredictionCache,
+) -> list[float]:
+    """:func:`pd_payout` of each non-empty coalition of column indices, at a vector
+    ``x`` that :meth:`Dataset.check_vector` returned: one kernel call, each
+    coalition's copy, then the unchanged data."""
+    plan = [patch for k in members for patch in ({j: x[j] for j in sorted(k)}, {})]
+    means = cache.substitute(predictor, data, plan, reduce=lambda b: b.mean(axis=1))
+    return (means[0::2] - means[1::2]).tolist()
 
 
 def shapley_exact(
@@ -125,9 +132,10 @@ def shapley_exact(
     j = data.feature_index(feature)
     x = data.check_vector(x)
     cache = PredictionCache(threads)
-    payout = functools.cache(lambda k: _pd_payout(predictor, data, x, k, cache))
-    value = exact_shapley_value(payout, p, j)
-    full = payout(frozenset(range(p)))
+    coalitions = _coalitions(p)
+    payouts = dict(zip(coalitions, [0.0, *_pd_payouts(predictor, data, x, coalitions[1:], cache)]))
+    value = exact_shapley_value(payouts.__getitem__, p, j)
+    full = payouts[coalitions[-1]]
     trace = cache.trace(
         predictor,
         data,
@@ -203,7 +211,7 @@ def shapley_mc(
         if iterations > 1
         else None
     )
-    full = _pd_payout(predictor, data, x, range(p), cache)
+    (full,) = _pd_payouts(predictor, data, x, [range(p)], cache)
 
     trace = cache.trace(
         predictor,

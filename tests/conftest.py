@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from boxprobe import Dataset, PredictorHandle, fit_knn, fit_linear, fit_stump
+from boxprobe import Dataset, PredictionCache, PredictorHandle, fit_knn, fit_linear, fit_stump
 
 
 def handle(fn, p, name="f"):
@@ -23,6 +23,20 @@ def linear_predictor(coefs, intercept=0.0):
         return np.asarray(X, dtype=float) @ coefs + intercept
 
     return handle(fn, len(coefs), name="linear")
+
+
+def kernel_calls(monkeypatch):
+    """The names of the ``PredictionCache`` prediction methods called from now
+    on, in call order: ``substitute`` (the kernel) and ``predict``."""
+    calls = []
+
+    def counted(name):
+        method = getattr(PredictionCache, name)
+        return lambda self, *args, **kwargs: calls.append(name) or method(self, *args, **kwargs)
+
+    for name in ("substitute", "predict"):
+        monkeypatch.setattr(PredictionCache, name, counted(name))
+    return calls
 
 
 def columns_dataset(**named):

@@ -7,6 +7,7 @@ import pytest
 
 from boxprobe import (
     PredictionCache,
+    fit_linear,
     estimate_generalization_error,
     finite_difference,
     intervene_permute,
@@ -225,14 +226,14 @@ def test_kernel_patches_a_column_at_chosen_rows():
     data = columns_dataset(a=[1.0, 2.0, 3.0, 4.0], b=[0.5, 1.0, 1.5, 2.0])
     predictor = linear_predictor([1.0, -2.0])
     cache = PredictionCache()
-    patches = [(np.array([10.0, 20.0]),), (7.0,), (np.array([7.0, 7.0]),)]
-    preds = cache.substitute(predictor, data, ["a"], patches, rows=[3, 1])
+    patches = [{"a": np.array([10.0, 20.0])}, {"a": 7.0}, {0: np.array([7.0, 7.0])}]
+    preds = cache.substitute(predictor, data, patches, rows=[3, 1])
     assert preds.tolist() == [[10.0 - 4.0, 20.0 - 2.0], [3.0, 5.0], [3.0, 5.0]]
     assert (cache.batches, cache.rows) == (3, 6)
     with pytest.raises(InvalidArgumentError, match="3 values for 2 rows"):
-        cache.substitute(predictor, data, ["a"], [(np.array([1.0, 2.0, 3.0]),)], rows=[0, 1])
+        cache.substitute(predictor, data, [{"a": np.array([1.0, 2.0, 3.0])}], rows=[0, 1])
     with pytest.raises(InvalidArgumentError, match="non-finite"):
-        cache.substitute(predictor, data, ["a"], [(np.array([1.0, np.inf, 3.0, 4.0]),)])
+        cache.substitute(predictor, data, [{"a": np.array([1.0, np.inf, 3.0, 4.0])}])
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=repr)
@@ -241,7 +242,7 @@ def test_a_non_finite_substituted_value_names_the_feature_and_the_value(value):
     predictor = linear_predictor([1.0, -2.0])
 
     def patch(value):
-        return lambda: PredictionCache().substitute(predictor, data, ["a"], [(value,)])
+        return lambda: PredictionCache().substitute(predictor, data, [{"a": value}])
 
     ways = {
         "intervene_replace": lambda: intervene_replace(data, {"a": value}),
@@ -274,7 +275,7 @@ def test_a_continuous_value_follows_one_rule_however_it_arrives(value):
     predictor = linear_predictor([1.0, -2.0])
 
     def patch(value):
-        return lambda: PredictionCache().substitute(predictor, data, ["a"], [(value,)])
+        return lambda: PredictionCache().substitute(predictor, data, [{"a": value}])
 
     ways = {
         "check_value": lambda: data.check_value(0, value),
@@ -294,30 +295,54 @@ def test_any_real_number_is_a_continuous_value(value):
     predictor = linear_predictor([1.0, -2.0])
     assert data.check_value(0, value) == 2.0 and type(data.check_value(0, value)) is float
     scalar, array = PredictionCache().substitute(
-        predictor, data, ["a"], [(value,), (np.array([value, value]),)]
+        predictor, data, [{"a": value}, {"a": np.array([value, value])}]
     )
     assert scalar.tolist() == array.tolist() == [2.0 - 1.0, 2.0 - 2.0]
 
 
-def test_a_patch_needs_one_value_per_feature():
+@pytest.mark.parametrize(
+    "patch", [{0: 1.0, "a": 2.0}, {"b": 1.0, 1: 2.0, "a": 3.0}], ids=["index and name", "name and index"]
+)
+def test_a_patch_names_each_feature_once(patch):
+    data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
+    seen = []
+    predictor = handle(lambda X: seen.append(len(X)) or np.zeros(len(X)), 2)
+    with pytest.raises(InvalidArgumentError, match="names a feature twice"):
+        PredictionCache().substitute(predictor, data, [{"a": 0.0}, patch])
+    assert seen == []
+
+
+@pytest.mark.parametrize("feature", ["z", 2, -1], ids=repr)
+def test_a_patch_names_only_known_features(feature):
     data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
     predictor = linear_predictor([1.0, -2.0])
-    for features, patch in ((["a"], ()), (["a"], (1.0, 2.0)), ([], (1.0,)), (["a", "b"], (1.0,))):
-        message = f"a patch of {len(patch)} values for {len(features)} features"
-        with pytest.raises(InvalidArgumentError, match=message):
-            PredictionCache().substitute(predictor, data, features, [patch])
+    with pytest.raises(InvalidArgumentError, match="unknown feature|out of range"):
+        PredictionCache().substitute(predictor, data, [{}, {"a": 1.0, feature: 1.0}])
 
 
-def test_unchanged_data_is_predicted_once_per_cache_predictor_and_data():
+def test_repeated_unchanged_data_is_predicted_once_per_call():
     seen = []
     predictor = handle(lambda X: seen.append(len(X)) or np.asarray(X) @ np.array([1.0, 1.0]), 2)
     data = columns_dataset(a=[1.0, 2.0, 3.0], b=[0.0, 1.0, 0.0])
     cache = PredictionCache()
-    first = predict_batch(predictor, data, cache=cache)
-    assert predict_batch(predictor, data, cache=cache).tolist() == first.tolist() == [1.0, 3.0, 3.0]
-    assert seen == [3] and (cache.batches, cache.rows) == (2, 6)
-    predict_batch(predictor, sample_observations(data, 2, seed=0), cache=cache)
-    assert seen == [3, 2]
+    first, patched, again = cache.substitute(predictor, data, [{}, {"b": 1.0}, {}])
+    assert first.tolist() == again.tolist() == [1.0, 3.0, 3.0] and patched.tolist() == [2.0, 3.0, 4.0]
+    assert seen == [3, 3] and (cache.batches, cache.rows) == (3, 9)
+    predict_batch(predictor, data, cache=cache)  # a new call predicts the data anew
+    assert seen == [3, 3, 3]
+
+
+def test_the_predictor_boundary_needs_one_schema_entry_per_feature():
+    """A schema of another length must not be zipped short against the columns."""
+    data = columns_dataset(a=[0.0, 1.0, 2.0, 3.0], c=["u", "v", "u", "v"], target=[1.0, 2.0, 4.0, 3.0])
+    seen = []
+    plain = handle(lambda X: seen.append(X) or np.zeros(len(X)), 2)
+    for predictor in (fit_linear(data), plain):
+        for meta in (data.meta[:1], (*data.meta, data.meta[0])):
+            with pytest.raises(ShapeError, match=f"expects 2 features, got {len(meta)} schema entries"):
+                predictor(data.codes(), meta)
+    assert seen == []
+    assert plain(data.codes(), data.meta).tolist() == [0.0] * 4 and seen[0][:, 1].tolist() == ["u", "v", "u", "v"]
 
 
 def test_threaded_prediction_matches_sequential():

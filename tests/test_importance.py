@@ -30,6 +30,7 @@ from conftest import (
     columns_dataset,
     constant_predictor,
     handle,
+    kernel_calls,
     linear_predictor,
     random_dataset,
     random_refmodel,
@@ -343,10 +344,15 @@ def test_sfimp_efficiency():
 
 
 def test_sfimp_validation(two_row_identity, monkeypatch):
-    data, predictor = two_row_identity
+    data, _ = two_row_identity
+    predicted = []
+    predictor = handle(lambda X: predicted.append(len(X)) or np.asarray(X)[:, 0], 1)
     monkeypatch.setattr(shapley, "EXACT_FEATURE_CAP", 0)
-    with pytest.raises(CapacityError):
-        sfimp(predictor, data, 0, squared_loss())
+    calls = kernel_calls(monkeypatch)
+    for mode, seed in (("exhaustive", None), ("permutation", 3)):
+        with pytest.raises(CapacityError):
+            sfimp(predictor, data, 0, squared_loss(), mode=mode, seed=seed)
+    assert predicted == [] and calls == []
     with pytest.raises(InvalidArgumentError, match="seed"):
         sfimp(predictor, data, 0, squared_loss(), mode="permutation")
 

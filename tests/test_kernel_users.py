@@ -11,7 +11,11 @@ kernel's own unchanged-data rule replaced ``PredictionCache.baseline`` and
 whole blocks of predictions inside the kernel's reducers, so no loop or
 comprehension there calls ``loss(...)`` once per copy of the data.  The
 kernel returns one result per patch, in patch order, so deduplication stays
-inside it: no estimator refers to an ``inverse`` index.
+inside it: no estimator refers to an ``inverse`` index.  A patch names its
+own features, so exact Shapley hands the kernel all its coalitions in one
+call, and in-call dedup predicts the unchanged data once: no payout memo
+(``functools``) in the Shapley or importance modules, and no cross-call
+``_unchanged`` memo in the kernel.
 
 Rows reach the black box as one float64 code matrix, whatever the column
 kinds, so neither the estimators nor the kernel (with the rows
@@ -21,6 +25,12 @@ no ``<matrix>.dtype`` and no ``float if numeric else object``.
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from boxprobe import shapley_exact
+
+from conftest import columns_dataset, handle, kernel_calls
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boxprobe"
 ESTIMATORS = ("effects.py", "importance.py", "shapley.py")
@@ -108,3 +118,21 @@ def test_no_estimator_or_kernel_picks_a_matrix_dtype():
     assert {name: sorted(set(_dtype_choices(tree))) for name, tree in trees.items()} == {
         name: [] for name in trees
     }
+
+
+def test_no_payout_memo_and_no_cross_call_unchanged_memo():
+    assert {name for name in ("shapley.py", "importance.py") if "functools" in set(_names(SRC / name))} == set()
+    assert "_unchanged" not in set(_names(SRC / "core.py"))
+
+
+def test_exact_shapley_is_one_kernel_call(monkeypatch):
+    p = 4
+    data = columns_dataset(**{f"x{j}": [float(j), 1.0, -2.0] for j in range(p)})
+    predicted = []
+    predictor = handle(lambda X: predicted.append(len(X)) or np.asarray(X).sum(axis=1), p)
+    calls = kernel_calls(monkeypatch)
+    result = shapley_exact(predictor, data, (0.5,) * p, 1)
+    record = next(r for r in result.trace.records if r.stage == "prediction")
+    assert calls == ["substitute"]
+    assert record.parameters["batches"] == 2 * (2**p - 1)
+    assert predicted == [data.n_rows] * 2**p  # every coalition but the empty one, then the data once

@@ -7,7 +7,8 @@ permutation importance equal their per-value ``intervene_replace``
 references bit for bit.  The kernel itself, on random patch lists with
 repeats, scalars and arrays, level strings and optional rows, returns each
 patch's predictions, or each patch's share of a reduced block of copies, as
-a per-patch loop would, at any row budget and thread count.  Building a
+a per-patch loop would, at any row budget and thread count, whichever
+features each patch sets, by index or by name.  Building a
 dataset from rows or from columns gives the same bits.
 """
 
@@ -166,7 +167,6 @@ def kernel_cases(draw):
         "x2": draw(st.lists(LEVELS, min_size=n, max_size=n)),
         "x3": draw(st.lists(VALUES, min_size=n, max_size=n)),
     })
-    features = draw(st.lists(st.integers(0, 2), unique=True, max_size=3))
     rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
     m = n if rows is None else len(rows)
 
@@ -177,31 +177,42 @@ def kernel_cases(draw):
         )
         return pool | array
 
-    candidates = draw(st.lists(st.tuples(*map(value, features)), min_size=1, max_size=4))
+    def patch(features):  # each feature by index or by name
+        entries = [st.tuples(st.sampled_from([j, f"x{j + 1}"]), value(j)) for j in features]
+        return st.tuples(*entries).map(dict)
+
+    features = st.lists(st.integers(0, 2), unique=True, max_size=3)  # [] is the unchanged data
+    candidates = draw(st.lists(features.flatmap(patch), min_size=1, max_size=4))
     patches = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8))
-    return data, features, patches, rows, m
+    return data, patches, rows, m
+
+
+def column(feature):
+    return feature if isinstance(feature, int) else int(feature[1:]) - 1
 
 
 def patch_key(patch):
-    """Equal for patches the kernel may predict once: equal values, floats by bits."""
+    """Equal for patches the kernel may predict once: the same columns in the
+    same order and equal values, floats by bits."""
     def key(v):
         return v.hex() if isinstance(v, float) else v
 
     return tuple(
-        tuple(map(key, v.tolist())) if isinstance(v, np.ndarray) else ("scalar", key(v)) for v in patch
+        (column(f), tuple(map(key, v.tolist())) if isinstance(v, np.ndarray) else ("scalar", key(v)))
+        for f, v in patch.items()
     )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(kernel_cases(), st.sampled_from([1, 7, None]), st.sampled_from([1, 2, 3]))
 def test_kernel_equals_a_per_patch_loop(case, budget, threads):
-    data, features, patches, rows, m = case
+    data, patches, rows, m = case
     base = data.matrix() if rows is None else data.matrix()[rows]
     expected = []
     for patch in patches:
         X = base.copy()
-        for j, v in zip(features, patch):
-            X[:, j] = v
+        for f, v in patch.items():
+            X[:, column(f)] = v
         expected.append(mixed_rowwise(X))
     expected = np.array(expected)
     seen = []
@@ -215,9 +226,9 @@ def test_kernel_equals_a_per_patch_loop(case, budget, threads):
     }
     with mock.patch.object(core, "ROW_BUDGET", budget or core.ROW_BUDGET):
         cache = PredictionCache(threads)
-        got = cache.substitute(predictor, data, features, patches, rows=rows)
+        got = cache.substitute(predictor, data, patches, rows=rows)
         reduced = {
-            name: cache.substitute(predictor, data, features, patches, rows=rows, reduce=reduce)
+            name: cache.substitute(predictor, data, patches, rows=rows, reduce=reduce)
             for name, reduce in reducers.items()
         }
     assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
@@ -226,5 +237,4 @@ def test_kernel_equals_a_per_patch_loop(case, budget, threads):
     calls = 1 + len(reducers)
     assert (cache.batches, cache.rows) == (calls * len(patches), calls * len(patches) * m)
     distinct = len(set(map(patch_key, patches)))
-    held = not features and rows is None  # the unchanged data, predicted once per cache
-    assert sum(seen) == (1 if held else calls) * distinct * m
+    assert sum(seen) == calls * distinct * m

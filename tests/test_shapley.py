@@ -10,7 +10,7 @@ from boxprobe import intervene_shift, pd_payout, sfimp, shapley_exact, shapley_m
 from boxprobe import shapley
 from boxprobe.errors import CapacityError, InvalidArgumentError
 
-from conftest import columns_dataset, constant_predictor, handle
+from conftest import columns_dataset, constant_predictor, handle, kernel_calls
 
 
 def payout_oracle(scalar_fn, matrix, x, coalition):
@@ -140,8 +140,10 @@ def test_exact_equals_all_orderings_brute_force(p):
 
 def test_exact_capacity_error_points_to_monte_carlo(two_feature_data, sum_predictor, monkeypatch):
     monkeypatch.setattr(shapley, "EXACT_FEATURE_CAP", 1)
+    calls = kernel_calls(monkeypatch)
     with pytest.raises(CapacityError, match="Monte Carlo"):
         shapley_exact(sum_predictor, two_feature_data, (1.0, 2.0), 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -157,9 +159,10 @@ def test_exact_enumeration_over_the_cap_predicts_nothing(two_feature_data, monke
     monkeypatch.setattr(shapley, "EXACT_FEATURE_CAP", 1)
     calls = []
     predictor = handle(lambda X: calls.append(len(X)) or np.zeros(len(X)), 2)
+    kernel = kernel_calls(monkeypatch)
     with pytest.raises(CapacityError):
         explain(predictor, two_feature_data)
-    assert calls == []
+    assert calls == [] and kernel == []
 
 
 # -- Monte Carlo -------------------------------------------------------------------

@@ -228,12 +228,13 @@ def test_reducer_output_is_copied_before_the_buffer_is_reused(monkeypatch, budge
     data = mixed_data()
     predictor = handle(rowwise, 4)
     monkeypatch.setattr(core, "ROW_BUDGET", BUDGETS[budget](data.n_rows))
-    patches = [(v,) for v in observed_grid(data, "b").points]
-    grid = reference_grid(predictor, data, [1], patches)
+    points = [(v,) for v in observed_grid(data, "b").points]
+    grid = reference_grid(predictor, data, [1], points)
+    patches = [{1: v} for (v,) in points]
     for i in (0, 4, 9):
-        column = PredictionCache().substitute(predictor, data, [1], patches, reduce=lambda b: b[:, i])
+        column = PredictionCache().substitute(predictor, data, patches, reduce=lambda b: b[:, i])
         assert same_bits(column, grid[:, i])
-    strided = PredictionCache().substitute(predictor, data, [1], patches, reduce=lambda b: b[:, ::3])
+    strided = PredictionCache().substitute(predictor, data, patches, reduce=lambda b: b[:, ::3])
     assert same_bits(strided, grid[:, ::3])
 
 
@@ -245,7 +246,7 @@ def test_the_reducer_gets_blocks_of_a_row_budget_of_copies(monkeypatch, budget, 
     monkeypatch.setattr(core, "ROW_BUDGET", {"m": m, "default": core.ROW_BUDGET}.get(budget, budget))
     k = max(1, core.ROW_BUDGET // m)
     points = [float(v) for v in observed_grid(data, "b").points]
-    patches = [(v,) for v in points + points[::2]]  # every other point repeats
+    patches = [{1: v} for v in points + points[::2]]  # every other point repeats
     distinct = len({v.hex() for v in points})
     y = data.target if rows is None else data.target[rows]
     blocks = []
@@ -255,15 +256,15 @@ def test_the_reducer_gets_blocks_of_a_row_budget_of_copies(monkeypatch, budget, 
         return (LOSS(b, y) - 1.0).mean(axis=1)
 
     predictor = handle(rowwise, 4)
-    got = PredictionCache().substitute(predictor, data, [1], patches, rows=rows, reduce=loss_change)
+    got = PredictionCache().substitute(predictor, data, patches, rows=rows, reduce=loss_change)
     full, last = divmod(distinct, k)
     assert blocks == [0] + [k] * full + ([last] if last else [])  # the first is the shape probe
     assert len(blocks) == -(-distinct // k) + 1
     base = data.matrix() if rows is None else data.matrix()[rows]
     per_copy = []
-    for (v,) in patches:
+    for patch in patches:
         X = base.copy()
-        X[:, 1] = v
+        X[:, 1] = patch[1]
         per_copy.append((LOSS(rowwise(X), y) - 1.0).mean())
     assert same_bits(got, per_copy)
 
@@ -301,20 +302,18 @@ def counting(fn):
     return handle(counted, 4), calls
 
 
-@pytest.mark.parametrize("order", [("whole", "mean"), ("mean", "whole")], ids=["whole first", "mean first"])
-def test_the_held_unchanged_data_passes_through_a_reducer(order):
+@pytest.mark.parametrize("reduce", ["whole", "mean"])
+def test_repeated_unchanged_data_passes_through_a_reducer_once(reduce):
     data = mixed_data()
     predictor, calls = counting(rowwise)
     expected = rowwise(data.matrix())
-    cache = PredictionCache()
-    ask = {
-        "whole": lambda: cache.substitute(predictor, data, [], [(), ()]),
-        "mean": lambda: cache.substitute(predictor, data, [], [(), ()], reduce=lambda b: b.mean(axis=1)),
-    }
-    got = {name: ask[name]() for name in order}
-    assert calls == [data.n_rows]
-    assert same_bits(got["whole"], [expected, expected])
-    assert same_bits(got["mean"], [expected.mean(), expected.mean()])
+    patched = data.matrix().copy()
+    patched[:, 0] = 2.0
+    patched = rowwise(patched)
+    reducers = {"whole": lambda b: b, "mean": lambda b: b.mean(axis=1)}
+    got = PredictionCache().substitute(predictor, data, [{}, {0: 2.0}, {}, {}], reduce=reducers[reduce])
+    assert calls == [data.n_rows, data.n_rows]
+    assert same_bits(got, reducers[reduce](np.array([expected, patched, expected, expected])))
 
 
 def test_reducing_estimators_hold_a_row_budget_not_the_matrix():
