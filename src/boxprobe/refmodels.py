@@ -87,8 +87,11 @@ class ReferenceModel(PredictorHandle):
 # ---------------------------------------------------------------------------
 
 
-def _design_columns(schema: Sequence[FeatureMeta]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each design column's feature, then the one-hot columns and the code each indicates."""
+def _design_columns(schema: Sequence[FeatureMeta]) -> tuple[np.ndarray, ...] | None:
+    """Each design column's feature, then the one-hot columns and the code each
+    indicates; None when no feature is categorical, as the codes are then the design."""
+    if all(m.kind == CONTINUOUS for m in schema):
+        return None
     pairs = [(j, code) for j, m in enumerate(schema)
              for code in ([-1] if m.kind == CONTINUOUS else range(1, len(m.levels)))]
     features = np.array([j for j, _ in pairs], dtype=np.intp)
@@ -96,16 +99,17 @@ def _design_columns(schema: Sequence[FeatureMeta]) -> tuple[np.ndarray, np.ndarr
     return features, np.flatnonzero(codes >= 0), codes[codes >= 0]
 
 
-def _design_matrix(X: np.ndarray, columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """The design of code matrix ``X``: continuous columns as they are,
-    categoricals one-hot with the first level dropped, by one ``take`` and
-    one code comparison.  It must be C-contiguous: ``X[:, features]`` is
-    F-ordered, and numpy then sends ``design @ coefficients`` to another
-    BLAS kernel, whose last bits differ."""
+def _design_matrix(X: np.ndarray, columns: tuple[np.ndarray, ...] | None) -> np.ndarray:
+    """The design of code matrix ``X``: ``X`` itself when ``columns`` is None,
+    else continuous columns as they are and categoricals one-hot with the
+    first level dropped, by one ``take`` and one code comparison.  It must be
+    C-contiguous: ``X[:, features]`` is F-ordered, and numpy then sends
+    ``design @ coefficients`` to another BLAS kernel, whose last bits differ."""
+    if columns is None:
+        return np.ascontiguousarray(X, dtype=float)  # no copy of a C-ordered float X
     features, onehot, codes = columns
     design = X.take(features, axis=1)
-    if onehot.size:
-        design[:, onehot] = design[:, onehot] == codes
+    design[:, onehot] = design[:, onehot] == codes
     return design
 
 
@@ -119,7 +123,7 @@ class LinearModel(ReferenceModel):
         self.intercept = float(_finite(intercept, "intercept"))
         self.coefficients = _finite(coefficients, "coefficients")
         self._columns = _design_columns(self.schema)
-        width = len(self._columns[0])
+        width = len(self.schema) if self._columns is None else len(self._columns[0])
         if self.coefficients.shape != (width,):
             raise InvalidArgumentError(
                 f"the design has {width} columns, got {self.coefficients.size} coefficients"

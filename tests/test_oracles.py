@@ -1,4 +1,4 @@
-"""Closed-form oracles for exact Shapley values on random reference models.
+"""Closed-form oracles for estimators on random reference models.
 
 A linear model is additive: its prediction is the intercept plus one term
 per feature, ``coef * x`` for a continuous feature and the coefficient of
@@ -7,24 +7,46 @@ Partial dependence at a coalition then shifts each member's term from its
 data mean to its value at the explained point, so the exact Shapley value
 of feature j is ``term_j(x_j) - mean(term_j(column_j))``.  On any model the
 values over all features sum to the full-coalition payout (efficiency).
+
+The same additivity gives partial dependence on feature j at value v as
+``intercept + term_j(v) + sum over k != j of mean(term_k)``, PD importance
+as that curve's spread, and the PI curve and exhaustive PFI as averages of
+the squared loss over all n^2 (observation, substituted value) pairs: with
+residual ``r = f - y``, substituting v into observation i moves its residual
+to ``r_i - term_j(x_ij) + term_j(v)``.  These are the closed forms of
+``bench/checks.py::LinearOracle``, restated on random models of both an
+all-continuous and a mixed schema.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxprobe import CONTINUOUS, Dataset, LinearModel, fit_stump, shapley_exact
+from boxprobe import (
+    CONTINUOUS,
+    Dataset,
+    LinearModel,
+    fit_stump,
+    pd_curve,
+    pd_importance,
+    pfi_exhaustive,
+    pi_curve,
+    shapley_exact,
+    squared_loss,
+)
 from boxprobe.data import encode
 
 NUMBERS = st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: round(v, 2))
 LEVELS = st.sampled_from(["a", "b", "c"])
+KINDS = {"continuous": [NUMBERS], "mixed": [NUMBERS, LEVELS]}
 
 
 @st.composite
-def mixed_points(draw):
-    """A table of continuous and categorical columns, a target, and a point."""
+def mixed_points(draw, kinds=(NUMBERS, LEVELS)):
+    """A table of columns drawn from ``kinds``, a target, and a point."""
     n, p = draw(st.integers(2, 8)), draw(st.integers(1, 4))
-    pools = [draw(st.sampled_from([NUMBERS, LEVELS])) for _ in range(p)]
+    pools = [draw(st.sampled_from(list(kinds))) for _ in range(p)]
     columns = {f"x{k + 1}": draw(st.lists(pool, min_size=n, max_size=n)) for k, pool in enumerate(pools)}
     target = draw(st.lists(NUMBERS, min_size=n, max_size=n))
     data = Dataset.from_columns(columns, target=target)
@@ -77,3 +99,55 @@ def test_exact_shapley_values_of_a_stump_sum_to_the_full_coalition_payout(case):
     assert abs(sum(r.value for r in results) - full) <= 1e-12 * scale
     (at_x,) = model(encode([[v] for v in x], data.meta), data.meta)
     assert abs(full - (at_x - float(np.mean(model(data.codes(), data.meta))))) <= 1e-12 * scale
+
+
+def random_linear_model(data, draw):
+    width = sum(1 if m.kind == CONTINUOUS else len(m.levels) - 1 for m in data.meta)
+    coefficients = draw.draw(st.lists(NUMBERS, min_size=width, max_size=width))
+    return LinearModel(data.meta, draw.draw(NUMBERS), coefficients)
+
+
+def term_at(model, data, x, j, values):
+    """Feature j's term at each of ``values``, the other features held at ``x``."""
+    return np.array([linear_terms(model, data, (*x[:j], v, *x[j + 1 :]))[j][1] for v in values])
+
+
+@pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS.keys())
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_pd_and_pd_importance_on_a_linear_model_are_the_closed_form(kinds, draw):
+    data, x = draw.draw(mixed_points(kinds))
+    model = random_linear_model(data, draw)
+    terms = linear_terms(model, data, x)
+    scale = max(1.0, abs(model.intercept) + sum(float(np.max(np.abs(c))) for c, _ in terms))
+    for j, (column, _) in enumerate(terms):
+        curve = pd_curve(model, data, j)
+        rest = model.intercept + sum(float(np.mean(c)) for k, (c, _) in enumerate(terms) if k != j)
+        want = rest + term_at(model, data, x, j, curve.xs)
+        assert np.max(np.abs(np.array(curve.ys) - want)) <= 1e-12 * scale
+        if data.meta[j].kind == CONTINUOUS:  # sample sd over the observations
+            spread = float(np.std(column, ddof=1))
+        else:  # level range / 4
+            spread = float(np.max(want) - np.min(want)) / 4.0
+        assert abs(pd_importance(model, data, j).value - spread) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS.keys())
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_pi_and_exhaustive_pfi_on_a_linear_model_are_the_n_squared_average(kinds, draw):
+    data, x = draw.draw(mixed_points(kinds))
+    model = random_linear_model(data, draw)
+    terms = linear_terms(model, data, x)
+    y = np.asarray(data.target, dtype=float)
+    r = model.intercept + sum(c for c, _ in terms) - y
+    scale = max(1.0, abs(model.intercept) + float(np.max(np.abs(y)))
+                + sum(float(np.max(np.abs(c))) for c, _ in terms))
+    for j, (column, _) in enumerate(terms):
+        curve = pi_curve(model, data, j, squared_loss())
+        moved = (r - column)[None, :] + term_at(model, data, x, j, curve.xs)[:, None]
+        want = np.mean(moved**2, axis=1) - np.mean(r**2)  # one row per substituted value
+        assert np.max(np.abs(np.array(curve.ys) - want)) <= 1e-12 * scale**2
+        pairs = (r - column)[None, :] + column[:, None]  # every donor into every observation
+        want = float(np.mean(pairs**2) - np.mean(r**2))
+        assert abs(pfi_exhaustive(model, data, j, squared_loss()).value - want) <= 1e-12 * scale**2

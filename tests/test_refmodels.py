@@ -34,7 +34,7 @@ from boxprobe.errors import (
     SingularFitError,
 )
 
-from conftest import columns_dataset
+from conftest import columns_dataset, random_dataset
 
 
 # -- linear ---------------------------------------------------------------------
@@ -84,6 +84,41 @@ def test_linear_one_hot_categorical():
 def test_linear_requires_target():
     with pytest.raises(MissingTargetError):
         fit_linear(columns_dataset(x1=[1.0, 2.0]))
+
+
+def take_design_product(model, X):
+    """The linear product as it was built before an all-continuous code matrix
+    became the design itself: a ``take`` of every column into a fresh C-ordered
+    copy.  Kept as the bit-for-bit reference."""
+    return X.take(np.arange(X.shape[1]), axis=1) @ model.coefficients + model.intercept
+
+
+def code_matrix_layouts(X):
+    """The layouts a predictor call sees: the whole matrix, row slices at pointer
+    offsets of 1-3 rows, a row gather, F order and single rows."""
+    yield "C-contiguous", X
+    for offset in (1, 2, 3):
+        yield f"rows {offset}:", X[offset:]
+        yield f"rows {offset}:{offset + 517}", X[offset : offset + 517]
+    yield "row gather", X[np.random.default_rng(5).integers(0, len(X), size=len(X) + 7)]
+    yield "F order", np.asfortranarray(X)
+    yield "first row", X[:1]
+    yield "row 3", X[3:4]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 13])
+@pytest.mark.parametrize("n", [150, 1003])
+def test_linear_on_continuous_codes_keeps_the_bits_of_the_take_design(n, p):
+    data = random_dataset(np.random.default_rng(100 * n + p), n, p)
+    X = data.codes()
+    y = np.asarray(data.target, dtype=float)
+    coef = np.linalg.lstsq(np.column_stack((np.ones(n), X.take(np.arange(p), axis=1))), y, rcond=None)[0]
+    model = fit_linear(data)
+    assert model.intercept.hex() == float(coef[0]).hex()
+    assert_same_bits(model.coefficients, coef[1:])
+    for name, layout in code_matrix_layouts(X):
+        got, want = model(layout, data.meta), take_design_product(model, layout)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
 # -- knn ------------------------------------------------------------------------

@@ -316,6 +316,23 @@ def test_repeated_unchanged_data_passes_through_a_reducer_once(reduce):
     assert same_bits(got, reducers[reduce](np.array([expected, patched, expected, expected])))
 
 
+def test_patches_naming_the_same_values_in_another_order_are_predicted_once():
+    data = mixed_data()
+    predictor, calls = counting(rowwise)
+    patched = data.matrix().copy()
+    patched[:, 0], patched[:, 1], patched[:, 2] = 1.0, 2.0, "w"
+    got = PredictionCache().substitute(
+        predictor,
+        data,
+        [{0: 1.0, 1: 2.0}, {1: 2.0, 0: 1.0}, {"a": 1.0, "b": 2.0},
+         {"c": "w", "b": 2.0, 0: 1.0}, {0: 1.0, 1: 2.0, 2: "w"}],
+    )
+    assert calls == [data.n_rows, data.n_rows]
+    two = patched.copy()
+    two[:, 2] = data.matrix()[:, 2]
+    assert same_bits(got, [rowwise(two)] * 3 + [rowwise(patched)] * 2)
+
+
 def test_reducing_estimators_hold_a_row_budget_not_the_matrix():
     n = 3000
     rng = np.random.default_rng(3)
