@@ -164,10 +164,10 @@ class PredictionCache:
         patch order.  Values are checked against the schema, each column's
         scalars in one :meth:`~boxprobe.data.Dataset.check_column` call per
         set of features, and written as codes into the data's code matrix.
-        Deduplication is internal: patches are distinct by their features and
-        the bit pattern of their codes, so 0.0 and -0.0 stay apart, and the
-        predictor sees each distinct copy once, in calls of at most
-        :data:`ROW_BUDGET` rows; repeated patches share the result.  Counts G
+        Deduplication is internal: patches are distinct by their features, in
+        any order, and the bit pattern of their codes, so 0.0 and -0.0 stay
+        apart, and the predictor sees each distinct copy once, in calls of at
+        most :data:`ROW_BUDGET` rows; repeated patches share the result.  Counts G
         logical batches of m rows.  While m <= ``ROW_BUDGET`` the predictor
         calls are those a loop over the patches would make, minus the repeats,
         so no bit moves even for a model whose bits depend on the batch; a

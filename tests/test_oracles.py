@@ -71,13 +71,17 @@ def linear_terms(model, data, x):
     return terms
 
 
+def random_linear_model(data, draw):
+    width = sum(1 if m.kind == CONTINUOUS else len(m.levels) - 1 for m in data.meta)
+    coefficients = draw.draw(st.lists(NUMBERS, min_size=width, max_size=width))
+    return LinearModel(data.meta, draw.draw(NUMBERS), coefficients)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(mixed_points(), st.data())
 def test_exact_shapley_on_a_linear_model_is_the_term_minus_its_mean(case, draw):
     data, x = case
-    width = sum(1 if m.kind == CONTINUOUS else len(m.levels) - 1 for m in data.meta)
-    coefficients = draw.draw(st.lists(NUMBERS, min_size=width, max_size=width))
-    model = LinearModel(data.meta, draw.draw(NUMBERS), coefficients)
+    model = random_linear_model(data, draw)
     terms = linear_terms(model, data, x)
     scale = max(1.0, sum(float(np.max(np.abs(column))) + abs(at_x) for column, at_x in terms))
     full = 0.0
@@ -99,12 +103,6 @@ def test_exact_shapley_values_of_a_stump_sum_to_the_full_coalition_payout(case):
     assert abs(sum(r.value for r in results) - full) <= 1e-12 * scale
     (at_x,) = model(encode([[v] for v in x], data.meta), data.meta)
     assert abs(full - (at_x - float(np.mean(model(data.codes(), data.meta))))) <= 1e-12 * scale
-
-
-def random_linear_model(data, draw):
-    width = sum(1 if m.kind == CONTINUOUS else len(m.levels) - 1 for m in data.meta)
-    coefficients = draw.draw(st.lists(NUMBERS, min_size=width, max_size=width))
-    return LinearModel(data.meta, draw.draw(NUMBERS), coefficients)
 
 
 def term_at(model, data, x, j, values):
