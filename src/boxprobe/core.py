@@ -249,9 +249,9 @@ def _patch_codes(
         if len(set(js)) != len(js):
             raise InvalidArgumentError(f"a patch names a feature twice: {list(features)}")
         group = [list(patches[i].values()) for i in members]
-        if js != tuple(sorted(js)):  # by column, so the naming order is no part of the dedup key
-            order = sorted(range(len(js)), key=js.__getitem__)
-            js, group = tuple(js[o] for o in order), [[v[o] for o in order] for v in group]
+        # by column, so the order a patch names its features in is no part of the dedup key
+        order = sorted(range(len(js)), key=js.__getitem__)
+        js, group = tuple(js[o] for o in order), [[v[o] for o in order] for v in group]
         for k, j in enumerate(js):
             scalars = [values for values in group if not isinstance(values[k], np.ndarray)]
             codes = data.check_column(j, [values[k] for values in scalars])

@@ -1,15 +1,17 @@
 """Benchmark two versions of boxprobe in alternating pairs and record the result.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_17.json \\
-        [--workload grid_sweep ...] [--pairs 10] [--seed 1] [--seconds 20] [--traced]
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \\
+        [--workload grid_sweep ...] [--seed 1] [--traced]
 
 PARENT and CHANGE are git revisions of this repository (exported with
 ``git archive``, so only committed files are measured) or checkout
-directories.  Each pair runs the version's own, unchanged
+directories.  The workloads, the run length and the end-to-end metrics
+are the ones ``BENCHMARK.json`` declares.  Each of the ten pairs per
+workload runs the version's own, unchanged
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once on
-each side, one process at a time; even pairs run the parent first, odd pairs
-the change.  With ``--traced`` one ``--trace 1`` run per side follows the
-pairs, for the per-layer metrics.
+each side, T being ``run_seconds``, one process at a time; even pairs run the
+parent first, odd pairs the change.  With ``--traced`` one ``--trace 1`` run
+per side follows the pairs, for the per-layer metrics.
 
 The output file holds, per workload, every run, each side's median and
 quartiles of every end-to-end metric, how many pairs the change won on each
@@ -30,7 +32,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("grid_sweep", "blackbox_bound", "mixed_coalitions", "cli_startup")
+PAIRS = 10  # the fewest pairs a gain can be claimed on
 
 
 def git(*args: str, cwd: str = ROOT) -> str:
@@ -105,14 +107,17 @@ def environment() -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", action="append", choices=workloads)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--traced", action="store_true")
     args = parser.parse_args(argv)
 
@@ -120,28 +125,26 @@ def main(argv: list[str] | None = None) -> int:
         dirs, commits = {}, {}
         for side in ("parent", "change"):
             dirs[side], commits[side] = checkout(getattr(args, side), workdir, side)
-        with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
-            directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
         report = {
             "parent": {"ref": args.parent, "commit": commits["parent"]},
             "change": {"ref": args.change, "commit": commits["change"]},
-            "settings": {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
+            "settings": {"pairs": PAIRS, "seed": args.seed, "seconds": seconds,
                          "order": "even pairs run the parent first, odd pairs the change"},
             "environment": environment(),
             "workloads": {},
         }
-        for workload in args.workload or WORKLOADS:
+        for workload in args.workload or workloads:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {side: run_bench(dirs[side], workload, args.seed, args.seconds, 0) for side in order}
+                pair = {side: run_bench(dirs[side], workload, args.seed, seconds, 0) for side in order}
                 pairs.append({"first": order[0], **pair})
-                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+                print(f"{workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                     f"{side} wall_s {pair[side]['metrics']['wall_s']['value']:.3f}" if ok(pair[side])
                     else f"{side} FAILED" for side in ("parent", "change")), file=sys.stderr)
             entry = {"summary": summarize(pairs, directions), "pairs": pairs}
             if args.traced:
-                entry["traced"] = {side: run_bench(dirs[side], workload, args.seed, args.seconds, 1)
+                entry["traced"] = {side: run_bench(dirs[side], workload, args.seed, seconds, 1)
                                    for side in ("parent", "change")}
             report["workloads"][workload] = entry
             with open(args.out, "w") as fh:  # rewritten after each workload, so a cut run keeps its pairs
