@@ -136,7 +136,7 @@ def _resolve_feature_set(
     grid: Grid | Sequence[Grid] | None,
 ) -> tuple[list[int], list[Grid]]:
     """Normalize a feature-or-set spec plus the matching grids."""
-    if isinstance(features, (int, str)):
+    if isinstance(features, (int, np.integer, str)):
         feature_list = [data.feature_index(features)]
     else:
         feature_list = [data.feature_index(f) for f in features]
@@ -371,6 +371,10 @@ class AverageMarginalEffect:
     h: float
     value: float
     trace: StageTrace
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.value):
+            raise InvalidArgumentError(f"marginal effects must be finite, got {self.value}")
 
 
 def average_marginal_effect(

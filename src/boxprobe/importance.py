@@ -23,7 +23,7 @@ from .core import (
     spawn_seeds,
 )
 from .data import CONTINUOUS, Dataset
-from .effects import EffectCurve, _substitute_grid, observed_grid, pd_curve
+from .effects import EffectCurve, pd_curve
 from .errors import InvalidArgumentError, UndefinedVarianceError
 from .shapley import _coalitions, exact_shapley_value
 from .trace import AGGREGATION, StageRecord, StageTrace
@@ -46,6 +46,8 @@ class ImportanceScore:
     mode: str | None = None
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.value):
+            raise InvalidArgumentError(f"importance values must be finite, got {self.value}")
         if self.method in ("pd_sd", "firm") and self.value < 0:
             raise InvalidArgumentError("variance-based importance cannot be negative")
 
@@ -61,12 +63,6 @@ def _sample_sd(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1))
 
 
-def _expand_to_observations(xs: tuple, ys: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """Map per-grid-point values back onto the n observations (duplicates kept)."""
-    idx = np.searchsorted(np.asarray(xs, dtype=float), column)
-    return ys[idx]
-
-
 # ---------------------------------------------------------------------------
 # Variance-based importance
 # ---------------------------------------------------------------------------
@@ -77,30 +73,33 @@ def _pd_spread(
 ) -> tuple[float, tuple[str, dict]]:
     """Importance from a PD-style curve (per-observation sd, or level range / 4) and its step."""
     if data.meta[j].kind == CONTINUOUS:
-        per_obs = _expand_to_observations(curve_xs, curve_ys, data.column(j))
+        # the curve's value at each of the n observations, duplicates kept
+        per_obs = curve_ys[np.searchsorted(np.asarray(curve_xs, dtype=float), data.column(j))]
         return _sample_sd(per_obs), (description, {"spread": "sample sd"})
     return float((np.max(curve_ys) - np.min(curve_ys)) / 4.0), (description, {"spread": "range / 4"})
+
+
+def _score_trace(curve: EffectCurve, aggregation: tuple[str, dict]) -> StageTrace:
+    """The curve's trace with its own aggregation, the last record, replaced by the score's."""
+    return StageTrace(curve.trace.records[:-1] + (StageRecord(AGGREGATION, *aggregation),))
 
 
 def pd_importance(
     predictor: PredictorHandle, data: Dataset, feature: int | str, threads: int = 1
 ) -> ImportanceScore:
-    """Spread of the feature's partial dependence.
+    """Spread of the feature's partial dependence, :func:`pd_curve` on the observed values.
 
     Continuous features score the sample standard deviation (n - 1
     denominator) of the PD evaluated at each of the n observed values;
     categorical features score the PD range over all levels divided by 4,
-    the usual small-sample stand-in for the standard deviation.
+    the usual small-sample stand-in for the standard deviation.  Fails
+    wherever the PD curve fails.
     """
     j = data.feature_index(feature)
-    grid = observed_grid(data, j)
-    _, xs, means, cache, intervention = _substitute_grid(
-        predictor, data, j, grid, threads, reduce=lambda b: b.mean(axis=1)
-    )
+    curve = pd_curve(predictor, data, j, threads=threads)
     description = "partial dependence per grid value, then spread across observed values"
-    value, aggregation = _pd_spread(xs, means, data, j, description)
-    trace = cache.trace(predictor, data, intervention, aggregation)
-    return ImportanceScore("pd_sd", j, value, trace)
+    value, aggregation = _pd_spread(curve.xs, curve.values(), data, j, description)
+    return ImportanceScore("pd_sd", j, value, _score_trace(curve, aggregation))
 
 
 def ces_curve(
@@ -120,7 +119,8 @@ def firm(
     """Importance as the spread of the conditional expected score.
 
     Coincides bit-exactly with :func:`pd_importance`: both apply the same
-    spread to the partial dependence over the observed-values grid.
+    spread to the same :func:`pd_curve`; the trace keeps the CES curve's
+    own aggregation and adds the spread after it.
     """
     j = data.feature_index(feature)
     curve = ces_curve(predictor, data, j, threads=threads)
@@ -177,30 +177,6 @@ def ici_curve(
     return EffectCurve("ici", j, tuple(values), ys, trace, observation=i)
 
 
-def _pi_values(
-    predictor: PredictorHandle,
-    data: Dataset,
-    j: int,
-    loss: LossFunction,
-    threads: int,
-) -> tuple[np.ndarray, np.ndarray, PredictionCache, tuple[str, dict]]:
-    """Per-substituted-value mean loss change over all observations, plus the
-    cache that predicted them and the intervention step."""
-    target = loss.targets(data, "the mean loss change")
-    values = _sorted_observed(data, j)
-    cache = PredictionCache(threads)
-    (unchanged,) = cache.substitute(predictor, data, [{}])
-    base_losses = loss(unchanged, target)
-    means = cache.substitute(
-        predictor, data, [{j: v} for v in values], reduce=lambda b: (loss(b, target) - base_losses).mean(axis=1)
-    )
-    intervention = (
-        "substitute each observed feature value into every observation",
-        {"feature": data.meta[j].name, "values": len(values)},
-    )
-    return values, means, cache, intervention
-
-
 def pi_curve(
     predictor: PredictorHandle,
     data: Dataset,
@@ -210,9 +186,23 @@ def pi_curve(
 ) -> EffectCurve:
     """Pointwise mean of all per-observation loss-change curves."""
     j = data.feature_index(feature)
-    values, means, cache, intervention = _pi_values(predictor, data, j, loss, threads)
-    aggregation = ("mean loss change over observations at each substituted value", {"loss": loss.tag})
-    trace = cache.trace(predictor, data, intervention, aggregation)
+    target = loss.targets(data, "the mean loss change")
+    values = _sorted_observed(data, j)
+    cache = PredictionCache(threads)
+    (unchanged,) = cache.substitute(predictor, data, [{}])
+    base_losses = loss(unchanged, target)
+    means = cache.substitute(
+        predictor, data, [{j: v} for v in values], reduce=lambda b: (loss(b, target) - base_losses).mean(axis=1)
+    )
+    trace = cache.trace(
+        predictor,
+        data,
+        (
+            "substitute each observed feature value into every observation",
+            {"feature": data.meta[j].name, "values": len(values)},
+        ),
+        ("mean loss change over observations at each substituted value", {"loss": loss.tag}),
+    )
     return EffectCurve("pi", j, tuple(values), means, trace)
 
 
@@ -225,17 +215,17 @@ def pfi_exhaustive(
 ) -> ImportanceScore:
     """Permutation importance by exhaustive substitution (no randomness).
 
-    Double average of the loss change over every (observation, substituted
-    value) pair; identical to the mean of the averaged loss-change curve.
+    The mean of :func:`pi_curve`: the double average of the loss change
+    over every (observation, substituted value) pair.  Fails wherever the
+    PI curve fails.
     """
-    j = data.feature_index(feature)
-    values, means, cache, intervention = _pi_values(predictor, data, j, loss, threads)
+    curve = pi_curve(predictor, data, feature, loss, threads=threads)
     aggregation = (
         "double average of loss changes over all value/observation pairs",
-        {"loss": loss.tag, "pairs": len(values) * data.n_rows},
+        {"loss": loss.tag, "pairs": len(curve.xs) * data.n_rows},
     )
-    trace = cache.trace(predictor, data, intervention, aggregation)
-    return ImportanceScore("pfi_exhaustive", j, float(np.mean(means)), trace, loss=loss.tag)
+    trace = _score_trace(curve, aggregation)
+    return ImportanceScore("pfi_exhaustive", curve.feature, float(np.mean(curve.values())), trace, loss=loss.tag)
 
 
 def pfi_permutation(

@@ -42,6 +42,10 @@ class ShapleyExplanation:
     seed: int | None = None
     standard_error: float | None = None
 
+    def __post_init__(self) -> None:
+        if not np.isfinite([self.value, self.full_coalition_payout]).all():
+            raise InvalidArgumentError("Shapley values and payouts must be finite")
+
 
 def coalition_weight(coalition_size: int, n_features: int) -> float:
     """Weight of one coalition in the exact value: |K|! (p - |K| - 1)! / p!."""

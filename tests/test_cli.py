@@ -448,6 +448,19 @@ def test_a_shift_past_the_float_range_names_the_feature_and_step(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "method", [["pi"], ["pfi"], ["pfi", "--mode", "exhaustive"], ["sfimp"]], ids=["pi", "pfi", "pfi-exhaustive", "sfimp"]
+)
+def test_a_loss_past_the_float_range_exits_1(tmp_path, capsys, method):
+    data, model, out = tmp_path / "huge.csv", tmp_path / "model.json", tmp_path / "out.json"
+    data.write_text("x1,x2,y\n0,1,1e200\n1,-1,-2e200\n3,2,3e200\n4,0.5,5e199\n", encoding="utf-8")
+    assert main(["fit", "--data", str(data), "--target", "y", "--out", str(model)]) == 0
+    args = ["--feature", "x1", "--data", str(data), "--model", str(model), "--target", "y", "--out", str(out)]
+    assert main([method[0], *args, *method[1:]]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_knn_predicts_beside_a_training_value_1e308_away(tmp_path):
     data, model = tmp_path / "huge.csv", tmp_path / "model.json"
     data.write_text("x1,x2,y\n1e308,1,2\n0,2,3\n1,0,1\n", encoding="utf-8")

@@ -166,6 +166,12 @@ def test_ice_feature_set_cartesian(sum_predictor):
 # -- PD ------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("estimator", [pd_curve, ice_curves], ids=["pd", "ice"])
+def test_a_numpy_integer_names_one_feature(two_feature_data, sum_predictor, estimator):
+    by_numpy = estimator(sum_predictor, two_feature_data, np.int64(1))
+    assert by_numpy == estimator(sum_predictor, two_feature_data, 1)
+
+
 def test_pd_hand_example_against_oracle(two_feature_data, sum_predictor):
     curve = pd_curve(sum_predictor, two_feature_data, 0)
     # direct averaging oracle at x1 = 1: 1 + mean(0, 2, 4) = 3
@@ -320,6 +326,13 @@ def test_ame_shift_that_overflows_is_rejected():
     predictor = handle(lambda X: np.asarray(X, dtype=float)[:, 0], 1)
     with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError, match="non-finite"):
         average_marginal_effect(predictor, data, 0, h=1e308)
+
+
+def test_ame_past_the_float_range_is_rejected():
+    data = columns_dataset(x1=[0.0, 2.0, 4.0])
+    predictor = handle(lambda X: 1.7e308 * np.sign(np.asarray(X, dtype=float)[:, 0] - 2.0), 1)
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError, match="must be finite"):
+        average_marginal_effect(predictor, data, 0, h=0.5)  # row 1's quotient is inf
 
 
 def test_ame_rejects_categorical():

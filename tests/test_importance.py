@@ -6,6 +6,7 @@ import pytest
 from boxprobe import (
     ces_curve,
     firm,
+    fit_linear,
     ici_curve,
     make_rng,
     pd_curve,
@@ -129,6 +130,14 @@ def test_firm_matches_pd_importance_across_models():
         model = random_refmodel(rng, data)
         j = int(rng.integers(2))
         assert firm(model, data, j).value == pd_importance(model, data, j).value
+
+
+def test_pd_importance_fails_where_its_pd_curve_fails(two_feature_data):
+    # Every PD value overflows to inf: a spread of that flat curve would read 0.0.
+    huge = constant_predictor(1.7e308, 2)
+    for score in (pd_importance, firm):
+        with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError, match="effect values must be finite"):
+            score(huge, two_feature_data, 0)
 
 
 def test_firm_categorical_branch():
@@ -373,3 +382,16 @@ def test_loss_payouts_reject_a_bad_seed_before_predicting(two_feature_data, run,
     with pytest.raises(InvalidArgumentError, match="non-negative integer"):
         run(predictor, two_feature_data, mode, seed)
     assert calls == []
+
+
+# -- finite scores ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("score", [pfi_permutation, pfi_exhaustive, sfimp])
+def test_a_loss_past_the_float_range_is_rejected(score):
+    # Squared residuals near 1e400 overflow to inf, and inf - inf is NaN.
+    data = columns_dataset(
+        x1=[0.0, 1.0, 3.0, 4.0], x2=[1.0, -1.0, 2.0, 0.5], target=[1e200, -2e200, 3e200, 5e199]
+    )
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidArgumentError, match="must be finite"):
+        score(fit_linear(data), data, 0, squared_loss())

@@ -17,6 +17,11 @@ call, and in-call dedup predicts the unchanged data once: no payout memo
 (``functools``) in the Shapley or importance modules, and no cross-call
 ``_unchanged`` memo in the kernel.
 
+The curve-based importance scores aggregate the curve they are the
+spread or mean of, so ``importance.py`` imports no private name from
+``effects`` (``_substitute_grid`` was one) and keeps no ``_pi_values``
+beside ``pi_curve``.
+
 Rows reach the black box as one float64 code matrix, whatever the column
 kinds, so neither the estimators nor the kernel (with the rows
 ``finite_difference`` composes) pick a matrix dtype: no ``dtype=object``,
@@ -123,6 +128,19 @@ def test_no_estimator_or_kernel_picks_a_matrix_dtype():
 def test_no_payout_memo_and_no_cross_call_unchanged_memo():
     assert {name for name in ("shapley.py", "importance.py") if "functools" in set(_names(SRC / name))} == set()
     assert "_unchanged" not in set(_names(SRC / "core.py"))
+
+
+def test_importance_scores_reach_the_kernel_through_their_curves():
+    path = SRC / "importance.py"
+    from_effects = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "effects"
+        for alias in node.names
+    }
+    assert "pd_curve" in from_effects
+    assert {name for name in from_effects if name.startswith("_")} == set()
+    assert {"_substitute_grid", "_pi_values"} & (set(_names(path)) | _defined(path)) == set()
 
 
 def test_exact_shapley_is_one_kernel_call(monkeypatch):

@@ -15,8 +15,21 @@ the squared loss over all n^2 (observation, substituted value) pairs: with
 residual ``r = f - y``, substituting v into observation i moves its residual
 to ``r_i - term_j(x_ij) + term_j(v)``.  These are the closed forms of
 ``bench/checks.py::LinearOracle``, restated on random models of both an
-all-continuous and a mixed schema.
+all-continuous and a mixed schema.  So are the ICE curve of observation i,
+``f_i - term_j(x_ij) + term_j(v)``, its ICI curve, the squared residual of
+that prediction minus ``r_i**2``, and exhaustive SFIMP, the Shapley value
+of the payout ``ge(all - K) - ge(all)``, where ``ge(B)`` averages the loss
+over every donor's block B substituted into every observation.
+
+The curve-based scores aggregate their curves: on random linear, knn and
+stump models, PD importance and FIRM are bit for bit the spread of one PD,
+exhaustive PFI is the mean of the PI curve, and each score's trace is its
+curve's trace with the curve's aggregation swapped for (or, for FIRM,
+followed by) the score's.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,11 +40,17 @@ from boxprobe import (
     CONTINUOUS,
     Dataset,
     LinearModel,
+    ces_curve,
+    firm,
+    fit_knn,
     fit_stump,
+    ice_curves,
+    ici_curve,
     pd_curve,
     pd_importance,
     pfi_exhaustive,
     pi_curve,
+    sfimp,
     shapley_exact,
     squared_loss,
 )
@@ -149,3 +168,97 @@ def test_pi_and_exhaustive_pfi_on_a_linear_model_are_the_n_squared_average(kinds
         pairs = (r - column)[None, :] + column[:, None]  # every donor into every observation
         want = float(np.mean(pairs**2) - np.mean(r**2))
         assert abs(pfi_exhaustive(model, data, j, squared_loss()).value - want) <= 1e-12 * scale**2
+
+
+@pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS.keys())
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_ice_and_ici_on_a_linear_model_are_the_closed_form(kinds, draw):
+    data, x = draw.draw(mixed_points(kinds))
+    model = random_linear_model(data, draw)
+    terms = linear_terms(model, data, x)
+    f = model.intercept + sum(c for c, _ in terms)
+    r = f - np.asarray(data.target, dtype=float)
+    scale = max(1.0, abs(model.intercept) + float(np.max(np.abs(r - f)))
+                + sum(float(np.max(np.abs(c))) for c, _ in terms))
+    for j, (column, _) in enumerate(terms):
+        for i, curve in enumerate(ice_curves(model, data, j)):
+            want = f[i] - column[i] + term_at(model, data, x, j, curve.xs)
+            assert np.max(np.abs(np.array(curve.ys) - want)) <= 1e-12 * scale
+            curve = ici_curve(model, data, i, j, squared_loss())
+            want = (r[i] - column[i] + term_at(model, data, x, j, curve.xs)) ** 2 - r[i] ** 2
+            assert np.max(np.abs(np.array(curve.ys) - want)) <= 1e-12 * scale**2
+
+
+def exhaustive_sfimp(terms, r, j):
+    """Feature j's Shapley value under the loss payout, from the n^2 block average."""
+    p, everything = len(terms), frozenset(range(len(terms)))
+
+    def ge(block):
+        s = sum((terms[t][0] for t in block), np.zeros_like(r))
+        d = r - s
+        return float(np.mean(d**2) + 2.0 * np.mean(d) * np.mean(s) + np.mean(s**2))
+
+    def payout(coalition):
+        return ge(everything - coalition) - ge(everything) if coalition else 0.0
+
+    others = [k for k in range(p) if k != j]
+    return sum(
+        math.factorial(size) * math.factorial(p - size - 1) / math.factorial(p)
+        * (payout(frozenset(combo) | {j}) - payout(frozenset(combo)))
+        for size in range(p)
+        for combo in itertools.combinations(others, size)
+    )
+
+
+@pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS.keys())
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_exhaustive_sfimp_on_a_linear_model_is_the_n_squared_average(kinds, draw):
+    data, x = draw.draw(mixed_points(kinds))
+    model = random_linear_model(data, draw)
+    terms = linear_terms(model, data, x)
+    y = np.asarray(data.target, dtype=float)
+    r = model.intercept + sum(c for c, _ in terms) - y
+    scale = max(1.0, abs(model.intercept) + float(np.max(np.abs(y)))
+                + sum(float(np.max(np.abs(c))) for c, _ in terms))
+    for j in range(data.n_features):
+        got = sfimp(model, data, j, squared_loss()).value
+        assert abs(got - exhaustive_sfimp(terms, r, j)) <= 1e-12 * scale**2
+
+
+def random_model(data, draw, kind):
+    if kind == "linear":
+        return random_linear_model(data, draw)
+    if kind == "knn":
+        return fit_knn(data, draw.draw(st.integers(1, data.n_rows)))
+    return fit_stump(data)
+
+
+def swapped(curve, score):
+    """The curve's records but the last, then the score's last: a score that
+    aggregates its curve once more has exactly this trace."""
+    return (*curve.trace.records[:-1], score.trace.records[-1])
+
+
+@pytest.mark.parametrize("kind", ["linear", "knn", "stump"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mixed_points(), st.data())
+def test_each_curve_based_score_aggregates_its_curve(kind, case, draw):
+    data, _ = case
+    model = random_model(data, draw, kind)
+    loss = squared_loss()
+    for j in range(data.n_features):
+        pd, score, ces, firm_score = (
+            pd_curve(model, data, j), pd_importance(model, data, j),
+            ces_curve(model, data, j), firm(model, data, j),
+        )
+        assert firm_score.value.hex() == score.value.hex()
+        assert score.trace.records == swapped(pd, score)
+        assert firm_score.trace.records[:-1] == ces.trace.records
+        pi, pfi = pi_curve(model, data, j, loss), pfi_exhaustive(model, data, j, loss)
+        assert pfi.value.hex() == float(np.mean(pi.ys)).hex()
+        assert pfi.trace.records == swapped(pi, pfi)
+        for curve, aggregated in ((pd, score), (pi, pfi)):
+            last, own = aggregated.trace.records[-1], curve.trace.records[-1]
+            assert last.stage == own.stage == "aggregation" and last != own

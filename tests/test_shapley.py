@@ -85,6 +85,13 @@ def test_exact_hand_example(sum_predictor):
     assert phi1.mode == "exact"
 
 
+def test_exact_value_past_the_float_range_is_rejected():
+    data = columns_dataset(x1=[0.0, 1.0, 3.0, 4.0], x2=[1.0, -1.0, 2.0, 0.5])
+    predictor = handle(lambda X: 1.7e308 * np.sign(np.asarray(X, dtype=float)[:, 0] - 2.0), 2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidArgumentError, match="must be finite"):
+        shapley_exact(predictor, data, (3.0, 0.0), 0)
+
+
 def test_exact_dummy_feature_is_exactly_zero():
     data = columns_dataset(x1=[0.0, 1.0, 2.0], x2=[5.0, 6.0, 7.0])
     only_x1 = handle(lambda X: 3.0 * np.asarray(X, dtype=float)[:, 0], 2)
