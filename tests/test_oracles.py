@@ -177,9 +177,10 @@ def test_ice_and_ici_on_a_linear_model_are_the_closed_form(kinds, draw):
     data, x = draw.draw(mixed_points(kinds))
     model = random_linear_model(data, draw)
     terms = linear_terms(model, data, x)
+    y = np.asarray(data.target, dtype=float)
     f = model.intercept + sum(c for c, _ in terms)
-    r = f - np.asarray(data.target, dtype=float)
-    scale = max(1.0, abs(model.intercept) + float(np.max(np.abs(r - f)))
+    r = f - y
+    scale = max(1.0, abs(model.intercept) + float(np.max(np.abs(y)))
                 + sum(float(np.max(np.abs(c))) for c, _ in terms))
     for j, (column, _) in enumerate(terms):
         for i, curve in enumerate(ice_curves(model, data, j)):
