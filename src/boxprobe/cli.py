@@ -86,8 +86,6 @@ def _loss(params: dict[str, Any]):
 
 def _ice(flags, data, predictor, j):
     row, points = flags["row"], flags["grid_points"]
-    if not 0 <= row < data.n_rows:
-        raise InvalidArgumentError(f"row {row} out of range for {data.n_rows} observations")
     grid = _grid(data, j, points)
     curve = _ice_row(predictor, data, j, grid, flags["threads"], row)
     return {"row": row, "grid": grid.source, "grid_points": len(grid)}, curve, None

@@ -21,7 +21,6 @@ differently, so its bits may move with the thread count.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,8 +28,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, FeatureMeta, _is_number, decode
-from .errors import InvalidArgumentError, ShapeError, UnsupportedKindError
+from .data import Dataset, FeatureMeta, _integer, decode
+from .errors import InvalidArgumentError, ShapeError
 from .trace import INTERVENTION, SAMPLING, STAGES, StageRecord, StageTrace, assemble_trace
 
 DEFAULT_STEP_FRACTION = 1e-4
@@ -40,13 +39,12 @@ ROW_BUDGET = 1 << 14  # most rows the substitution kernel passes to one predicto
 def _seed_sequence(seed: int, *words: int) -> np.random.SeedSequence:
     """The one place a seed enters numpy.
 
-    Seeds are non-negative integers: Python or numpy integers, not bools
+    Seeds are non-negative integers under the integer rule
+    (:func:`~boxprobe.data._integer`): Python or numpy integers, not bools
     or floats.  Extra ``words`` derive another stream from the same seed;
     without them ``PCG64`` draws the stream of ``PCG64(seed)``.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.SeedSequence([int(seed), *words])
+    return np.random.SeedSequence([_integer(seed, "seed"), *words])
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -83,10 +81,8 @@ class PredictorHandle:
 
     def __init__(self, fn: Callable[[np.ndarray], Any], n_features: int, name: str = "predictor"):
         self._fn = fn
-        self.n_features = int(n_features)
+        self.n_features = _integer(n_features, "a predictor's n_features", 1)
         self.name = str(name)
-        if self.n_features < 1:
-            raise InvalidArgumentError("a predictor needs at least one feature")
 
     def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None) -> Any:
         return self._fn(matrix if meta is None else decode(matrix, meta))
@@ -131,9 +127,7 @@ class PredictionCache:
     """
 
     def __init__(self, threads: int = 1):
-        if threads < 1:
-            raise InvalidArgumentError("threads must be at least 1")
-        self.threads = int(threads)
+        self.threads = _integer(threads, "threads", 1)
         self.batches = 0
         self.rows = 0
 
@@ -245,9 +239,7 @@ def _patch_codes(
         groups.setdefault(tuple(patch), []).append(i)
     coded: list[Any] = [None] * len(patches)
     for features, members in groups.items():
-        js = tuple(data.feature_index(f) for f in features)
-        if len(set(js)) != len(js):
-            raise InvalidArgumentError(f"a patch names a feature twice: {list(features)}")
+        js = data.feature_indices(features)
         group = [list(patches[i].values()) for i in members]
         # by column, so the order a patch names its features in is no part of the dedup key
         order = sorted(range(len(js)), key=js.__getitem__)
@@ -336,7 +328,8 @@ class LossFunction:
 
     def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         self.check_targets(targets)
-        out = np.asarray(self.fn(np.asarray(predictions, dtype=float), targets), dtype=float)
+        with np.errstate(over="ignore"):  # an overflowed loss is rejected by the result it reaches
+            out = np.asarray(self.fn(np.asarray(predictions, dtype=float), targets), dtype=float)
         if np.any(out < 0):
             raise InvalidArgumentError(f"loss {self.tag!r} produced negative values")
         return out
@@ -388,11 +381,9 @@ def loss_by_name(name: str, threshold: float = 0.5) -> LossFunction:
 
 
 def sample_observations(data: Dataset, m: int, seed: int) -> Dataset:
-    """Draw ``m`` observations uniformly without replacement."""
-    m = int(m)
+    """Draw ``m`` observations, an integer of at least 1, uniformly without replacement."""
+    m = _integer(m, "m", 1)
     n = data.n_rows
-    if m < 1:
-        raise InvalidArgumentError(f"m must be at least 1, got {m}")
     if m > n:
         raise InvalidArgumentError(f"m exceeds n: requested {m} of {n} observations")
     idx = make_rng(seed).choice(n, size=m, replace=False)
@@ -417,12 +408,8 @@ def intervene_replace(data: Dataset, values: Mapping[int | str, Any]) -> Dataset
     """
     if not values:
         return data
-    resolved: dict[int, Any] = {}
-    for feature, value in values.items():
-        j = data.feature_index(feature)
-        if j in resolved:
-            raise InvalidArgumentError(f"feature {feature!r} replaced twice")
-        resolved[j] = data.check_value(j, value)
+    js = data.feature_indices(values)
+    resolved = {j: data.check_value(j, value) for j, value in zip(js, values.values())}
     new_cols = {j: np.full(data.n_rows, v, dtype=object) for j, v in resolved.items()}
     record = StageRecord(
         INTERVENTION,
@@ -506,7 +493,8 @@ def finite_difference(
     """Symmetric finite difference of predictions at ``x`` along one feature.
 
     Returns ``(fd, quotient)`` where ``fd = f(x_j + h, rest) - f(x_j - h, rest)``
-    and ``quotient = fd / (2 h)`` approximates the partial derivative.
+    and ``quotient = fd / (2 h)`` approximates the partial derivative.  A
+    quotient past the float64 range raises :class:`InvalidArgumentError`.
     """
     h = float(h)
     if not (h > 0) or not np.isfinite(h):
@@ -516,21 +504,17 @@ def finite_difference(
         raise ShapeError(
             f"feature vector has {len(x)} entries, predictor expects {predictor.n_features}"
         )
-    j = int(feature)
-    if not 0 <= j < len(x):
-        raise InvalidArgumentError(f"feature index {j} out of range")
-    center = x[j]
-    if not _is_number(center):
-        raise UnsupportedKindError(
-            f"finite differences need a continuous feature; got {center!r} at index {j}"
-        )
     point = Dataset([x])  # infers x's schema: numbers are continuous, anything else a level
+    j = point.continuous_index(feature, "finite differencing")
     matrix = np.repeat(point.codes(), 2, axis=0)
-    matrix[:, j] = float(center) + h, float(center) - h
+    matrix[:, j] += h, -h
     cache = cache if cache is not None else PredictionCache()
     preds = cache.predict(predictor, matrix, point.meta)
-    fd = float(preds[0] - preds[1])
-    return fd, fd / (2.0 * h)
+    fd = float(preds[0]) - float(preds[1])  # Python floats overflow to inf without a warning
+    quotient = fd / (2.0 * h)
+    if not np.isfinite(quotient):
+        raise InvalidArgumentError(f"marginal effects must be finite, got {quotient}")
+    return fd, quotient
 
 
 def estimate_generalization_error(
@@ -542,4 +526,7 @@ def estimate_generalization_error(
     """Average loss of the predictor on the dataset's observed targets."""
     target = loss.targets(data, "the generalization error")
     preds = predict_batch(predictor, data, cache=cache)
-    return float(np.mean(loss(preds, target)))
+    value = float(np.mean(loss(preds, target)))
+    if not np.isfinite(value):
+        raise InvalidArgumentError(f"the generalization error must be finite, got {value}")
+    return value

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from numbers import Real
-from typing import Any, Mapping, Sequence
+from numbers import Integral, Real
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,6 +87,19 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (float, int, np.floating, np.integer, Real)) and not isinstance(
         value, (bool, np.bool_)
     )
+
+
+def _integer(value: Any, what: str, low: int = 0, high: int | None = None) -> int:
+    """The one integer rule, for every feature index, row, count and seed: ``value``
+    as an ``int`` if it is a Python or numpy integer, not a bool or a float, from
+    ``low`` to ``high`` (no upper bound if None), else :class:`InvalidArgumentError`."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and low <= value:
+        if high is None or value <= high:
+            return int(value)
+    if high is not None:
+        raise InvalidArgumentError(f"{what} out of range: {value!r} is not an integer from {low} to {high}")
+    need = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
+    raise InvalidArgumentError(f"{what} must be {need}, got {value!r}")
 
 
 def _unregistered(value: str, meta: FeatureMeta) -> InvalidLevelError:
@@ -271,7 +284,7 @@ class Dataset:
         return self._provenance
 
     def feature_index(self, feature: int | str) -> int:
-        """Resolve a feature given by index or name to a column index."""
+        """Resolve a feature, by name or by an index under :func:`_integer`, to a column index."""
         if isinstance(feature, str):
             try:
                 return self._name_index[feature]
@@ -279,12 +292,15 @@ class Dataset:
                 raise InvalidArgumentError(
                     f"unknown feature {feature!r}; have {list(self.feature_names)}"
                 ) from None
-        j = int(feature)
-        if not 0 <= j < self.n_features:
-            raise InvalidArgumentError(
-                f"feature index {j} out of range for {self.n_features} features"
-            )
-        return j
+        return _integer(feature, "feature index", 0, self.n_features - 1)
+
+    def feature_indices(self, features: Iterable[int | str]) -> tuple[int, ...]:
+        """Resolve each of ``features`` (:meth:`feature_index`); naming one twice raises."""
+        features = list(features)
+        js = tuple(map(self.feature_index, features))
+        if len(set(js)) != len(js):
+            raise InvalidArgumentError(f"the feature list {features} names a feature twice")
+        return js
 
     def continuous_index(self, feature: int | str, purpose: str) -> int:
         """Column index of a continuous feature; ``purpose`` names what needs one."""
@@ -310,11 +326,8 @@ class Dataset:
         return col if m.kind == CONTINUOUS else _freeze(_levels(col, m))
 
     def row(self, i: int) -> tuple[Any, ...]:
-        """Feature values of observation ``i`` as plain Python scalars."""
-        if not 0 <= i < self.n_rows:
-            raise InvalidArgumentError(
-                f"observation index {i} out of range for {self.n_rows} rows"
-            )
+        """Feature values of observation ``i``, an index under :func:`_integer`, as Python scalars."""
+        i = _integer(i, "observation index", 0, self.n_rows - 1)
         return tuple(decode(self.codes()[i : i + 1], self._meta)[0].tolist())
 
     def matrix(self) -> np.ndarray:
@@ -346,6 +359,10 @@ class Dataset:
         for j, col in enumerate(self._columns):
             if j in new_columns:
                 col = self.check_column(j, new_columns[j])
+                if len(col) != self.n_rows:
+                    raise InvalidArgumentError(
+                        f"column {self._meta[j].name!r} has {len(col)} values, expected {self.n_rows}"
+                    )
             if row_subset is not None:
                 col = col[row_subset]
             cols.append(_freeze(col))

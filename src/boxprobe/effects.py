@@ -23,7 +23,7 @@ from .core import (
     finite_difference,
     make_rng,
 )
-from .data import CATEGORICAL, CONTINUOUS, Dataset, encode
+from .data import CATEGORICAL, CONTINUOUS, Dataset, _integer, encode
 from .errors import DegenerateBinningError, InvalidArgumentError, SingularFitError
 from .trace import StageTrace
 
@@ -68,12 +68,11 @@ def observed_grid(data: Dataset, feature: int | str) -> Grid:
 
 
 def equidistant_grid(data: Dataset, feature: int | str, k: int) -> Grid:
-    """``k`` equally spaced points spanning the observed range (continuous only)."""
+    """``k`` (an integer of at least 2) equally spaced points spanning the observed range."""
     j = data.continuous_index(feature, "an equidistant grid")
-    if k < 2:
-        raise InvalidArgumentError(f"equidistant grids need k >= 2 points, got {k}")
+    k = _integer(k, "an equidistant grid's k", 2)
     lo, hi = data.meta[j].observed_range
-    return Grid(j, tuple(np.linspace(lo, hi, int(k))), CONTINUOUS, EQUIDISTANT)
+    return Grid(j, tuple(np.linspace(lo, hi, k)), CONTINUOUS, EQUIDISTANT)
 
 
 def custom_grid(data: Dataset, feature: int | str, values: Sequence[Any]) -> Grid:
@@ -135,13 +134,11 @@ def _resolve_feature_set(
     features: int | str | Sequence[int | str],
     grid: Grid | Sequence[Grid] | None,
 ) -> tuple[list[int], list[Grid]]:
-    """Normalize a feature-or-set spec plus the matching grids."""
-    if isinstance(features, (int, np.integer, str)):
+    """Normalize a feature-or-set spec, any 0-d value being one feature, plus the matching grids."""
+    if np.ndim(features) == 0:
         feature_list = [data.feature_index(features)]
     else:
-        feature_list = [data.feature_index(f) for f in features]
-        if len(set(feature_list)) != len(feature_list):
-            raise InvalidArgumentError("duplicate features in set")
+        feature_list = list(data.feature_indices(features))
         if not feature_list:
             raise InvalidArgumentError("feature set must not be empty")
     if grid is None:
@@ -198,7 +195,8 @@ def _ice_row(
     threads: int,
     row: int,
 ) -> EffectCurve:
-    """The ICE curve of one observation: the kernel keeps only its column of the grid."""
+    """The ICE curve of observation ``row``: the kernel keeps only its column of the grid."""
+    row = _integer(row, "row", 0, data.n_rows - 1)
     feature, xs, preds, cache, intervention = _substitute_grid(
         predictor, data, features, grid, threads, reduce=lambda b: b[:, row]
     )
@@ -312,10 +310,8 @@ def ale_first_order(
     curve points (fewer if degenerate intervals were merged).
     """
     j = data.continuous_index(feature, "ALE")
-    if int(num_intervals) < 1:
-        raise InvalidArgumentError(f"num_intervals must be at least 1, got {num_intervals}")
     column = data.column(j)
-    edges, idx = _ale_bins(column, int(num_intervals))
+    edges, idx = _ale_bins(column, _integer(num_intervals, "num_intervals", 1))
     n_int = len(edges) - 1
 
     cache = PredictionCache(threads)
@@ -450,9 +446,7 @@ def lime_explain(
     """
     j = data.continuous_index(feature, "the linear surrogate")
     meta = data.meta[j]
-    num_samples = int(num_samples)
-    if num_samples < 3:
-        raise InvalidArgumentError(f"num_samples must be at least 3, got {num_samples}")
+    num_samples = _integer(num_samples, "num_samples", 3)
     x = data.check_vector(x)
     center = float(x[j])
 

@@ -22,7 +22,7 @@ from .core import (
     make_rng,
     spawn_seeds,
 )
-from .data import CONTINUOUS, Dataset
+from .data import CONTINUOUS, Dataset, _integer
 from .effects import EffectCurve, pd_curve
 from .errors import InvalidArgumentError, UndefinedVarianceError
 from .shapley import _coalitions, exact_shapley_value
@@ -152,19 +152,20 @@ def ici_curve(
     """Loss change for one observation as its feature value is substituted.
 
     At each observed value ``v`` of the feature (across the whole dataset),
-    the curve holds the loss of predicting observation ``i`` with its
-    feature replaced by ``v``, minus the loss at its original value.
+    the curve holds the loss of predicting observation ``i`` (an index) with
+    its feature replaced by ``v``, minus the loss at its original value.
     """
     target = loss.targets(data, "ICI")
     j = data.feature_index(feature)
-    i = int(observation)
+    i = _integer(observation, "observation", 0, data.n_rows - 1)
     own = data.row(i)[j]
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
     # The row's own value first: the kernel predicts it once with the equal observed value.
     preds = cache.substitute(predictor, data, [{j: v} for v in (own, *values)], rows=[i])
     losses = loss(preds[:, 0], np.repeat(target[i : i + 1], len(preds)))
-    ys = losses[1:] - losses[0]
+    with np.errstate(invalid="ignore"):  # inf - inf: the curve rejects the NaN
+        ys = losses[1:] - losses[0]
     trace = cache.trace(
         predictor,
         data,
@@ -191,9 +192,9 @@ def pi_curve(
     cache = PredictionCache(threads)
     (unchanged,) = cache.substitute(predictor, data, [{}])
     base_losses = loss(unchanged, target)
-    means = cache.substitute(
-        predictor, data, [{j: v} for v in values], reduce=lambda b: (loss(b, target) - base_losses).mean(axis=1)
-    )
+    # inf - inf: the curve rejects the NaN
+    change = np.errstate(invalid="ignore")(lambda b: (loss(b, target) - base_losses).mean(axis=1))
+    means = cache.substitute(predictor, data, [{j: v} for v in values], reduce=change)
     trace = cache.trace(
         predictor,
         data,
@@ -242,13 +243,11 @@ def pfi_permutation(
     Each repeat permutes the column with an independent child seed and
     scores the generalization-error difference against the intact data;
     the result is the mean over repeats (one permutation has high
-    variance, hence the default of five).
+    variance, hence the default of five, and ``repeats`` must be at least 1).
     """
     target = loss.targets(data, "permutation importance")
     j = data.feature_index(feature)
-    repeats = int(repeats)
-    if repeats < 1:
-        raise InvalidArgumentError(f"repeats must be at least 1, got {repeats}")
+    repeats = _integer(repeats, "repeats", 1)
     child_seeds = spawn_seeds(seed, repeats)
     cache = PredictionCache(threads)
     column = data.column(j)
@@ -257,7 +256,8 @@ def pfi_permutation(
     errors = cache.substitute(
         predictor, data, [{j: c} for c in copies], reduce=lambda b: loss(b, target).mean(axis=1)
     )
-    value = float(np.mean(errors[1:] - errors[0]))
+    with np.errstate(invalid="ignore"):  # inf - inf: the score rejects the NaN
+        value = float(np.mean(errors[1:] - errors[0]))
     trace = cache.trace(
         predictor,
         data,

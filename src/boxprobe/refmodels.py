@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import PredictorHandle
-from .data import CONTINUOUS, Dataset, FeatureMeta, _is_number, decode, encode
+from .data import CONTINUOUS, Dataset, FeatureMeta, _integer, _is_number, decode, encode
 from .dataio import write_text
 from .errors import DataFormatError, InvalidArgumentError, NumericRangeError, SingularFitError
 
@@ -174,14 +174,12 @@ class KNNModel(ReferenceModel):
         self, schema: Sequence[FeatureMeta], k: int, train: np.ndarray, target: Sequence[float]
     ):
         super().__init__(schema)
-        self.k = int(k)
         schema = self.schema
         self.target = _finite(target, "knn targets")
         n = len(train)
         if self.target.shape != (n,):
             raise InvalidArgumentError(f"knn needs {n} targets, got {self.target.size}")
-        if not 1 <= self.k <= n:
-            raise InvalidArgumentError(f"k must be between 1 and n={n}, got {self.k}")
+        self.k = _integer(k, "knn k", 1, n)
         self.columns = encode(np.array(train, dtype=object).T, schema).T.copy()  # a row per feature
         self.train = decode(self.columns.T, schema)  # floats and level strings, as saved
         for m, col in zip(schema, self.columns):
@@ -279,9 +277,7 @@ class StumpModel(ReferenceModel):
     ):
         super().__init__(schema)
         if feature is not None:
-            p = len(self.schema)
-            if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < p:
-                raise InvalidArgumentError(f"stump feature {feature!r} is not an index below {p}")
+            feature = _integer(feature, "stump feature", 0, len(self.schema) - 1)
             meta = self.schema[feature]
             kind = "le" if meta.kind == CONTINUOUS else "eq"
             if split_kind != kind:

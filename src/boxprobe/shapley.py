@@ -21,7 +21,7 @@ from .core import (
     PredictorHandle,
     make_rng,
 )
-from .data import Dataset, encode
+from .data import Dataset, _integer, encode
 from .errors import CapacityError, InvalidArgumentError
 from .trace import StageTrace
 
@@ -178,12 +178,10 @@ def shapley_mc(
     feature (in that ordering) take their values from ``x``, the rest from
     ``z``, and the contribution is the prediction difference between the
     composition with and without the explained feature.  The estimate is
-    the mean contribution over all iterations; with at least two iterations
-    its sampling standard error is reported alongside.
+    the mean contribution over all ``iterations``, an integer of at least 1;
+    with at least two its sampling standard error is reported alongside.
     """
-    iterations = int(iterations)
-    if iterations < 1:
-        raise InvalidArgumentError(f"iterations must be at least 1, got {iterations}")
+    iterations = _integer(iterations, "iterations", 1)
     j = data.feature_index(feature)
     x = data.check_vector(x)
     p = data.n_features

@@ -461,6 +461,31 @@ def test_a_loss_past_the_float_range_exits_1(tmp_path, capsys, method):
     assert not out.exists()
 
 
+_HUGE_LINEAR = ("x1,x2,y\n0,1,1e200\n1,-1,-2e200\n3,2,3e200\n4,0.5,5e199\n", ())
+_HUGE_KNN = ("x1,y\n0,-1.7e308\n2,-1.7e308\n4,1.7e308\n", ("--kind", "knn", "--k", "1"))
+
+
+@pytest.mark.parametrize(
+    "table, fit, method",
+    [
+        (*_HUGE_LINEAR, ("pi",)),
+        (*_HUGE_LINEAR, ("pfi",)),
+        (*_HUGE_LINEAR, ("pfi", "--mode", "exhaustive")),
+        (*_HUGE_KNN, ("me", "--row", "1", "--h", "1.5")),
+    ],
+    ids=["pi", "pfi", "pfi-exhaustive", "me"],
+)
+def test_a_result_past_the_float_range_prints_only_the_error_line(tmp_path, table, fit, method):
+    data, model = tmp_path / "huge.csv", tmp_path / "model.json"
+    data.write_text(table, encoding="utf-8")
+    assert main(["fit", "--data", str(data), "--target", "y", *fit, "--out", str(model)]) == 0
+    args = [*method, "--feature", "x1", "--data", str(data), "--model", str(model), "--target", "y"]
+    result = subprocess.run([sys.executable, "-m", "boxprobe", *args], capture_output=True, text=True)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+    assert "must be finite" in result.stderr
+
+
 def test_knn_predicts_beside_a_training_value_1e308_away(tmp_path):
     data, model = tmp_path / "huge.csv", tmp_path / "model.json"
     data.write_text("x1,x2,y\n1e308,1,2\n0,2,3\n1,0,1\n", encoding="utf-8")

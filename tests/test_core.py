@@ -414,6 +414,12 @@ def test_fd_rejects_categorical_coordinate():
         finite_difference(predictor, [1.0, "a"], 1, 0.1)
 
 
+def test_fd_past_the_float_range_is_rejected():
+    predictor = linear_predictor([1e308])
+    with pytest.raises(InvalidArgumentError, match="marginal effects must be finite, got inf"):
+        finite_difference(predictor, [0.0], 0, 1.5)
+
+
 def test_fd_linear_in_the_predictor():
     f = linear_predictor([3.0], -1.0)
     g = handle(lambda X: np.asarray(X, dtype=float)[:, 0] ** 2, 1)
@@ -450,6 +456,12 @@ def test_ge_requires_target():
     data = columns_dataset(a=[1.0])
     with pytest.raises(MissingTargetError):
         estimate_generalization_error(linear_predictor([1.0]), data, squared_loss())
+
+
+def test_ge_past_the_float_range_is_rejected():
+    data = columns_dataset(a=[1.0, 2.0], target=[-1e200, 1e200])
+    with pytest.raises(InvalidArgumentError, match="generalization error must be finite"):
+        estimate_generalization_error(linear_predictor([1e200]), data, squared_loss())
 
 
 def test_ge_rejects_a_string_target():

@@ -152,6 +152,12 @@ def test_constructors_leave_caller_arrays_alone():
     assert data.column(0).tolist() == derived.column(0).tolist() == [1.0, 2.0]
 
 
+def test_replace_columns_rejects_a_column_of_the_wrong_length():
+    data = columns_dataset(a=[1.0, 2.0, 3.0], b=[4.0, 5.0, 6.0])
+    with pytest.raises(InvalidArgumentError, match="column 'a' has 1 values, expected 3"):
+        data.replace_columns({0: [1.0]})
+
+
 def test_continuous_index_names_the_purpose():
     data = columns_dataset(a=[1.0, 2.0], b=["x", "y"])
     assert data.continuous_index("a", "a shift") == 0

@@ -6,7 +6,8 @@ the value's one-hot column (0 for the first level) for a categorical one.
 Partial dependence at a coalition then shifts each member's term from its
 data mean to its value at the explained point, so the exact Shapley value
 of feature j is ``term_j(x_j) - mean(term_j(column_j))``.  On any model the
-values over all features sum to the full-coalition payout (efficiency).
+values over all features sum to the full-coalition payout (efficiency),
+checked on random stumps and knn fits.
 
 The same additivity gives partial dependence on feature j at value v as
 ``intercept + term_j(v) + sum over k != j of mean(term_k)``, PD importance
@@ -119,6 +120,19 @@ def test_exact_shapley_values_of_a_stump_sum_to_the_full_coalition_payout(case):
     results = [shapley_exact(model, data, x, j) for j in range(data.n_features)]
     full = results[0].full_coalition_payout
     scale = max(1.0, abs(model.left_value), abs(model.right_value))
+    assert abs(sum(r.value for r in results) - full) <= 1e-12 * scale
+    (at_x,) = model(encode([[v] for v in x], data.meta), data.meta)
+    assert abs(full - (at_x - float(np.mean(model(data.codes(), data.meta))))) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_exact_shapley_values_of_a_knn_model_sum_to_the_full_coalition_payout(draw):
+    data, x = draw.draw(mixed_points())
+    model = fit_knn(data, draw.draw(st.integers(1, min(3, data.n_rows))))
+    results = [shapley_exact(model, data, x, j) for j in range(data.n_features)]
+    full = results[0].full_coalition_payout
+    scale = max(1.0, float(np.max(np.abs(model.target))))
     assert abs(sum(r.value for r in results) - full) <= 1e-12 * scale
     (at_x,) = model(encode([[v] for v in x], data.meta), data.meta)
     assert abs(full - (at_x - float(np.mean(model(data.codes(), data.meta))))) <= 1e-12 * scale

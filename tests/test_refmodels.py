@@ -474,10 +474,13 @@ _BROKEN = {
     "nan_intercept": ("linear", ("parameters", "intercept"), float("nan")),
     "knn_k_zero": ("knn", ("parameters", "k"), 0),
     "knn_k_above_n": ("knn", ("parameters", "k"), 3),
+    "knn_k_fraction": ("knn", ("parameters", "k"), 2.5),
+    "knn_k_true": ("knn", ("parameters", "k"), True),
     "knn_target_count": ("knn", ("parameters", "target"), [0.0]),
     "knn_row_width": ("knn", ("parameters", "train"), [[0.0], [1.0]]),
     "knn_unregistered_level": ("knn", ("parameters", "train"), [[0.0, "a"], [1.0, "z"]]),
     "stump_feature_range": ("stump", ("parameters", "feature"), 5),
+    "stump_feature_fraction": ("stump", ("parameters", "feature"), 0.5),
     "stump_split_kind": ("stump", ("parameters", "split_kind"), "lt"),
     "stump_threshold": ("stump", ("parameters", "threshold"), "abc"),
     "stump_le_on_categorical": ("stump", ("parameters", "feature"), 1),

@@ -5,8 +5,10 @@
   ``data.py`` only it, ``_infer_meta`` (which picks a column's kind) and
   ``_build_target`` ask whether a value is a number.
 - A categorical feature where a continuous one is needed is rejected only by
-  ``data.py`` (``Dataset.continuous_index``, ``Dataset.check_column``) and by
-  ``core.finite_difference``, which checks a raw vector, not a dataset.
+  ``data.py`` (``Dataset.continuous_index``, ``Dataset.check_column``);
+  ``core.finite_difference`` asks the dataset it builds from its raw vector.
+- An integer (a feature index, a row, a count or a seed) is checked only by
+  ``data._integer``: no other function names ``numbers.Integral``.
 - A seed enters numpy only through ``core._seed_sequence``, which rejects
   negative seeds: no other function builds a ``SeedSequence``, the one
   ``PCG64`` (in ``core.make_rng``) is built from its result, and
@@ -82,10 +84,20 @@ def test_only_check_column_holds_the_value_rule():
     }
 
 
-def test_kind_is_checked_by_data_and_the_raw_vector_difference():
+def test_only_data_rejects_a_wrong_kind():
     sites = _where(_raises, "UnsupportedKindError")
-    assert {site for site in sites if site[0] != "data.py"} == {("core.py", "finite_difference")}
+    assert {module for module, _ in sites} == {"data.py"}
     assert ("data.py", "continuous_index") in sites
+
+
+def _names(path, name):
+    for function, node in _sites(path):
+        if _name(node) == name:
+            yield function
+
+
+def test_only_the_integer_rule_names_integral():
+    assert _where(_names, "Integral") == {("data.py", "_integer")}
 
 
 def test_seeds_enter_numpy_in_one_function():
