@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from boxprobe import (
+    Dataset,
     KNNModel,
     PredictionCache,
     PredictorHandle,
@@ -29,7 +30,6 @@ from boxprobe import (
     shapley_mc,
     squared_loss,
 )
-from boxprobe.data import Dataset
 from boxprobe.effects import _ice_row
 from boxprobe.errors import InvalidArgumentError
 
