@@ -448,21 +448,21 @@ def test_a_shift_past_the_float_range_names_the_feature_and_step(tmp_path):
     )
 
 
+_HUGE_LINEAR = ("x1,x2,y\n0,1,1e200\n1,-1,-2e200\n3,2,3e200\n4,0.5,5e199\n", ())
+_HUGE_KNN = ("x1,y\n0,-1.7e308\n2,-1.7e308\n4,1.7e308\n", ("--kind", "knn", "--k", "1"))
+
+
 @pytest.mark.parametrize(
     "method", [["pi"], ["pfi"], ["pfi", "--mode", "exhaustive"], ["sfimp"]], ids=["pi", "pfi", "pfi-exhaustive", "sfimp"]
 )
 def test_a_loss_past_the_float_range_exits_1(tmp_path, capsys, method):
     data, model, out = tmp_path / "huge.csv", tmp_path / "model.json", tmp_path / "out.json"
-    data.write_text("x1,x2,y\n0,1,1e200\n1,-1,-2e200\n3,2,3e200\n4,0.5,5e199\n", encoding="utf-8")
+    data.write_text(_HUGE_LINEAR[0], encoding="utf-8")
     assert main(["fit", "--data", str(data), "--target", "y", "--out", str(model)]) == 0
     args = ["--feature", "x1", "--data", str(data), "--model", str(model), "--target", "y", "--out", str(out)]
     assert main([method[0], *args, *method[1:]]) == 1
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
-
-
-_HUGE_LINEAR = ("x1,x2,y\n0,1,1e200\n1,-1,-2e200\n3,2,3e200\n4,0.5,5e199\n", ())
-_HUGE_KNN = ("x1,y\n0,-1.7e308\n2,-1.7e308\n4,1.7e308\n", ("--kind", "knn", "--k", "1"))
 
 
 @pytest.mark.parametrize(
