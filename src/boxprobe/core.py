@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, FeatureMeta, _integer, decode
+from .data import Dataset, FeatureMeta, _indices, _integer, decode
 from .errors import InvalidArgumentError, ShapeError
 from .trace import INTERVENTION, SAMPLING, STAGES, StageRecord, StageTrace, assemble_trace
 
@@ -144,33 +144,33 @@ class PredictionCache:
         self,
         predictor: PredictorHandle,
         data: Dataset,
-        patches: Sequence[Mapping[int | str, Any]],
+        plan: Sequence[tuple[Sequence[int | str], Any]],
         rows: Sequence[int] | None = None,
         reduce: Callable[[np.ndarray], np.ndarray] = lambda b: b,
     ) -> np.ndarray:
-        """The substitution kernel: predict a copy of ``data`` patched by each patch.
+        """The substitution kernel: predict each copy of ``data`` that the plan names.
 
-        A patch maps features, by index or name, to a scalar, set in every
-        row, or an array with one value per row of the copy, which holds only
-        ``rows`` if given; ``{}`` is the unchanged data.  Patches may set
-        different features, so one call can carry a method's whole
-        intervention stage.  Returns one row of m predictions per patch, in
-        patch order.  Values are checked against the schema, each column's
-        scalars in one :meth:`~boxprobe.data.Dataset.check_column` call per
-        set of features, and written as codes into the data's code matrix.
-        Deduplication is internal: patches are distinct by their features, in
-        any order, and the bit pattern of their codes, so 0.0 and -0.0 stay
-        apart, and the predictor sees each distinct copy once, in calls of at
-        most :data:`ROW_BUDGET` rows; repeated patches share the result.  Counts G
-        logical batches of m rows.  While m <= ``ROW_BUDGET`` the predictor
-        calls are those a loop over the patches would make, minus the repeats,
-        so no bit moves even for a model whose bits depend on the batch; a
-        larger m is split into chunks such a loop would not make, and such a
-        model may then differ in the last bits.
+        A plan is a sequence of groups ``(features, codes)``: q features, by
+        index or name, and their codes in the data's code space
+        (:func:`~boxprobe.data.encode`: a continuous value is itself, a level
+        its index), of shape (G, q), set in every row of a copy, or (G, q, m),
+        one per row of the copy, which holds only ``rows`` if given.  Each of
+        the G rows is one copy, counted as one logical batch of m rows; codes
+        of shape (G, 0) are G copies of the unchanged data.  Returns one row
+        of m predictions per copy, in plan order.  Each group is checked once
+        by :meth:`~boxprobe.data.Dataset.check_codes`, and ``rows`` must hold
+        integer row indices.  Deduplication spans the call: copies are
+        distinct by their sorted features and the bytes of their codes, so
+        0.0 and -0.0 stay apart, and the predictor sees each distinct copy
+        once, in calls of at most :data:`ROW_BUDGET` rows.  While m <=
+        ``ROW_BUDGET`` those are the calls a loop over the copies would make,
+        minus the repeats, so no bit moves even for a model whose bits depend
+        on the batch; a larger m is split into chunks such a loop would not
+        make, and such a model may then differ in the last bits.
 
         ``reduce`` aggregates inside the kernel: it maps a (k, m) block of
         copies' predictions, one copy per row, to k values or k rows, and the
-        kernel returns one of those per patch in place of the predictions;
+        kernel returns one of those per copy in place of the predictions;
         the default keeps the whole rows.  The distinct copies are reduced in
         blocks of k = max(1, ``ROW_BUDGET`` // m), one reducer call per block:
         each copy is still predicted in its own calls, into its row of one
@@ -184,28 +184,28 @@ class PredictionCache:
                 f"dataset has {data.n_features} features but predictor "
                 f"{predictor.name!r} expects {predictor.n_features}"
             )
-        rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+        rows = None if rows is None else _indices(rows, "rows", data.n_rows)
         m = data.n_rows if rows is None else len(rows)
-        coded = _patch_codes(data, patches, m)
-        slot: dict[tuple, int] = {}  # features and bits -> its distinct copy, in order of first use
-        inverse = [slot.setdefault((js, _bits(values)), len(slot)) for js, values in coded]
-        self.batches += len(patches)
-        self.rows += len(patches) * m
+        groups = [data.check_codes(features, codes, m) for features, codes in plan]
+        pairs = [(js, copy) for js, codes in groups for copy in codes]
+        slot: dict[tuple, int] = {}  # features and code bytes -> its distinct copy, in order of first use
+        inverse = [slot.setdefault((js, copy.tobytes()), len(slot)) for js, copy in pairs]
+        self.batches += len(pairs)
+        self.rows += len(pairs) * m
         matrix = data.codes()
-        copies = list(dict(zip(inverse, coded)).values())  # one per slot: equal bits, equal codes
+        copies = list(dict(zip(inverse, pairs)).values())  # one per slot: equal bytes, equal codes
         k = max(1, ROW_BUDGET // max(m, 1))  # copies per reducer call
         buffer = np.empty((min(k, len(copies)), m))  # one block's predictions, reused
         out = np.empty((len(copies), *np.shape(reduce(buffer[:0]))[1:]))
         for first in range(0, len(copies), k):
             preds = buffer[: min(k, len(copies) - first)]
-            for copy, (js, values) in zip(preds, copies[first : first + k]):
+            for copy, (js, codes) in zip(preds, copies[first : first + k]):
                 for start in range(0, m, ROW_BUDGET):
                     stop = min(start + ROW_BUDGET, m)
                     block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
-                    if js and rows is None:
-                        block = block.copy()  # a row gather is a copy already
-                    for j, v in zip(js, values):
-                        block[:, j] = v[start:stop] if isinstance(v, np.ndarray) else v
+                    if js:
+                        block = block if rows is not None else block.copy()  # a row gather is a copy already
+                        block[:, js] = codes.T[start:stop] if codes.ndim == 2 else codes
                     copy[start:stop] = _run_predictor(predictor, block, self.threads, data.meta)
             out[first : first + len(preds)] = reduce(preds)  # copied out, so a view is safe
         return out if len(out) == len(inverse) else out[inverse]
@@ -225,43 +225,6 @@ class PredictionCache:
         steps = zip(STAGES, (sampling, intervention, prediction, aggregation))
         records = [StageRecord(stage, *step) for stage, step in steps if step is not None]
         return assemble_trace(data.provenance, records)
-
-
-def _patch_codes(
-    data: Dataset, patches: Sequence[Mapping[int | str, Any]], m: int
-) -> list[tuple[tuple[int, ...], list[Any]]]:
-    """Each patch's column indices and its values for them in an m-row copy,
-    checked and encoded: a float code for a scalar, an array of m codes for an
-    array.  Patches naming the same features are checked together, each
-    column's scalars in one call."""
-    groups: dict[tuple, list[int]] = {}  # the features a patch names -> its patches
-    for i, patch in enumerate(patches):
-        groups.setdefault(tuple(patch), []).append(i)
-    coded: list[Any] = [None] * len(patches)
-    for features, members in groups.items():
-        js = data.feature_indices(features)
-        group = [list(patches[i].values()) for i in members]
-        # by column, so the order a patch names its features in is no part of the dedup key
-        order = sorted(range(len(js)), key=js.__getitem__)
-        js, group = tuple(js[o] for o in order), [[v[o] for o in order] for v in group]
-        for k, j in enumerate(js):
-            scalars = [values for values in group if not isinstance(values[k], np.ndarray)]
-            codes = data.check_column(j, [values[k] for values in scalars])
-            for values, code in zip(scalars, codes.tolist()):
-                values[k] = code
-            for values in group:
-                if isinstance(values[k], np.ndarray):
-                    values[k] = data.check_column(j, values[k])
-                    if len(values[k]) != m:
-                        raise InvalidArgumentError(f"a patch of {len(values[k])} values for {m} rows")
-        for i, values in zip(members, group):
-            coded[i] = (js, values)
-    return coded
-
-
-def _bits(values: Sequence[Any]) -> tuple:
-    """The bit pattern of one patch's codes: patches with equal bits predict alike."""
-    return tuple(v.hex() if isinstance(v, float) else v.tobytes() for v in values)
 
 
 def _worker_count(threads: int, rows: int) -> int:
@@ -293,9 +256,9 @@ def predict_batch(
     data: Dataset,
     cache: PredictionCache | None = None,
 ) -> np.ndarray:
-    """Predict on a dataset as it is: the substitution kernel's empty patch."""
+    """Predict on a dataset as it is: the substitution kernel's one unchanged copy."""
     cache = cache if cache is not None else PredictionCache()
-    (preds,) = cache.substitute(predictor, data, [{}])
+    (preds,) = cache.substitute(predictor, data, [((), np.empty((1, 0)))])
     return preds
 
 

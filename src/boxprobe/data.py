@@ -102,6 +102,15 @@ def _integer(value: Any, what: str, low: int = 0, high: int | None = None) -> in
     raise InvalidArgumentError(f"{what} must be {need}, got {value!r}")
 
 
+def _indices(values: Any, what: str, n: int) -> np.ndarray:
+    """The integer rule for a 1-D array of indices, vectorized: an integer dtype,
+    not bool, every entry from 0 to n - 1, else :class:`InvalidArgumentError`."""
+    indices = np.asarray(values)
+    if indices.ndim == 1 and indices.dtype.kind in "iu" and ((0 <= indices) & (indices < n)).all():
+        return indices
+    raise InvalidArgumentError(f"{what} must be integers from 0 to {n - 1}, got {indices!r}")
+
+
 def _unregistered(value: str, meta: FeatureMeta) -> InvalidLevelError:
     """The error for a value that is not among a categorical feature's levels."""
     return InvalidLevelError(
@@ -408,6 +417,30 @@ class Dataset:
                 "its values must be finite"
             )
         return col
+
+    def check_codes(self, features: Iterable[int | str], codes: Any, m: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """Validate one group of a substitution plan: ``codes`` for the q ``features``
+        (:meth:`feature_indices`), of shape (G, q), a code per feature in every row
+        of a copy, or (G, q, m), one per row.  Returns the sorted column indices and
+        the codes, float64 in that column order.  A continuous code is its value,
+        checked by :meth:`check_column` as one flat array; a categorical code is a
+        level index, an integral number from 0 to L - 1."""
+        js = self.feature_indices(features)
+        codes = np.asarray(codes)
+        if codes.ndim not in (2, 3) or codes.shape[1] != len(js):
+            raise InvalidArgumentError(f"codes of shape {codes.shape} for {len(js)} features")
+        if codes.ndim == 3 and codes.shape[2] != m:
+            raise InvalidArgumentError(f"a copy of {codes.shape[2]} values for {m} rows")
+        out = np.empty(codes.shape)
+        for k, j in enumerate(sorted(js)):
+            col, meta = codes[:, js.index(j)].reshape(-1), self._meta[j]
+            if meta.kind == CATEGORICAL:
+                valid = np.isin(col, range(len(meta.levels))) if col.dtype.kind in "iuf" else np.zeros(col.shape, bool)
+                if not valid.all():
+                    raise InvalidArgumentError(f"feature {meta.name!r} takes level codes, integers from 0 to "
+                                               f"{len(meta.levels) - 1}; got {col[~valid].tolist()[0]!r}")
+            out[:, k] = (col if meta.kind == CATEGORICAL else self.check_column(j, col)).reshape(out[:, k].shape)
+        return tuple(sorted(js)), out
 
     def check_vector(self, x: Sequence[Any]) -> tuple[Any, ...]:
         """Validate a full feature vector against this dataset's schema."""

@@ -171,9 +171,10 @@ def _substitute_grid(
     """
     feature_list, grids = _resolve_feature_set(data, features, grid)
     points = list(itertools.product(*(g.points for g in grids)))
+    axes = np.meshgrid(*(data.check_column(g.feature, g.points) for g in grids), indexing="ij")
     cache = PredictionCache(threads)
-    patches = [dict(zip(feature_list, point)) for point in points]
-    preds = cache.substitute(predictor, data, patches, reduce=reduce)
+    codes = np.stack([axis.ravel() for axis in axes], axis=1)  # one row per point, in product order
+    preds = cache.substitute(predictor, data, [(feature_list, codes)], reduce=reduce)
     intervention = (
         "replace feature columns with each grid value",
         {
@@ -320,7 +321,7 @@ def ale_first_order(
     for k in range(n_int):
         members = np.flatnonzero(idx == k)
         counts[k] = members.size
-        upper, lower = cache.substitute(predictor, data, [{j: edges[k + 1]}, {j: edges[k]}], rows=members)
+        upper, lower = cache.substitute(predictor, data, [((j,), edges[[k + 1, k], None])], rows=members)
         local_effects[k] = np.mean(upper - lower)
 
     accumulated = np.cumsum(local_effects)
@@ -388,8 +389,8 @@ def average_marginal_effect(
     if not (h > 0) or not np.isfinite(h):
         raise InvalidArgumentError(f"step h must be positive and finite, got {h}")
     cache = PredictionCache(threads)
-    shifts = [{j: _shifted_column(data, j, h)}, {j: _shifted_column(data, j, -h)}]
-    upper, lower = cache.substitute(predictor, data, shifts)
+    shifts = np.stack([_shifted_column(data, j, h), _shifted_column(data, j, -h)])[:, None]
+    upper, lower = cache.substitute(predictor, data, [((j,), shifts)])
     value = float(np.mean((upper - lower) / (2.0 * h)))
     trace = cache.trace(
         predictor,

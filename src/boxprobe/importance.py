@@ -158,11 +158,11 @@ def ici_curve(
     target = loss.targets(data, "ICI")
     j = data.feature_index(feature)
     i = _integer(observation, "observation", 0, data.n_rows - 1)
-    own = data.row(i)[j]
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
-    # The row's own value first: the kernel predicts it once with the equal observed value.
-    preds = cache.substitute(predictor, data, [{j: v} for v in (own, *values)], rows=[i])
+    # The row's own code first: the kernel predicts it once with the equal observed value.
+    codes = np.insert(data.check_column(j, values), 0, data.codes()[i, j])[:, None]
+    preds = cache.substitute(predictor, data, [((j,), codes)], rows=[i])
     losses = loss(preds[:, 0], np.repeat(target[i : i + 1], len(preds)))
     with np.errstate(invalid="ignore"):  # inf - inf: the curve rejects the NaN
         ys = losses[1:] - losses[0]
@@ -190,11 +190,11 @@ def pi_curve(
     target = loss.targets(data, "the mean loss change")
     values = _sorted_observed(data, j)
     cache = PredictionCache(threads)
-    (unchanged,) = cache.substitute(predictor, data, [{}])
+    (unchanged,) = cache.substitute(predictor, data, [((), np.empty((1, 0)))])
     base_losses = loss(unchanged, target)
     # inf - inf: the curve rejects the NaN
     change = np.errstate(invalid="ignore")(lambda b: (loss(b, target) - base_losses).mean(axis=1))
-    means = cache.substitute(predictor, data, [{j: v} for v in values], reduce=change)
+    means = cache.substitute(predictor, data, [((j,), data.check_column(j, values)[:, None])], reduce=change)
     trace = cache.trace(
         predictor,
         data,
@@ -250,11 +250,11 @@ def pfi_permutation(
     repeats = _integer(repeats, "repeats", 1)
     child_seeds = spawn_seeds(seed, repeats)
     cache = PredictionCache(threads)
-    column = data.column(j)
+    column = data.codes()[:, j]
     # The column itself first: the unchanged data, then one permuted copy per repeat.
     copies = [column] + [column[make_rng(child).permutation(data.n_rows)] for child in child_seeds]
     errors = cache.substitute(
-        predictor, data, [{j: c} for c in copies], reduce=lambda b: loss(b, target).mean(axis=1)
+        predictor, data, [((j,), np.stack(copies)[:, None])], reduce=lambda b: loss(b, target).mean(axis=1)
     )
     with np.errstate(invalid="ignore"):  # inf - inf: the score rejects the NaN
         value = float(np.mean(errors[1:] - errors[0]))
@@ -311,16 +311,16 @@ def _perturbed_ge(
     """
     block = sorted(perturbed)
     if not block:
-        patches = [{}]
+        donors = np.empty((1, 0))  # one copy: the unchanged data
     elif mode == PERTURB_PERMUTATION:
         perm = make_rng(_coalition_seed(seed, perturbed)).permutation(data.n_rows)
-        patches = [{t: data.column(t)[perm] for t in block}]
+        donors = data.codes()[:, block][perm].T[None]  # one copy, its codes per row
     else:
-        patches = [dict(zip(block, donor)) for donor in zip(*(data.column(t) for t in block))]
-    per_patch = cache.substitute(
-        predictor, data, patches, reduce=lambda b: loss(b, data.target).mean(axis=1)
+        donors = data.codes()[:, block]  # one copy per donor observation
+    per_copy = cache.substitute(
+        predictor, data, [(block, donors)], reduce=lambda b: loss(b, data.target).mean(axis=1)
     )
-    return float(np.mean(per_patch))
+    return float(np.mean(per_copy))
 
 
 def pfi_payout(

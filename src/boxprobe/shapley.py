@@ -113,10 +113,11 @@ def _pd_payouts(
 ) -> list[float]:
     """:func:`pd_payout` of each non-empty coalition of column indices, at a vector
     ``x`` that :meth:`Dataset.check_vector` returned: one kernel call, each
-    coalition's copy, then the unchanged data."""
-    plan = [patch for k in members for patch in ({j: x[j] for j in sorted(k)}, {})]
+    coalition's copy, then one unchanged copy per coalition."""
+    code = encode([[v] for v in x], data.meta)[0]
+    plan = [(js, code[js][None]) for js in map(sorted, members)] + [((), np.empty((len(members), 0)))]
     means = cache.substitute(predictor, data, plan, reduce=lambda b: b.mean(axis=1))
-    return (means[0::2] - means[1::2]).tolist()
+    return (means[: len(members)] - means[len(members) :]).tolist()
 
 
 def shapley_exact(

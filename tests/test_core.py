@@ -226,14 +226,28 @@ def test_kernel_patches_a_column_at_chosen_rows():
     data = columns_dataset(a=[1.0, 2.0, 3.0, 4.0], b=[0.5, 1.0, 1.5, 2.0])
     predictor = linear_predictor([1.0, -2.0])
     cache = PredictionCache()
-    patches = [{"a": np.array([10.0, 20.0])}, {"a": 7.0}, {0: np.array([7.0, 7.0])}]
-    preds = cache.substitute(predictor, data, patches, rows=[3, 1])
+    plan = [(["a"], [[[10.0, 20.0]]]), (["a"], [[7.0]]), ([0], [[[7.0, 7.0]]])]
+    preds = cache.substitute(predictor, data, plan, rows=[3, 1])
     assert preds.tolist() == [[10.0 - 4.0, 20.0 - 2.0], [3.0, 5.0], [3.0, 5.0]]
     assert (cache.batches, cache.rows) == (3, 6)
     with pytest.raises(InvalidArgumentError, match="3 values for 2 rows"):
-        cache.substitute(predictor, data, [{"a": np.array([1.0, 2.0, 3.0])}], rows=[0, 1])
+        cache.substitute(predictor, data, [(["a"], [[[1.0, 2.0, 3.0]]])], rows=[0, 1])
     with pytest.raises(InvalidArgumentError, match="non-finite"):
-        cache.substitute(predictor, data, [{"a": np.array([1.0, np.inf, 3.0, 4.0])}])
+        cache.substitute(predictor, data, [(["a"], [[[1.0, np.inf, 3.0, 4.0]]])])
+
+
+@pytest.mark.parametrize("rows", [[1.7], [True], [-1], [3], np.array([0.0]), [[1]]], ids=repr)
+def test_the_kernels_rows_follow_the_integer_rule(rows):
+    """Rows are integer indices of the data: no float, bool, negative or
+    past-the-end index, and one list of them."""
+    data = columns_dataset(a=[1.0, 2.0, 3.0])
+    seen = []
+    predictor = handle(lambda X: seen.append(len(X)) or np.zeros(len(X)), 1)
+    with pytest.raises(InvalidArgumentError, match="rows must be integers from 0 to 2"):
+        PredictionCache().substitute(predictor, data, [([], [[]])], rows=rows)
+    assert seen == []
+    numpy_rows = PredictionCache().substitute(linear_predictor([1.0]), data, [([], [[]])], rows=np.uint8([2, 0]))
+    assert numpy_rows.tolist() == [[3.0, 1.0]]
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=repr)
@@ -241,14 +255,14 @@ def test_a_non_finite_substituted_value_names_the_feature_and_the_value(value):
     data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
     predictor = linear_predictor([1.0, -2.0])
 
-    def patch(value):
-        return lambda: PredictionCache().substitute(predictor, data, [{"a": value}])
+    def copy(codes):
+        return lambda: PredictionCache().substitute(predictor, data, [(["a"], [[codes]])])
 
     ways = {
         "intervene_replace": lambda: intervene_replace(data, {"a": value}),
         "replace_columns": lambda: data.replace_columns({0: [1.0, value]}),
-        "scalar patch": patch(value),
-        "array patch": patch(np.array([1.0, value])),
+        "scalar code": copy(value),
+        "per-row codes": copy(np.array([1.0, value])),
     }
     for way, attempt in ways.items():
         with pytest.raises(InvalidArgumentError) as raised:
@@ -274,17 +288,17 @@ def test_a_continuous_value_follows_one_rule_however_it_arrives(value):
     data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
     predictor = linear_predictor([1.0, -2.0])
 
-    def patch(value):
-        return lambda: PredictionCache().substitute(predictor, data, [{"a": value}])
+    def copy(codes):
+        return lambda: PredictionCache().substitute(predictor, data, [(["a"], [[codes]])])
 
     ways = {
         "check_value": lambda: data.check_value(0, value),
         "check_column": lambda: data.check_column(0, [1.0, value]),
         "intervene_replace": lambda: intervene_replace(data, {"a": value}),
         "replace_columns": lambda: data.replace_columns({0: [value, 1.0]}),
-        "scalar patch": patch(value),
-        "object array patch": patch(np.array([1.0, value], dtype=object)),
-        "typed array patch": patch(np.array([value, value])),
+        "scalar code": copy(value),
+        "object per-row codes": copy(np.array([1.0, value], dtype=object)),
+        "typed per-row codes": copy(np.array([value, value])),
     }
     assert {way: _rejects(attempt) for way, attempt in ways.items()} == dict.fromkeys(ways, True)
 
@@ -295,20 +309,20 @@ def test_any_real_number_is_a_continuous_value(value):
     predictor = linear_predictor([1.0, -2.0])
     assert data.check_value(0, value) == 2.0 and type(data.check_value(0, value)) is float
     scalar, array = PredictionCache().substitute(
-        predictor, data, [{"a": value}, {"a": np.array([value, value])}]
+        predictor, data, [(["a"], [[value]]), (["a"], [[np.array([value, value])]])]
     )
     assert scalar.tolist() == array.tolist() == [2.0 - 1.0, 2.0 - 2.0]
 
 
 @pytest.mark.parametrize(
-    "patch", [{0: 1.0, "a": 2.0}, {"b": 1.0, 1: 2.0, "a": 3.0}], ids=["index and name", "name and index"]
+    "group", [([0, "a"], [[1.0, 2.0]]), (["b", 1, "a"], [[1.0, 2.0, 3.0]])], ids=["index and name", "name and index"]
 )
-def test_a_patch_names_each_feature_once(patch):
+def test_a_patch_names_each_feature_once(group):
     data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
     seen = []
     predictor = handle(lambda X: seen.append(len(X)) or np.zeros(len(X)), 2)
     with pytest.raises(InvalidArgumentError, match="names a feature twice"):
-        PredictionCache().substitute(predictor, data, [{"a": 0.0}, patch])
+        PredictionCache().substitute(predictor, data, [(["a"], [[0.0]]), group])
     assert seen == []
 
 
@@ -317,7 +331,7 @@ def test_a_patch_names_only_known_features(feature):
     data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
     predictor = linear_predictor([1.0, -2.0])
     with pytest.raises(InvalidArgumentError, match="unknown feature|out of range"):
-        PredictionCache().substitute(predictor, data, [{}, {"a": 1.0, feature: 1.0}])
+        PredictionCache().substitute(predictor, data, [([], [[]]), (["a", feature], [[1.0, 1.0]])])
 
 
 def test_repeated_unchanged_data_is_predicted_once_per_call():
@@ -325,7 +339,7 @@ def test_repeated_unchanged_data_is_predicted_once_per_call():
     predictor = handle(lambda X: seen.append(len(X)) or np.asarray(X) @ np.array([1.0, 1.0]), 2)
     data = columns_dataset(a=[1.0, 2.0, 3.0], b=[0.0, 1.0, 0.0])
     cache = PredictionCache()
-    first, patched, again = cache.substitute(predictor, data, [{}, {"b": 1.0}, {}])
+    first, patched, again = cache.substitute(predictor, data, [([], [[]]), (["b"], [[1.0]]), ([], [[]])])
     assert first.tolist() == again.tolist() == [1.0, 3.0, 3.0] and patched.tolist() == [2.0, 3.0, 4.0]
     assert seen == [3, 3] and (cache.batches, cache.rows) == (3, 9)
     predict_batch(predictor, data, cache=cache)  # a new call predicts the data anew

@@ -321,6 +321,16 @@ def test_ame_returns_its_step_and_trace(two_feature_data):
     assert aggregation.parameters == {"h": result.h}
 
 
+@pytest.mark.parametrize("value", [5.0, -5.0])
+def test_the_default_step_of_a_constant_column_scales_with_its_magnitude(value):
+    """A zero range falls back to the column's magnitude when it exceeds 1."""
+    data = columns_dataset(x1=[value] * 3, x2=[0.0, 1.0, 2.0])
+    assert default_step(data, 0) == 5e-4
+    result = average_marginal_effect(linear_predictor([2.0, 1.0]), data, "x1")
+    shift, _, aggregation = result.trace.records
+    assert result.h == shift.parameters["h"] == aggregation.parameters["h"] == 5e-4
+
+
 def test_ame_shift_that_overflows_is_rejected():
     data = columns_dataset(x1=[1e308, 0.0, 1.0])
     predictor = handle(lambda X: np.asarray(X, dtype=float)[:, 0], 1)

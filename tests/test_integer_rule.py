@@ -49,7 +49,7 @@ CASES = {
     "pd_curve feature": (lambda v: pd_curve(MODEL, DATA, v), 1),
     "pd_importance feature": (lambda v: pd_importance(MODEL, DATA, v), 1),
     "shapley_exact feature": (lambda v: shapley_exact(MODEL, DATA, X, v), 1),
-    "substitute feature": (lambda v: PredictionCache().substitute(MODEL, DATA, [{v: 9.0}]), 1),
+    "substitute feature": (lambda v: PredictionCache().substitute(MODEL, DATA, [([v], [[9.0]])]), 1),
     "intervene_replace feature": (lambda v: intervene_replace(DATA, {v: 9.0}), 1),
     "PredictorHandle n_features": (lambda v: PredictorHandle(MODEL, v).n_features, 2),
     "PredictionCache threads": (lambda v: PredictionCache(v).threads, 2),

@@ -10,12 +10,16 @@ kernel's own unchanged-data rule replaced ``PredictionCache.baseline`` and
 ``importance._permute_block``, which must not come back.  Losses apply to
 whole blocks of predictions inside the kernel's reducers, so no loop or
 comprehension there calls ``loss(...)`` once per copy of the data.  The
-kernel returns one result per patch, in patch order, so deduplication stays
-inside it: no estimator refers to an ``inverse`` index.  A patch names its
-own features, so exact Shapley hands the kernel all its coalitions in one
-call, and in-call dedup predicts the unchanged data once: no payout memo
-(``functools``) in the Shapley or importance modules, and no cross-call
-``_unchanged`` memo in the kernel.
+kernel returns one result per copy, in plan order, so deduplication stays
+inside it: no estimator refers to an ``inverse`` index.  A plan is a list of
+groups, each a feature list and an array of codes, one row per copy, so
+exact Shapley hands the kernel all its coalitions in one call, and in-call
+dedup predicts the unchanged data once: no payout memo (``functools``) in
+the Shapley or importance modules, and no cross-call ``_unchanged`` memo in
+the kernel.  Estimators pass the code arrays they hold, so none builds a
+dict for the kernel (a dict display, a dict comprehension or ``dict(...)``
+in what it passes to ``substitute``), and the kernel keys copies by the
+bytes of their codes, so ``core.py`` calls no ``.hex()``.
 
 The curve-based importance scores aggregate the curve they are the
 spread or mean of, so ``importance.py`` imports no private name from
@@ -41,7 +45,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "boxprobe"
 ESTIMATORS = ("effects.py", "importance.py", "shapley.py")
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 DATASET_BUILDERS = {"predict_batch", "replace_columns", "estimate_generalization_error"}
-KERNEL = {"PredictionCache", "_patch_codes", "_bits", "_run_predictor", "finite_difference"}
+KERNEL = {"PredictionCache", "_run_predictor", "finite_difference"}
 
 
 def _names(path):
@@ -123,6 +127,51 @@ def test_no_estimator_or_kernel_picks_a_matrix_dtype():
     assert {name: sorted(set(_dtype_choices(tree))) for name, tree in trees.items()} == {
         name: [] for name in trees
     }
+
+
+def _is_dict(node):
+    return isinstance(node, (ast.Dict, ast.DictComp)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"
+    )
+
+
+def _dicts_passed_to_the_kernel(tree):
+    """Line numbers of dicts in a ``substitute`` call's arguments, or in what
+    its function assigned to a name those arguments use."""
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        assigned = {}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            assigned.setdefault(name.id, []).append(node.value)
+        for call in ast.walk(function):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "substitute":
+                passed = [*call.args, *(k.value for k in call.keywords)]
+                used = {n.id for arg in passed for n in ast.walk(arg) if isinstance(n, ast.Name)}
+                passed += [value for name in used for value in assigned.get(name, [])]
+                yield from (n.lineno for arg in passed for n in ast.walk(arg) if _is_dict(n))
+
+
+def test_no_estimator_passes_the_kernel_a_dict():
+    trees = {name: ast.parse((SRC / name).read_text(encoding="utf-8")) for name in ESTIMATORS}
+    assert {name: sorted(set(_dicts_passed_to_the_kernel(tree))) for name, tree in trees.items()} == {
+        name: [] for name in ESTIMATORS
+    }
+    probe = ast.parse("def f(cache):\n    plan = [{0: v} for v in values]\n    cache.substitute(p, d, plan)\n")
+    assert list(_dicts_passed_to_the_kernel(probe)) == [2]  # the guard sees through a name
+
+
+def test_the_kernel_keys_copies_by_bytes_not_hex():
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "core.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "hex"
+    ]
+    assert calls == []
 
 
 def test_no_payout_memo_and_no_cross_call_unchanged_memo():

@@ -4,11 +4,12 @@ Whatever the substitution kernel merges, the prediction record counts the
 grid the estimator is defined over (G batches of n rows), and the partial
 dependence, the averaged loss-change curve (PI) and the exhaustive
 permutation importance equal their per-value ``intervene_replace``
-references bit for bit.  The kernel itself, on random patch lists with
-repeats, scalars and arrays, level strings and optional rows, returns each
-patch's predictions, or each patch's share of a reduced block of copies, as
-a per-patch loop would, at any row budget and thread count, whichever
-features each patch sets, by index or by name.  Building a
+references bit for bit.  The kernel itself, on random plans with repeated
+copies, codes per copy and per row, level codes and optional rows, returns
+each copy's predictions, or each copy's share of a reduced block of copies,
+as a per-copy loop over the code matrix would, at any row budget and thread
+count, whichever features each group sets, by index or by name, in any
+order, keeping 0.0 and -0.0 apart.  Building a
 dataset from rows or from columns gives the same bits.
 """
 
@@ -32,6 +33,7 @@ from boxprobe import (
 )
 
 from boxprobe import core
+from boxprobe.data import decode
 
 from conftest import handle
 
@@ -146,7 +148,7 @@ def test_rows_and_columns_build_the_same_dataset(table):
 
 LOSS = squared_loss()
 
-# Patch values: mostly signed zeros, so patches the kernel must keep apart repeat.
+# Continuous codes: mostly signed zeros, so copies the kernel must keep apart repeat.
 PATCH_VALUES = st.sampled_from([-0.0, 0.0, 0.0, -0.0, 2.0])
 
 
@@ -169,51 +171,49 @@ def kernel_cases(draw):
     })
     rows = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
     m = n if rows is None else len(rows)
+    level_codes = st.sampled_from([float(code) for code in range(len(data.meta[1].levels))])
 
-    def value(j):
-        pool = st.sampled_from(data.meta[1].levels) if j == 1 else PATCH_VALUES
-        array = st.lists(pool, min_size=m, max_size=m).map(
-            lambda vs: np.array(vs, dtype=object if j == 1 else float)
-        )
-        return pool | array
+    def group():  # a few copies of the same features, each by index or by name, in any order
+        features = draw(st.permutations(draw(st.lists(st.integers(0, 2), unique=True, max_size=3))))
+        per_row = draw(st.booleans())
+        codes = np.empty((draw(st.integers(1, 3)), len(features), *((m,) if per_row else ())))
+        for copy in codes:
+            for k, j in enumerate(features):
+                pool = level_codes if j == 1 else PATCH_VALUES
+                copy[k] = draw(st.lists(pool, min_size=m, max_size=m)) if per_row else draw(pool)
+        return [draw(st.sampled_from([j, f"x{j + 1}"])) for j in features], codes
 
-    def patch(features):  # each feature by index or by name
-        entries = [st.tuples(st.sampled_from([j, f"x{j + 1}"]), value(j)) for j in features]
-        return st.tuples(*entries).map(dict)
-
-    features = st.lists(st.integers(0, 2), unique=True, max_size=3)  # [] is the unchanged data
-    candidates = draw(st.lists(features.flatmap(patch), min_size=1, max_size=4))
-    patches = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8))
-    return data, patches, rows, m
+    candidates = [group() for _ in range(draw(st.integers(1, 4)))]  # [] is the unchanged data
+    plan = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6))
+    return data, plan, rows, m
 
 
 def column(feature):
     return feature if isinstance(feature, int) else int(feature[1:]) - 1
 
 
-def patch_key(patch):
-    """Equal for patches the kernel may predict once: the same columns in the
-    same order and equal values, floats by bits."""
-    def key(v):
-        return v.hex() if isinstance(v, float) else v
-
-    return tuple(
-        (column(f), tuple(map(key, v.tolist())) if isinstance(v, np.ndarray) else ("scalar", key(v)))
-        for f, v in patch.items()
-    )
+def copy_keys(plan):
+    """Equal for copies the kernel may predict once: the same columns, in any
+    order, and equal codes, floats by bits."""
+    for features, codes in plan:
+        js = [column(f) for f in features]
+        order = np.argsort(js)
+        for copy in codes:
+            yield tuple(sorted(js)), tuple(v.hex() for v in copy[order].ravel().tolist())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(kernel_cases(), st.sampled_from([1, 7, None]), st.sampled_from([1, 2, 3]))
 def test_kernel_equals_a_per_patch_loop(case, budget, threads):
-    data, patches, rows, m = case
-    base = data.matrix() if rows is None else data.matrix()[rows]
+    data, plan, rows, m = case
+    base = data.codes() if rows is None else data.codes()[rows]
     expected = []
-    for patch in patches:
-        X = base.copy()
-        for f, v in patch.items():
-            X[:, column(f)] = v
-        expected.append(mixed_rowwise(X))
+    for features, codes in plan:
+        for copy in codes:
+            X = base.copy()
+            for f, v in zip(features, copy):
+                X[:, column(f)] = v
+            expected.append(mixed_rowwise(decode(X, data.meta)))
     expected = np.array(expected)
     seen = []
     predictor = handle(lambda X: seen.append(len(X)) or mixed_rowwise(X), 3)
@@ -226,15 +226,15 @@ def test_kernel_equals_a_per_patch_loop(case, budget, threads):
     }
     with mock.patch.object(core, "ROW_BUDGET", budget or core.ROW_BUDGET):
         cache = PredictionCache(threads)
-        got = cache.substitute(predictor, data, patches, rows=rows)
+        got = cache.substitute(predictor, data, plan, rows=rows)
         reduced = {
-            name: cache.substitute(predictor, data, patches, rows=rows, reduce=reduce)
+            name: cache.substitute(predictor, data, plan, rows=rows, reduce=reduce)
             for name, reduce in reducers.items()
         }
     assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
     for name, reduce in reducers.items():
         assert reduced[name].tobytes() == reduce(expected).tobytes(), name
     calls = 1 + len(reducers)
-    assert (cache.batches, cache.rows) == (calls * len(patches), calls * len(patches) * m)
-    distinct = len(set(map(patch_key, patches)))
+    assert (cache.batches, cache.rows) == (calls * len(expected), calls * len(expected) * m)
+    distinct = len(set(copy_keys(plan)))
     assert sum(seen) == calls * distinct * m

@@ -230,11 +230,11 @@ def test_reducer_output_is_copied_before_the_buffer_is_reused(monkeypatch, budge
     monkeypatch.setattr(core, "ROW_BUDGET", BUDGETS[budget](data.n_rows))
     points = [(v,) for v in observed_grid(data, "b").points]
     grid = reference_grid(predictor, data, [1], points)
-    patches = [{1: v} for (v,) in points]
+    plan = [([1], np.array(points))]
     for i in (0, 4, 9):
-        column = PredictionCache().substitute(predictor, data, patches, reduce=lambda b: b[:, i])
+        column = PredictionCache().substitute(predictor, data, plan, reduce=lambda b: b[:, i])
         assert same_bits(column, grid[:, i])
-    strided = PredictionCache().substitute(predictor, data, patches, reduce=lambda b: b[:, ::3])
+    strided = PredictionCache().substitute(predictor, data, plan, reduce=lambda b: b[:, ::3])
     assert same_bits(strided, grid[:, ::3])
 
 
@@ -246,7 +246,7 @@ def test_the_reducer_gets_blocks_of_a_row_budget_of_copies(monkeypatch, budget, 
     monkeypatch.setattr(core, "ROW_BUDGET", {"m": m, "default": core.ROW_BUDGET}.get(budget, budget))
     k = max(1, core.ROW_BUDGET // m)
     points = [float(v) for v in observed_grid(data, "b").points]
-    patches = [{1: v} for v in points + points[::2]]  # every other point repeats
+    values = points + points[::2]  # every other point repeats
     distinct = len({v.hex() for v in points})
     y = data.target if rows is None else data.target[rows]
     blocks = []
@@ -256,15 +256,15 @@ def test_the_reducer_gets_blocks_of_a_row_budget_of_copies(monkeypatch, budget, 
         return (LOSS(b, y) - 1.0).mean(axis=1)
 
     predictor = handle(rowwise, 4)
-    got = PredictionCache().substitute(predictor, data, patches, rows=rows, reduce=loss_change)
+    got = PredictionCache().substitute(predictor, data, [([1], np.array(values)[:, None])], rows=rows, reduce=loss_change)
     full, last = divmod(distinct, k)
     assert blocks == [0] + [k] * full + ([last] if last else [])  # the first is the shape probe
     assert len(blocks) == -(-distinct // k) + 1
     base = data.matrix() if rows is None else data.matrix()[rows]
     per_copy = []
-    for patch in patches:
+    for value in values:
         X = base.copy()
-        X[:, 1] = patch[1]
+        X[:, 1] = value
         per_copy.append((LOSS(rowwise(X), y) - 1.0).mean())
     assert same_bits(got, per_copy)
 
@@ -311,7 +311,8 @@ def test_repeated_unchanged_data_passes_through_a_reducer_once(reduce):
     patched[:, 0] = 2.0
     patched = rowwise(patched)
     reducers = {"whole": lambda b: b, "mean": lambda b: b.mean(axis=1)}
-    got = PredictionCache().substitute(predictor, data, [{}, {0: 2.0}, {}, {}], reduce=reducers[reduce])
+    plan = [([], np.empty((1, 0))), ([0], [[2.0]]), ([], np.empty((2, 0)))]
+    got = PredictionCache().substitute(predictor, data, plan, reduce=reducers[reduce])
     assert calls == [data.n_rows, data.n_rows]
     assert same_bits(got, reducers[reduce](np.array([expected, patched, expected, expected])))
 
@@ -324,8 +325,8 @@ def test_patches_naming_the_same_values_in_another_order_are_predicted_once():
     got = PredictionCache().substitute(
         predictor,
         data,
-        [{0: 1.0, 1: 2.0}, {1: 2.0, 0: 1.0}, {"a": 1.0, "b": 2.0},
-         {"c": "w", "b": 2.0, 0: 1.0}, {0: 1.0, 1: 2.0, 2: "w"}],
+        [([0, 1], [[1.0, 2.0]]), ([1, 0], [[2.0, 1.0]]), (["a", "b"], [[1.0, 2.0]]),
+         (["c", "b", 0], [[2.0, 2.0, 1.0]]), ([0, 1, 2], [[1.0, 2.0, 2.0]])],
     )
     assert calls == [data.n_rows, data.n_rows]
     two = patched.copy()

@@ -16,14 +16,17 @@ per side follows the pairs, for the per-layer metrics.
 The output file holds, per workload, every run, each side's median and
 quartiles of every end-to-end metric, how many pairs the change won on each
 metric (ties count for neither side; a pair with a failed run counts for
-neither), and the environment the runs shared.  A summary goes to standard
-error.
+neither), and the environment the runs shared.  Per metric it also holds the
+exact two-sided sign-test p of those wins and losses, and the median of the
+per-pair change/parent ratios with a distribution-free 95 % interval from
+binomial order statistics.  A summary goes to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -77,21 +80,50 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """The exact two-sided sign-test p of ``wins`` against ``losses``, ties dropped:
+    the chance of a split at least this uneven if each pair were a fair coin."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def median_interval(values: list[float], confidence: float = 0.95) -> dict:
+    """The median of ``values`` and a distribution-free interval for it.
+
+    The interval runs from the d-th smallest to the d-th largest value, d the
+    largest whose coverage 1 - 2 P(Binomial(n, 1/2) <= d - 1) is at least
+    ``confidence``; ``coverage`` is that exact figure.  Fewer than six values
+    admit no 95 % interval, so ``low`` and ``high`` are then None.
+    """
+    x, n = sorted(values), len(values)
+    d, tail = 0, 0.0  # tail: P(B <= d - 1)
+    while 1 - 2 * (tail + math.comb(n, d) / 2**n) >= confidence:
+        tail += math.comb(n, d) / 2**n
+        d += 1
+    return {"median": statistics.median(x) if x else None, "low": x[d - 1] if d else None,
+            "high": x[n - d] if d else None, "coverage": 1 - 2 * tail if d else None}
+
+
 def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
-    """Per end-to-end metric: each side's spread and the change's wins."""
+    """Per end-to-end metric: each side's spread, the change's wins and their
+    sign-test p, and the median change/parent ratio with its interval."""
     out = {}
     for metric, better in directions.items():
         sides = {side: [p[side]["metrics"][metric]["value"] for p in pairs if ok(p[side])]
                  for side in ("parent", "change")}
         wins = losses = 0
+        ratios = []
         for p in pairs:
             if ok(p["parent"]) and ok(p["change"]):
                 a, b = p["parent"]["metrics"][metric]["value"], p["change"]["metrics"][metric]["value"]
                 wins += (b < a) if better == "lower" else (b > a)
                 losses += (b > a) if better == "lower" else (b < a)
+                ratios += [b / a] if a else []
         out[metric] = {"better": better, "parent": spread(sides["parent"]),
                        "change": spread(sides["change"]), "change_wins": wins, "change_losses": losses,
-                       "pairs_compared": sum(ok(p["parent"]) and ok(p["change"]) for p in pairs)}
+                       "pairs_compared": sum(ok(p["parent"]) and ok(p["change"]) for p in pairs),
+                       "sign_test_p": sign_test(wins, losses), "ratio": median_interval(ratios)}
     return out
 
 
@@ -153,7 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     for workload, entry in report["workloads"].items():
         wall = entry["summary"]["wall_s"]
         print(f"{workload}: wall_s median {wall['parent']['median']} -> {wall['change']['median']}, "
-              f"change won {wall['change_wins']} of {wall['pairs_compared']}", file=sys.stderr)
+              f"change won {wall['change_wins']} of {wall['pairs_compared']} (sign test p "
+              f"{wall['sign_test_p']:.4g}), ratio {wall['ratio']['median']} in "
+              f"[{wall['ratio']['low']}, {wall['ratio']['high']}]", file=sys.stderr)
     return 0
 
 
