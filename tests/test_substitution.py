@@ -354,7 +354,7 @@ def test_reducing_estimators_hold_a_row_budget_not_the_matrix():
         finally:
             tracemalloc.stop()
         # The kernel's one-copy buffer, the predictor's input block and the
-        # loss temporaries each stay within one budget; the grid, the patch keys and the result are O(n) Python
+        # loss temporaries each stay within one budget; the grid, the dedup keys and the result are O(n) Python
         # objects, under 1 KiB a row.  The 3000 x 3000 prediction matrix
         # alone would take 72 MB.
         assert peak < 8 * core.ROW_BUDGET * 8 + 1024 * n, name
