@@ -150,34 +150,30 @@ class PredictionCache:
     ) -> np.ndarray:
         """The substitution kernel: predict each copy of ``data`` that the plan names.
 
-        A plan is a sequence of groups ``(features, codes)``: q features, by
-        index or name, and their codes in the data's code space
-        (:func:`~boxprobe.data.encode`: a continuous value is itself, a level
-        its index), of shape (G, q), set in every row of a copy, or (G, q, m),
-        one per row of the copy, which holds only ``rows`` if given.  Each of
-        the G rows is one copy, counted as one logical batch of m rows; codes
-        of shape (G, 0) are G copies of the unchanged data.  Returns one row
-        of m predictions per copy, in plan order.  Each group is checked once
-        by :meth:`~boxprobe.data.Dataset.check_codes`, and ``rows`` must hold
-        integer row indices.  Deduplication spans the call: copies are
-        distinct by their sorted features and the bytes of their codes, so
-        0.0 and -0.0 stay apart, and the predictor sees each distinct copy
-        once, in calls of at most :data:`ROW_BUDGET` rows.  While m <=
-        ``ROW_BUDGET`` those are the calls a loop over the copies would make,
-        minus the repeats, so no bit moves even for a model whose bits depend
-        on the batch; a larger m is split into chunks such a loop would not
-        make, and such a model may then differ in the last bits.
+        A plan is a sequence of groups ``(features, codes)``, each checked once by
+        :meth:`~boxprobe.data.Dataset.check_codes`: q features, by index or name,
+        and their codes in the data's code space (:func:`~boxprobe.data.encode`: a
+        continuous value is itself, a level its index), of shape (G, q), set in
+        every row of a copy, or (G, q, m), one per row of the copy, which holds
+        only ``rows`` (integer row indices) if given.  Each of the G rows is one
+        copy, one logical batch of m rows; (G, 0) is G unchanged copies.  Returns
+        one row of m predictions per copy, in plan order.  Deduplication spans the
+        call: copies are distinct by their sorted features and code bytes, so 0.0
+        and -0.0 stay apart, and the predictor sees each distinct copy once, in
+        calls of at most :data:`ROW_BUDGET` rows.  While m <= ``ROW_BUDGET`` those
+        are the calls a loop over the copies would make, minus the repeats, so no
+        bit moves even for a model whose bits depend on the batch; a larger m is
+        split into chunks such a loop would not make, and such a model may then
+        differ in the last bits.
 
-        ``reduce`` aggregates inside the kernel: it maps a (k, m) block of
-        copies' predictions, one copy per row, to k values or k rows, and the
-        kernel returns one of those per copy in place of the predictions;
-        the default keeps the whole rows.  The distinct copies are reduced in
-        blocks of k = max(1, ``ROW_BUDGET`` // m), one reducer call per block:
-        each copy is still predicted in its own calls, into its row of one
-        reused (k, m) buffer, so a reducing method holds one row budget of
-        predictions however many copies it predicts.  The reducer's output is
-        copied out of the buffer, so it may be a view of its block; it must
-        also accept a block of no copies, which gives the shape of its output.
+        ``reduce`` aggregates inside the kernel: it maps a (k, m) block of copies'
+        predictions, one copy per row, to k values or k rows, returned per copy in
+        place of the predictions (the default keeps the rows).  The distinct copies
+        are predicted, each in its own calls, into a reused (k, m) buffer, k =
+        max(1, ``ROW_BUDGET`` // m), with one reducer call per block, so a reducing
+        method holds one row budget of predictions however many copies it predicts.
+        The output is copied out of the buffer, so it may be a view of its block;
+        the reducer must also accept a block of no copies, which gives its shape.
         """
         if data.n_features != predictor.n_features:
             raise ShapeError(
@@ -186,7 +182,7 @@ class PredictionCache:
             )
         rows = None if rows is None else _indices(rows, "rows", data.n_rows)
         m = data.n_rows if rows is None else len(rows)
-        groups = [data.check_codes(features, codes, m) for features, codes in plan]
+        groups = [data.check_codes(group, m) for group in plan]
         pairs = [(js, copy) for js, codes in groups for copy in codes]
         slot: dict[tuple, int] = {}  # features and code bytes -> its distinct copy, in order of first use
         inverse = [slot.setdefault((js, copy.tobytes()), len(slot)) for js, copy in pairs]

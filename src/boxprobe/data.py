@@ -106,8 +106,9 @@ def _indices(values: Any, what: str, n: int) -> np.ndarray:
     """The integer rule for a 1-D array of indices, vectorized: an integer dtype,
     not bool, every entry from 0 to n - 1, else :class:`InvalidArgumentError`."""
     indices = np.asarray(values)
-    if indices.ndim == 1 and indices.dtype.kind in "iu" and ((0 <= indices) & (indices < n)).all():
-        return indices
+    kind = indices.dtype.kind if indices.size else "i"  # numpy reads [] as float64
+    if indices.ndim == 1 and kind in "iu" and ((0 <= indices) & (indices < n)).all():
+        return indices.astype(np.intp, copy=False)
     raise InvalidArgumentError(f"{what} must be integers from 0 to {n - 1}, got {indices!r}")
 
 
@@ -418,15 +419,19 @@ class Dataset:
             )
         return col
 
-    def check_codes(self, features: Iterable[int | str], codes: Any, m: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Validate one group of a substitution plan: ``codes`` for the q ``features``
-        (:meth:`feature_indices`), of shape (G, q), a code per feature in every row
-        of a copy, or (G, q, m), one per row.  Returns the sorted column indices and
-        the codes, float64 in that column order.  A continuous code is its value,
-        checked by :meth:`check_column` as one flat array; a categorical code is a
-        level index, an integral number from 0 to L - 1."""
+    def check_codes(self, group: Any, m: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """Validate one group ``(features, codes)`` of a substitution plan: q
+        ``features`` (:meth:`feature_indices`) and their codes, of shape (G, q), one per
+        feature in every row of a copy, or (G, q, m), one per row.  Returns the sorted
+        column indices and the codes, float64 in that order.  A continuous code is its
+        value, checked by :meth:`check_column` as one flat array; a categorical code is
+        a level index, an integral number from 0 to L - 1."""
+        try:  # a mapping, a lone value or a ragged array is no group
+            features, codes = () if isinstance(group, Mapping) else group
+            codes = np.asarray(codes)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(f"a plan group is (features, codes); got {group!r}") from None
         js = self.feature_indices(features)
-        codes = np.asarray(codes)
         if codes.ndim not in (2, 3) or codes.shape[1] != len(js):
             raise InvalidArgumentError(f"codes of shape {codes.shape} for {len(js)} features")
         if codes.ndim == 3 and codes.shape[2] != m:
@@ -435,6 +440,7 @@ class Dataset:
         for k, j in enumerate(sorted(js)):
             col, meta = codes[:, js.index(j)].reshape(-1), self._meta[j]
             if meta.kind == CATEGORICAL:
+                col = np.array(col.tolist()) if col.dtype == object else col  # as the list of its values would read
                 valid = np.isin(col, range(len(meta.levels))) if col.dtype.kind in "iuf" else np.zeros(col.shape, bool)
                 if not valid.all():
                     raise InvalidArgumentError(f"feature {meta.name!r} takes level codes, integers from 0 to "

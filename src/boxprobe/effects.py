@@ -171,9 +171,8 @@ def _substitute_grid(
     """
     feature_list, grids = _resolve_feature_set(data, features, grid)
     points = list(itertools.product(*(g.points for g in grids)))
-    axes = np.meshgrid(*(data.check_column(g.feature, g.points) for g in grids), indexing="ij")
+    codes = np.array(list(itertools.product(*(data.check_column(g.feature, g.points) for g in grids))))
     cache = PredictionCache(threads)
-    codes = np.stack([axis.ravel() for axis in axes], axis=1)  # one row per point, in product order
     preds = cache.substitute(predictor, data, [(feature_list, codes)], reduce=reduce)
     intervention = (
         "replace feature columns with each grid value",

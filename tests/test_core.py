@@ -248,6 +248,8 @@ def test_the_kernels_rows_follow_the_integer_rule(rows):
     assert seen == []
     numpy_rows = PredictionCache().substitute(linear_predictor([1.0]), data, [([], [[]])], rows=np.uint8([2, 0]))
     assert numpy_rows.tolist() == [[3.0, 1.0]]
+    no_rows = PredictionCache().substitute(predictor, data, [([], [[]]), (["a"], [[1.0]])], rows=[])
+    assert no_rows.shape == (2, 0) and seen == []
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=repr)
@@ -332,6 +334,36 @@ def test_a_patch_names_only_known_features(feature):
     predictor = linear_predictor([1.0, -2.0])
     with pytest.raises(InvalidArgumentError, match="unknown feature|out of range"):
         PredictionCache().substitute(predictor, data, [([], [[]]), (["a", feature], [[1.0, 1.0]])])
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [[{"a": 1.0}], [{"a": 1.0, "b": 2.0}], [(["a", "b"], [[1.0, np.array([1.0, 2.0])]])], [(["a"],)], [5.0]],
+    ids=["mapping", "two-feature mapping", "a per-copy code beside per-row codes", "no codes", "a number"],
+)
+def test_a_plan_is_groups_of_features_and_codes(plan):
+    data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
+    seen = []
+    predictor = handle(lambda X: seen.append(len(X)) or np.zeros(len(X)), 2)
+    with pytest.raises(InvalidArgumentError, match=r"a plan group is \(features, codes\)"):
+        PredictionCache().substitute(predictor, data, plan)
+    assert seen == []
+
+
+@pytest.mark.parametrize("code", ["u", True, 0.5, 2.0, -1.0], ids=repr)
+def test_a_categorical_code_is_a_level_index(code):
+    """A level index is an integral number, in any real dtype or in an object
+    array, which is read as the list of its values; a level string, a bool, a
+    fraction or an index past the levels is not."""
+    data = columns_dataset(a=[1.0, 2.0], c=["u", "v"])
+    predictor = handle(lambda X: (np.asarray(X)[:, 1] == "v").astype(float), 2)
+    plan = [(["c"], np.array([[0.0], [1]], dtype=object)), (["c"], np.uint8([[1]])), (["c"], [[0.0]])]
+    preds = PredictionCache().substitute(predictor, data, plan)
+    assert preds.tolist() == [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
+    for codes in ([[code]], np.array([[code]], dtype=object)):
+        with pytest.raises(InvalidArgumentError) as raised:
+            PredictionCache().substitute(predictor, data, [(["c"], codes)])
+        assert str(raised.value) == f"feature 'c' takes level codes, integers from 0 to 1; got {code!r}"
 
 
 def test_repeated_unchanged_data_is_predicted_once_per_call():

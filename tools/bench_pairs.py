@@ -88,17 +88,17 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
-def median_interval(values: list[float], confidence: float = 0.95) -> dict:
+def median_interval(values: list[float]) -> dict:
     """The median of ``values`` and a distribution-free interval for it.
 
     The interval runs from the d-th smallest to the d-th largest value, d the
     largest whose coverage 1 - 2 P(Binomial(n, 1/2) <= d - 1) is at least
-    ``confidence``; ``coverage`` is that exact figure.  Fewer than six values
+    95 %; ``coverage`` is that exact figure.  Fewer than six values
     admit no 95 % interval, so ``low`` and ``high`` are then None.
     """
     x, n = sorted(values), len(values)
     d, tail = 0, 0.0  # tail: P(B <= d - 1)
-    while 1 - 2 * (tail + math.comb(n, d) / 2**n) >= confidence:
+    while 1 - 2 * (tail + math.comb(n, d) / 2**n) >= 0.95:
         tail += math.comb(n, d) / 2**n
         d += 1
     return {"median": statistics.median(x) if x else None, "low": x[d - 1] if d else None,
