@@ -14,13 +14,15 @@ pairs give bit-identical results on any platform.  Batch prediction may
 be split across worker threads, but chunks are concatenated in row order
 and every aggregation runs over the fully assembled vector, so thread
 count changes no result of a row-stable predictor (one that rounds each
-row the same in any batch).  The linear reference model is the known
-exception: its BLAS product can round the last rows of a chunk
-differently, so its bits may move with the thread count.
+row the same in any batch), and stacking copies in one call moves none:
+a callable is still called per copy, and the linear reference model takes a
+product per copy.  That model's BLAS product is the known exception to the
+thread rule: it can round the last rows of a chunk differently.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -77,6 +79,8 @@ class PredictorHandle:
     feature is continuous.  Called with the schema ``meta`` of a code matrix
     (:func:`~boxprobe.data.encode`), one entry per feature, the handle decodes
     it once per call for the callable; reference models read the codes directly.
+    A call may stack ``copies`` equal-length copies in its rows: the callable is
+    still called once per copy, while a reference model takes them all at once.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], Any], n_features: int, name: str = "predictor"):
@@ -84,33 +88,31 @@ class PredictorHandle:
         self.n_features = _integer(n_features, "a predictor's n_features", 1)
         self.name = str(name)
 
-    def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None) -> Any:
-        return self._fn(matrix if meta is None else decode(matrix, meta))
+    def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None, copies: int) -> np.ndarray:
+        parts = np.split(matrix if meta is None else decode(matrix, meta), copies)
+        return np.concatenate([self._checked(self._fn(part), len(part)) for part in parts])
 
-    def __call__(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None = None) -> np.ndarray:
+    def _checked(self, out: Any, rows: int) -> np.ndarray:
+        """``out`` as a float vector of one prediction per row."""
+        out = np.asarray(out, dtype=float).reshape(-1)
+        if out.shape[0] != rows:
+            raise ShapeError(f"predictor {self.name!r} returned {out.shape[0]} predictions for {rows} rows")
+        return out
+
+    def __call__(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None = None, copies: int = 1) -> np.ndarray:
         matrix = np.asarray(matrix)
+        copies = _integer(copies, "copies", 1)
         if matrix.ndim != 2:
             raise ShapeError(f"expected a 2-D feature matrix, got ndim={matrix.ndim}")
         if matrix.shape[1] != self.n_features:
-            raise ShapeError(
-                f"predictor {self.name!r} expects {self.n_features} features, "
-                f"got {matrix.shape[1]}"
-            )
+            raise ShapeError(f"predictor {self.name!r} expects {self.n_features} features, got {matrix.shape[1]}")
         if meta is not None and len(meta) != self.n_features:
-            raise ShapeError(
-                f"predictor {self.name!r} expects {self.n_features} features, "
-                f"got {len(meta)} schema entries"
-            )
-        out = np.asarray(self._evaluate(matrix, meta), dtype=float).reshape(-1)
-        if out.shape[0] != matrix.shape[0]:
-            raise ShapeError(
-                f"predictor {self.name!r} returned {out.shape[0]} predictions "
-                f"for {matrix.shape[0]} rows"
-            )
+            raise ShapeError(f"predictor {self.name!r} expects {self.n_features} features, got {len(meta)} schema entries")
+        if matrix.shape[0] % copies:
+            raise ShapeError(f"{matrix.shape[0]} rows do not split into {copies} equal copies")
+        out = self._checked(self._evaluate(matrix, meta, copies), matrix.shape[0])
         if not np.isfinite(out).all():
-            raise InvalidArgumentError(
-                f"predictor {self.name!r} returned non-finite predictions"
-            )
+            raise InvalidArgumentError(f"predictor {self.name!r} returned non-finite predictions")
         return out
 
 
@@ -159,21 +161,22 @@ class PredictionCache:
         copy, one logical batch of m rows; (G, 0) is G unchanged copies.  Returns
         one row of m predictions per copy, in plan order.  Deduplication spans the
         call: copies are distinct by their sorted features and code bytes, so 0.0
-        and -0.0 stay apart, and the predictor sees each distinct copy once, in
-        calls of at most :data:`ROW_BUDGET` rows.  While m <= ``ROW_BUDGET`` those
-        are the calls a loop over the copies would make, minus the repeats, so no
-        bit moves even for a model whose bits depend on the batch; a larger m is
-        split into chunks such a loop would not make, and such a model may then
-        differ in the last bits.
+        and -0.0 stay apart, and the predictor sees each distinct copy once.  Each
+        block of k = max(1, ``ROW_BUDGET`` // m) distinct copies is written, one
+        assignment per group, into a reused (k, m, p) stack and predicted in one call
+        with ``copies=k`` (:class:`PredictorHandle`): a plain callable still gets one
+        call per copy and the linear model one product per copy, so no bit moves even
+        for a model whose bits depend on the batch.  A copy of more than
+        ``ROW_BUDGET`` rows is split into calls such a loop would not make, and such a
+        model may then differ in the last bits.
 
         ``reduce`` aggregates inside the kernel: it maps a (k, m) block of copies'
         predictions, one copy per row, to k values or k rows, returned per copy in
-        place of the predictions (the default keeps the rows).  The distinct copies
-        are predicted, each in its own calls, into a reused (k, m) buffer, k =
-        max(1, ``ROW_BUDGET`` // m), with one reducer call per block, so a reducing
-        method holds one row budget of predictions however many copies it predicts.
-        The output is copied out of the buffer, so it may be a view of its block;
-        the reducer must also accept a block of no copies, which gives its shape.
+        place of the predictions (the default keeps the rows).  Each block is
+        predicted into a reused (k, m) buffer, with one reducer call per block, so a
+        reducing method holds one row budget of predictions however many copies it
+        predicts.  The output is copied out of the buffer, so it may be a view of its
+        block; the reducer must also accept a block of no copies, which gives its shape.
         """
         if data.n_features != predictor.n_features:
             raise ShapeError(
@@ -181,29 +184,34 @@ class PredictionCache:
                 f"{predictor.name!r} expects {predictor.n_features}"
             )
         rows = None if rows is None else _indices(rows, "rows", data.n_rows)
-        m = data.n_rows if rows is None else len(rows)
+        m, p = data.n_rows if rows is None else len(rows), data.n_features
         groups = [data.check_codes(group, m) for group in plan]
-        pairs = [(js, copy) for js, codes in groups for copy in codes]
         slot: dict[tuple, int] = {}  # features and code bytes -> its distinct copy, in order of first use
-        inverse = [slot.setdefault((js, copy.tobytes()), len(slot)) for js, copy in pairs]
-        self.batches += len(pairs)
-        self.rows += len(pairs) * m
-        matrix = data.codes()
-        copies = list(dict(zip(inverse, pairs)).values())  # one per slot: equal bytes, equal codes
-        k = max(1, ROW_BUDGET // max(m, 1))  # copies per reducer call
-        buffer = np.empty((min(k, len(copies)), m))  # one block's predictions, reused
-        out = np.empty((len(copies), *np.shape(reduce(buffer[:0]))[1:]))
-        for first in range(0, len(copies), k):
-            preds = buffer[: min(k, len(copies) - first)]
-            for copy, (js, codes) in zip(preds, copies[first : first + k]):
-                for start in range(0, m, ROW_BUDGET):
-                    stop = min(start + ROW_BUDGET, m)
-                    block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
-                    if js:
-                        block = block if rows is not None else block.copy()  # a row gather is a copy already
-                        block[:, js] = codes.T[start:stop] if codes.ndim == 2 else codes
-                    copy[start:stop] = _run_predictor(predictor, block, self.threads, data.meta)
-            out[first : first + len(preds)] = reduce(preds)  # copied out, so a view is safe
+        inverse = [slot.setdefault((js, copy.tobytes()), len(slot)) for js, codes in groups for copy in codes]
+        self.batches += len(inverse)
+        self.rows += len(inverse) * m
+        offsets = np.cumsum([0] + [len(codes) for _, codes in groups])  # each group's first copy in the plan
+        first = np.unique(inverse, return_index=True)[1]  # each distinct copy's first copy in the plan
+        starts = np.searchsorted(first, offsets).tolist()  # group g first uses distinct copies starts[g] to starts[g + 1]
+        base = data.codes() if rows is None else data.codes()[rows]
+        k = max(1, ROW_BUDGET // max(m, 1))  # copies per block
+        stack = np.empty((min(k, len(first)), m, p))  # one block of copies, reused
+        buffer = np.empty((len(stack), m))  # its predictions, reused
+        out = np.empty((len(first), *np.shape(reduce(buffer[:0]))[1:]))
+        for lo in range(0, len(first), k):
+            hi = min(lo + k, len(first))
+            block, preds = stack[: hi - lo], buffer[: hi - lo]
+            block[:] = base
+            for g in range(bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)):
+                (js, codes), a, b = groups[g], max(starts[g], lo), min(starts[g + 1], hi)
+                if js and a < b:  # the group's distinct copies in this block, in one assignment
+                    values = codes[first[a:b] - offsets[g]]
+                    block[a - lo : b - lo, :, js] = values[:, None] if values.ndim == 2 else values.transpose(0, 2, 1)
+            for start in range(0, m, ROW_BUDGET):  # one call per block unless m > ROW_BUDGET, and then k = 1
+                flat = block[:, start : start + ROW_BUDGET].reshape(-1, p)
+                preds[:, start : start + ROW_BUDGET] = _run_predictor(
+                    predictor, flat, self.threads, data.meta, len(block)).reshape(len(block), -1)
+            out[lo:hi] = reduce(preds)  # copied out, so a view is safe
         return out if len(out) == len(inverse) else out[inverse]
 
     def trace(
@@ -233,17 +241,20 @@ def _worker_count(threads: int, rows: int) -> int:
 
 
 def _run_predictor(
-    predictor: PredictorHandle, matrix: np.ndarray, threads: int, meta: Sequence[FeatureMeta] | None
+    predictor: PredictorHandle, matrix: np.ndarray, threads: int, meta: Sequence[FeatureMeta] | None, copies: int = 1
 ) -> np.ndarray:
-    m = matrix.shape[0]
+    """Predict the ``copies`` stacked in ``matrix`` in one call, or each in ``threads`` chunks on a pool of its own."""
+    m = matrix.shape[0] // copies
     if threads <= 1 or m < 2 * threads:
-        return predictor(matrix, meta)
+        return predictor(matrix, meta, copies)
     # Contiguous chunks, concatenated in order: identical to one full call
     # for row-wise predictors, regardless of thread count.
     bounds = np.linspace(0, m, threads + 1).astype(int)
-    chunks = [matrix[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=_worker_count(threads, m)) as pool:
-        parts = list(pool.map(predictor, chunks, [meta] * len(chunks)))
+    parts = []
+    for copy in np.split(matrix, copies):
+        chunks = [copy[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+        with ThreadPoolExecutor(max_workers=_worker_count(threads, m)) as pool:
+            parts += pool.map(predictor, chunks, [meta] * len(chunks))
     return np.concatenate(parts)
 
 

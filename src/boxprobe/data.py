@@ -423,12 +423,13 @@ class Dataset:
         """Validate one group ``(features, codes)`` of a substitution plan: q
         ``features`` (:meth:`feature_indices`) and their codes, of shape (G, q), one per
         feature in every row of a copy, or (G, q, m), one per row.  Returns the sorted
-        column indices and the codes, float64 in that order.  A continuous code is its
-        value, checked by :meth:`check_column` as one flat array; a categorical code is
-        a level index, an integral number from 0 to L - 1."""
+        column indices and the codes, float64 in that order.  A continuous code is its value,
+        checked by :meth:`check_column` as one flat array; a categorical code is a level index,
+        an integral real number from 0 to L - 1.  A list's values are checked as given, unpromoted."""
         try:  # a mapping, a lone value or a ragged array is no group
             features, codes = () if isinstance(group, Mapping) else group
-            codes = np.asarray(codes)
+            np.asarray(codes)  # raises for a ragged list; a list's values are then kept as objects
+            codes = codes if isinstance(codes, np.ndarray) else np.array(codes, dtype=object)
         except (TypeError, ValueError):
             raise InvalidArgumentError(f"a plan group is (features, codes); got {group!r}") from None
         js = self.feature_indices(features)
@@ -438,14 +439,17 @@ class Dataset:
             raise InvalidArgumentError(f"a copy of {codes.shape[2]} values for {m} rows")
         out = np.empty(codes.shape)
         for k, j in enumerate(sorted(js)):
-            col, meta = codes[:, js.index(j)].reshape(-1), self._meta[j]
-            if meta.kind == CATEGORICAL:
-                col = np.array(col.tolist()) if col.dtype == object else col  # as the list of its values would read
+            shown, meta = codes[:, js.index(j)].reshape(-1), self._meta[j]
+            if meta.kind == CONTINUOUS:
+                col = self.check_column(j, shown)
+            else:  # each object's own dtype, not the one numpy would promote to, must be real
+                col = shown if shown.dtype != object else np.array(
+                    [v if np.asarray(v).dtype.kind in "iuf" else np.nan for v in shown], dtype=float)
                 valid = np.isin(col, range(len(meta.levels))) if col.dtype.kind in "iuf" else np.zeros(col.shape, bool)
                 if not valid.all():
                     raise InvalidArgumentError(f"feature {meta.name!r} takes level codes, integers from 0 to "
-                                               f"{len(meta.levels) - 1}; got {col[~valid].tolist()[0]!r}")
-            out[:, k] = (col if meta.kind == CATEGORICAL else self.check_column(j, col)).reshape(out[:, k].shape)
+                                               f"{len(meta.levels) - 1}; got {shown[~valid].tolist()[0]!r}")
+            out[:, k] = col.reshape(out[:, k].shape)
         return tuple(sorted(js)), out
 
     def check_vector(self, x: Sequence[Any]) -> tuple[Any, ...]:

@@ -23,7 +23,7 @@ from .errors import DataFormatError, InvalidArgumentError, NumericRangeError, Si
 
 MODEL_FORMAT = "boxprobe-model"
 MODEL_VERSION = 1
-BUDGET = 1 << 18  # bytes of one knn distance buffer; sets the query block size
+BUDGET = 1 << 18  # bytes of one knn distance buffer or linear design; sets their block sizes
 
 
 def _finite(values: Any, what: str) -> np.ndarray:
@@ -38,7 +38,9 @@ class ReferenceModel(PredictorHandle):
 
     The schema holds each feature's name, kind and levels (no observed range).
     Constructors check every parameter; fitting and loading both pass there.
-    ``_predict`` reads a code matrix over the schema.  A matrix of level
+    ``_predict(X, copies)`` reads a code matrix over the schema whose rows stack
+    ``copies`` equal-length copies, in one call; knn and the stump are row-stable
+    and ignore ``copies``.  A matrix of level
     strings, or codes over other levels, is decoded and encoded over the
     schema first; a value that is not a level raises
     :class:`~boxprobe.errors.InvalidLevelError`.  The last tuple ``meta``
@@ -53,17 +55,17 @@ class ReferenceModel(PredictorHandle):
         self._same_levels: Sequence[FeatureMeta] | None = None  # the last meta found to match
         super().__init__(self._predict, len(self.schema), name=self.kind)
 
-    def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None) -> np.ndarray:
+    def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None, copies: int) -> np.ndarray:
         if meta is not None and (
             meta is self._same_levels
             or all(a.levels == b.levels for a, b in zip(meta, self.schema))
         ):
             self._same_levels = tuple(meta)  # a tuple is itself, so a list is never remembered
-            return self._predict(matrix)
+            return self._predict(matrix, copies)
         rows = matrix if meta is None else decode(matrix, meta)
-        return self._predict(encode(rows.T, self.schema))
+        return self._predict(encode(rows.T, self.schema), copies)
 
-    def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+    def _predict(self, X: np.ndarray, copies: int = 1) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def to_json_obj(self) -> dict[str, Any]:
@@ -129,8 +131,16 @@ class LinearModel(ReferenceModel):
                 f"the design has {width} columns, got {self.coefficients.size} coefficients"
             )
 
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return _design_matrix(X, self._columns) @ self.coefficients + self.intercept
+    def _predict(self, X: np.ndarray, copies: int = 1) -> np.ndarray:
+        """One product per copy stacked in ``X`` (a stacked matmul calls BLAS once per copy), so a copy
+        rounds as in a call of its own; a one-hot design is built for ``BUDGET`` bytes of copies at a time."""
+        m, q = len(X) // copies, len(self.coefficients)
+        step = copies if self._columns is None else max(1, BUDGET // max(8 * m * q, 1))
+        out = np.empty((copies, m))
+        for a in range(0, copies, step):
+            b = min(a + step, copies)  # reshaped in full: (b - a, m, -1) is ambiguous for an empty design
+            out[a:b] = _design_matrix(X[a * m : b * m], self._columns).reshape(b - a, m, q) @ self.coefficients
+        return out.reshape(-1) + self.intercept
 
     def _parameters(self) -> dict[str, Any]:
         return {
@@ -186,7 +196,7 @@ class KNNModel(ReferenceModel):
             if m.kind == CONTINUOUS:
                 _finite(col, f"training values of {m.name!r}")
 
-    def _predict(self, X: np.ndarray) -> np.ndarray:
+    def _predict(self, X: np.ndarray, copies: int = 1) -> np.ndarray:
         n_rows, n_train = X.shape[0], len(self.target)
         block = max(1, min(BUDGET // (8 * n_train), n_rows))
         total = np.empty((block, n_train))
@@ -296,7 +306,7 @@ class StumpModel(ReferenceModel):
         self.left_value = float(_finite(left_value, "left value"))
         self.right_value = float(_finite(right_value, "right value"))
 
-    def _predict(self, X: np.ndarray) -> np.ndarray:
+    def _predict(self, X: np.ndarray, copies: int = 1) -> np.ndarray:
         if self.feature is None:
             return np.full(X.shape[0], self.left_value)
         col = X[:, self.feature]

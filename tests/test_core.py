@@ -366,6 +366,48 @@ def test_a_categorical_code_is_a_level_index(code):
         assert str(raised.value) == f"feature 'c' takes level codes, integers from 0 to 1; got {code!r}"
 
 
+@pytest.mark.parametrize("shape", ["per copy", "per row"])
+@pytest.mark.parametrize(
+    "feature, value, error",
+    [("a", True, UnsupportedKindError), ("a", "x", UnsupportedKindError),
+     ("c", True, InvalidArgumentError), ("c", "x", InvalidArgumentError)],
+    ids=["continuous bool", "continuous string", "categorical bool", "categorical string"],
+)
+def test_a_plans_values_are_checked_before_numpy_promotes_them(feature, value, error, shape):
+    """A bool or a string in a list beside a valid code is rejected under its own
+    name: numpy alone reads [0.0, True] as [0.0, 1.0] and [0.0, "x"] as strings."""
+    data = columns_dataset(a=[1.0, 2.0], c=["u", "v"])
+    seen = []
+    predictor = handle(lambda X: seen.append(len(X)) or np.zeros(len(X)), 2)
+    codes = [[0.0], [value]] if shape == "per copy" else [[[0.0, value]]]
+    with pytest.raises(error) as raised:
+        PredictionCache().substitute(predictor, data, [([feature], codes)])
+    assert str(raised.value).endswith(repr(value)) and seen == []
+
+
+@pytest.mark.parametrize("copies", [0, True, 1.5, np.float64(2.0)], ids=repr)
+def test_copies_follow_the_integer_rule(copies):
+    predictor = linear_predictor([1.0, -2.0])
+    with pytest.raises(InvalidArgumentError, match="copies"):
+        predictor(np.zeros((4, 2)), copies=copies)
+
+
+def test_copies_must_split_the_rows_evenly():
+    seen = []
+    predictor = handle(lambda X: seen.append(len(X)) or np.zeros(len(X)), 2)
+    with pytest.raises(ShapeError, match="5 rows do not split into 2 equal copies"):
+        predictor(np.zeros((5, 2)), copies=2)
+    assert seen == []
+    assert predictor(np.zeros((6, 2)), copies=3).tolist() == [0.0] * 6 and seen == [2, 2, 2]
+
+
+def test_a_copy_that_returns_the_wrong_length_is_caught_even_if_the_total_fits():
+    lengths = iter([3, 1])
+    predictor = handle(lambda X: np.zeros(next(lengths)), 1)
+    with pytest.raises(ShapeError, match="returned 3 predictions for 2 rows"):
+        predictor(np.zeros((4, 1)), copies=2)
+
+
 def test_repeated_unchanged_data_is_predicted_once_per_call():
     seen = []
     predictor = handle(lambda X: seen.append(len(X)) or np.asarray(X) @ np.array([1.0, 1.0]), 2)

@@ -52,6 +52,7 @@ CASES = {
     "substitute feature": (lambda v: PredictionCache().substitute(MODEL, DATA, [([v], [[9.0]])]), 1),
     "intervene_replace feature": (lambda v: intervene_replace(DATA, {v: 9.0}), 1),
     "PredictorHandle n_features": (lambda v: PredictorHandle(MODEL, v).n_features, 2),
+    "PredictorHandle copies": (lambda v: MODEL(np.tile(DATA.codes(), (2, 1)), copies=v), 2),
     "PredictionCache threads": (lambda v: PredictionCache(v).threads, 2),
     "sample_observations m": (lambda v: sample_observations(DATA, v, 1), 2),
     "finite_difference feature": (lambda v: finite_difference(MODEL, X, v, 0.5), 1),

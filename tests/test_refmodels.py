@@ -23,6 +23,7 @@ from boxprobe import (
     save_model,
 )
 from boxprobe import refmodels
+from boxprobe.refmodels import LinearModel
 from boxprobe.cli import main
 from boxprobe.core import PredictionCache
 from boxprobe.data import CATEGORICAL, CONTINUOUS, FeatureMeta
@@ -119,6 +120,38 @@ def test_linear_on_continuous_codes_keeps_the_bits_of_the_take_design(n, p):
     for name, layout in code_matrix_layouts(X):
         got, want = model(layout, data.meta), take_design_product(model, layout)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+STACK_SCHEMAS = {
+    "continuous": [FeatureMeta(f"x{j}", CONTINUOUS) for j in range(9)],
+    "categoricals": [FeatureMeta(f"x{j}", CONTINUOUS) for j in range(6)]
+    + [FeatureMeta("c", CATEGORICAL, ("p", "q", "r", "s")), FeatureMeta("one", CATEGORICAL, ("only",))],
+    "one level only": [FeatureMeta("one", CATEGORICAL, ("only",)), FeatureMeta("two", CATEGORICAL, ("u",))],
+}
+
+
+@pytest.mark.parametrize("schema", sorted(STACK_SCHEMAS))
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 150])
+def test_linear_predicts_each_stacked_copy_in_a_product_of_its_own(schema, m):
+    """``_predict(stack, copies=k)`` gives each copy the bits of its own call and of
+    the 2-D product of its own design, over more copies than one ``BUDGET`` of
+    one-hot design holds; a design of one-level categoricals has no column."""
+    rng = np.random.default_rng(m)
+    meta = STACK_SCHEMAS[schema]
+    q = sum(1 if f.kind == CONTINUOUS else len(f.levels) - 1 for f in meta)
+    model = LinearModel(meta, rng.normal(), rng.normal(size=q))
+    k = 3 * max(1, refmodels.BUDGET // (8 * m * q)) + 1 if q else 7  # four design blocks when one-hot
+    X = np.column_stack([
+        rng.normal(size=k * m) if f.kind == CONTINUOUS else rng.integers(0, len(f.levels), k * m) for f in meta
+    ]).astype(float)
+    stacked = model._predict(X, copies=k)
+    copies = np.split(X, k)
+    own_call = np.concatenate([model._predict(copy) for copy in copies])
+    own_product = np.concatenate([
+        refmodels._design_matrix(copy, model._columns) @ model.coefficients + model.intercept for copy in copies
+    ])
+    assert stacked.shape == (k * m,)
+    assert stacked.tobytes() == own_call.tobytes() == own_product.tobytes()
 
 
 # -- knn ------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from boxprobe import (
     default_step,
     exact_shapley_value,
     firm,
+    fit_knn,
     fit_linear,
+    fit_stump,
     ice_curves,
     ici_curve,
     intervene_permute,
@@ -300,6 +302,52 @@ def counting(fn):
         return fn(X)
 
     return handle(counted, 4), calls
+
+
+def stacked_plan(data):
+    """Eight distinct values of ``b``, then every other one again, and the copies they make."""
+    points = [float(v) for v in observed_grid(data, "b").points]
+    return points + points[::2], len(points)
+
+
+def patched(base, value):
+    X = base.copy()
+    X[:, 1] = value
+    return X
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_plain_callable_sees_one_call_per_distinct_copy_of_a_block(monkeypatch, threads):
+    """A block stacks three copies into one handle call, which still calls the
+    callable once per copy with its m rows; at m < 2 threads no copy is cut into chunks."""
+    data = mixed_data()
+    rows = [0, 2, 4, 6, 8]
+    m = len(rows)
+    monkeypatch.setattr(core, "ROW_BUDGET", 3 * m + 1)
+    values, distinct = stacked_plan(data)
+    predictor, calls = counting(rowwise)
+    stacks, call = [], core.PredictorHandle.__call__
+    monkeypatch.setattr(
+        core.PredictorHandle, "__call__", lambda self, X, meta=None, copies=1: stacks.append(copies) or call(self, X, meta, copies)
+    )
+    got = PredictionCache(threads).substitute(predictor, data, [([1], np.array(values)[:, None])], rows=rows)
+    assert stacks == [3, 3, 2] and calls == [m] * distinct
+    assert same_bits(got, [rowwise(patched(data.matrix()[rows], v)) for v in values])
+
+
+@pytest.mark.parametrize("kind", ["linear", "knn", "stump"])
+def test_a_reference_model_predicts_each_block_of_copies_in_one_call(monkeypatch, kind):
+    data = mixed_data()
+    model = {"linear": fit_linear, "knn": lambda d: fit_knn(d, 3), "stump": fit_stump}[kind](data)
+    m, k = data.n_rows, 3
+    monkeypatch.setattr(core, "ROW_BUDGET", k * m + 1)
+    values, distinct = stacked_plan(data)
+    predict, seen = model._predict, []
+    monkeypatch.setattr(model, "_predict", lambda X, copies=1: seen.append((len(X), copies)) or predict(X, copies))
+    got = PredictionCache().substitute(model, data, [([1], np.array(values)[:, None])])
+    assert len(seen) == -(-distinct // k)
+    assert seen == [(k * m, k)] * (distinct // k) + [(distinct % k * m, distinct % k)]
+    assert same_bits(got, [predict(patched(data.codes(), v)) for v in values])
 
 
 @pytest.mark.parametrize("reduce", ["whole", "mean"])
