@@ -167,8 +167,8 @@ class PredictionCache:
         with ``copies=k`` (:class:`PredictorHandle`): a plain callable still gets one
         call per copy and the linear model one product per copy, so no bit moves even
         for a model whose bits depend on the batch.  A copy of more than
-        ``ROW_BUDGET`` rows is split into calls such a loop would not make, and such a
-        model may then differ in the last bits.
+        ``ROW_BUDGET`` rows is split into calls a per-copy loop would not make, and
+        such a model may then differ in the last bits.
 
         ``reduce`` aggregates inside the kernel: it maps a (k, m) block of copies'
         predictions, one copy per row, to k values or k rows, returned per copy in
