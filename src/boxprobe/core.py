@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, FeatureMeta, _indices, _integer, decode
+from .data import Dataset, FeatureMeta, _indices, _integer, _real, decode
 from .errors import InvalidArgumentError, ShapeError
 from .trace import INTERVENTION, SAMPLING, STAGES, StageRecord, StageTrace, assemble_trace
 
@@ -328,9 +328,7 @@ def zero_one_loss(threshold: float = 0.5) -> LossFunction:
     :class:`InvalidArgumentError` when the loss is applied, and for the
     whole target when an estimator reads it with :meth:`LossFunction.targets`.
     """
-    threshold = float(threshold)
-    if not np.isfinite(threshold):
-        raise InvalidArgumentError(f"zero_one threshold must be finite, got {threshold}")
+    threshold = _real(threshold, "zero_one threshold")
     return _ZeroOneLoss(
         "zero_one", lambda p, y: ((p > threshold) != np.asarray(y, dtype=float)).astype(float)
     )
@@ -411,9 +409,7 @@ def intervene_shift(data: Dataset, feature: int | str, delta: float) -> Dataset:
     exactly what finite-difference methods require.
     """
     j = data.continuous_index(feature, "a shift")
-    delta = float(delta)
-    if not np.isfinite(delta):
-        raise InvalidArgumentError("shift delta must be finite")
+    delta = _real(delta, "shift delta")
     record = StageRecord(
         INTERVENTION,
         "shift feature column",
@@ -466,9 +462,7 @@ def finite_difference(
     and ``quotient = fd / (2 h)`` approximates the partial derivative.  A
     quotient past the float64 range raises :class:`InvalidArgumentError`.
     """
-    h = float(h)
-    if not (h > 0) or not np.isfinite(h):
-        raise InvalidArgumentError(f"step h must be positive and finite, got {h}")
+    h = _real(h, "step h", positive=True)
     x = list(x)
     if predictor.n_features != len(x):
         raise ShapeError(

@@ -65,11 +65,7 @@ class FeatureMeta:
                     f"continuous feature {self.name!r} cannot carry levels"
                 )
             if self.observed_range is not None:
-                lo, hi = (float(self.observed_range[0]), float(self.observed_range[1]))
-                if not (np.isfinite(lo) and np.isfinite(hi)):
-                    raise InvalidArgumentError(
-                        f"observed range of {self.name!r} must be finite"
-                    )
+                lo, hi = _reals(self.observed_range, f"observed range of {self.name!r}").tolist()
                 if lo > hi:
                     raise InvalidArgumentError(
                         f"observed range of {self.name!r} has min > max"
@@ -87,6 +83,37 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (float, int, np.floating, np.integer, Real)) and not isinstance(
         value, (bool, np.bool_)
     )
+
+
+def _real(value: Any, what: str, positive: bool = False) -> float:
+    """The real-number rule for one argument: ``value`` as a Python float if it is a Python or numpy
+    real, not a bool or a string, finite and, with ``positive``, above 0, else :class:`InvalidArgumentError`."""
+    if _is_number(value) and -np.inf < value < np.inf and (value > 0 or not positive):
+        return float(value)
+    need = "positive, finite and real" if positive else "finite and real"
+    raise InvalidArgumentError(f"{what} must be {need}, got {value!r}")
+
+
+def _reals(values: Any, what: str) -> np.ndarray:
+    """The real-number rule for a 1-D sequence, vectorized: the values as a new float64 array if each
+    passes :func:`_real`'s rule.  A float or integer array, or a list of Python floats and ints, needs
+    no per-value check; a value that is no number raises :class:`UnsupportedKindError`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        col = np.array(values, dtype=float)
+    else:
+        if not set(map(type, values)) <= {float, int, np.float64}:  # np.float64 is a float
+            for v in values:
+                if not _is_number(v):
+                    raise UnsupportedKindError(f"{what} is continuous; got non-numeric {v!r}")
+        col = np.fromiter(values, float, len(values))  # each value a scalar: twice np.array's speed
+    if col.ndim != 1:
+        raise InvalidArgumentError(f"{what} is not one-dimensional")
+    finite = np.isfinite(col)
+    if not finite.all():
+        raise InvalidArgumentError(
+            f"{what} got the non-finite value {float(col[~finite][0])!r}; its values must be finite"
+        )
+    return col
 
 
 def _integer(value: Any, what: str, low: int = 0, high: int | None = None) -> int:
@@ -174,13 +201,13 @@ class Dataset:
     A new dataset has no provenance; derived ones record theirs through
     :meth:`replace_columns`, and result traces carry it.
 
-    Each column is stored as float64: a categorical value as its code, the
-    index of its level in ``levels``.  :meth:`column`, :meth:`row` and
-    :meth:`matrix` decode the codes to level strings; the kernel and the
-    reference models read :meth:`codes`.
+    The one store is a frozen, C-contiguous n x p float64 code matrix, a
+    categorical value as the index of its level in ``levels``.  :meth:`column`,
+    :meth:`row` and :meth:`matrix` decode the codes to level strings; the
+    kernel and the reference models read :meth:`codes`.
     """
 
-    __slots__ = ("_columns", "_meta", "_target", "_provenance", "_matrix", "_codes", "_name_index")
+    __slots__ = ("_codes", "_meta", "_target", "_provenance", "_matrix", "_name_index")
 
     def __init__(
         self,
@@ -234,11 +261,11 @@ class Dataset:
             col = self.check_column(j, raw)
             if m.kind == CONTINUOUS and m.observed_range is None:
                 m = FeatureMeta(m.name, CONTINUOUS, observed_range=(col.min(), col.max()))
-            columns.append(_freeze(col))
+            columns.append(col)
             fixed_meta.append(m)
         name_index = {m.name: j for j, m in enumerate(fixed_meta)}
-        self._set(_columns=tuple(columns), _meta=tuple(fixed_meta), _provenance=(), _matrix=None,
-                  _codes=None, _target=_build_target(target, n), _name_index=name_index)
+        self._set(_codes=_freeze(np.column_stack(columns)), _meta=tuple(fixed_meta), _provenance=(),
+                  _matrix=None, _target=_build_target(target, n), _name_index=name_index)
 
     def _set(self, **state: Any) -> None:
         """Write instance state: the only writer, reached through the checks of
@@ -271,11 +298,11 @@ class Dataset:
 
     @property
     def n_rows(self) -> int:
-        return len(self._columns[0])
+        return self._codes.shape[0]
 
     @property
     def n_features(self) -> int:
-        return len(self._columns)
+        return self._codes.shape[1]
 
     @property
     def meta(self) -> tuple[FeatureMeta, ...]:
@@ -330,9 +357,9 @@ class Dataset:
         return self._target
 
     def column(self, feature: int | str) -> np.ndarray:
-        """One feature's values: float64, or level strings for a categorical."""
+        """One feature's values: a read-only float64 view, or level strings for a categorical."""
         j = self.feature_index(feature)
-        col, m = self._columns[j], self._meta[j]
+        col, m = self._codes[:, j], self._meta[j]
         return col if m.kind == CONTINUOUS else _freeze(_levels(col, m))
 
     def row(self, i: int) -> tuple[Any, ...]:
@@ -347,9 +374,7 @@ class Dataset:
         return self._matrix
 
     def codes(self) -> np.ndarray:
-        """The n x p code matrix (:func:`encode`), frozen."""
-        if self._codes is None:
-            self._set(_codes=_freeze(np.column_stack(self._columns)))
+        """The n x p code matrix (:func:`encode`), frozen and C-contiguous: the dataset's one store."""
         return self._codes
 
     # -- derivation ------------------------------------------------------------
@@ -365,24 +390,22 @@ class Dataset:
         Column replacements are validated against the existing metadata; the
         metadata itself (including observed ranges) is carried over unchanged.
         """
-        cols = []
-        for j, col in enumerate(self._columns):
-            if j in new_columns:
-                col = self.check_column(j, new_columns[j])
-                if len(col) != self.n_rows:
-                    raise InvalidArgumentError(
-                        f"column {self._meta[j].name!r} has {len(col)} values, expected {self.n_rows}"
-                    )
-            if row_subset is not None:
-                col = col[row_subset]
-            cols.append(_freeze(col))
+        codes = self._codes.copy() if new_columns else self._codes
+        for j, values in new_columns.items():
+            col = self.check_column(j, values)
+            if len(col) != self.n_rows:
+                raise InvalidArgumentError(
+                    f"column {self._meta[j].name!r} has {len(col)} values, expected {self.n_rows}"
+                )
+            codes[:, j] = col
         target = self._target
-        if target is not None and row_subset is not None:
-            target = _freeze(target[row_subset].copy())
+        if row_subset is not None:
+            codes = codes[row_subset]
+            target = None if target is None else _freeze(target[row_subset])
         provenance = self._provenance + ((record,) if record is not None else ())
         out = object.__new__(Dataset)
-        out._set(_columns=tuple(cols), _meta=self._meta, _provenance=provenance, _matrix=None,
-                 _codes=None, _target=target, _name_index=self._name_index)
+        out._set(_codes=_freeze(codes), _meta=self._meta, _provenance=provenance, _matrix=None,
+                 _target=target, _name_index=self._name_index)
         return out
 
     def check_value(self, j: int, value: Any) -> Any:
@@ -395,29 +418,11 @@ class Dataset:
     def check_column(self, j: int, values: Sequence[Any]) -> np.ndarray:
         """Validate prospective values for column ``j``; returns them as codes, a new array.
 
-        The one rule for a value: a finite real number, not a bool or a
-        string, for a continuous feature; a registered level for a
-        categorical one.
+        The one rule for a value: the real-number rule (:func:`_reals`) for a
+        continuous feature; a registered level for a categorical one.
         """
         m = self._meta[j]
-        if m.kind == CATEGORICAL:
-            return _level_codes(values, m)
-        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
-            for v in values:
-                if not _is_number(v):
-                    raise UnsupportedKindError(
-                        f"feature {m.name!r} is continuous; got non-numeric {v!r}"
-                    )
-        col = np.array(values, dtype=float)
-        if col.ndim != 1:
-            raise InvalidArgumentError(f"column {m.name!r} is not one-dimensional")
-        finite = np.isfinite(col)
-        if not finite.all():
-            raise InvalidArgumentError(
-                f"feature {m.name!r} got the non-finite value {float(col[~finite][0])!r}; "
-                "its values must be finite"
-            )
-        return col
+        return _level_codes(values, m) if m.kind == CATEGORICAL else _reals(values, f"feature {m.name!r}")
 
     def check_codes(self, group: Any, m: int) -> tuple[tuple[int, ...], np.ndarray]:
         """Validate one group ``(features, codes)`` of a substitution plan: q
@@ -475,13 +480,10 @@ def _build_target(target: Sequence[Any] | None, n: int) -> np.ndarray | None:
         return None
     values = list(target)
     if len(values) != n:
-        raise InvalidArgumentError(
-            f"target has {len(values)} entries for {n} observations"
-        )
-    if all(_is_number(v) for v in values):
-        arr = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("target contains missing or non-finite values")
-    else:
-        arr = np.array([str(v) for v in values], dtype=object)
+        raise InvalidArgumentError(f"target has {len(values)} entries for {n} observations")
+    if not all(_is_number(v) for v in values):
+        return _freeze(np.array([str(v) for v in values], dtype=object))
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError("target contains missing or non-finite values")
     return _freeze(arr)

@@ -1,15 +1,17 @@
 """CSV ingestion and deterministic document emission.
 
 One fixed CSV dialect: comma separator, one header row, ``.`` decimal
-point, no quoting of numerics.  Parse errors name the offending line
-(1-based, header is line 1) and column.  Emission is byte-deterministic:
-floats are written in shortest round-trip form and JSON documents re-emit
-unchanged after parsing.
+point, numbers in ASCII with no ``_`` digit separators.  Parse errors name
+the offending line (1-based, header is line 1) and column.  Emission is
+byte-deterministic: floats are written in shortest round-trip form, a CSV
+cell is quoted only when it holds a comma, a quote or a line break, and
+JSON documents re-emit unchanged after parsing.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from typing import Any, Mapping, Sequence
@@ -87,7 +89,9 @@ def load_csv(
     explicit_kinds: dict[str, str] = {}
     target_values: Sequence[Any] | None = None
     for name, raw in zip(header, zip(*body)):
-        parsed = [_parse_float(cell) for cell in raw]
+        text = "".join(raw)  # float() also reads "1_0" and non-ASCII digits; the dialect does not
+        plain = text.isascii() and "_" not in text
+        parsed = [_parse_float(c) if plain or c.isascii() and "_" not in c else None for c in raw]
         wants = kinds.get(name)
         if wants == CATEGORICAL or (wants is None and None in parsed):
             values, kind = raw, CATEGORICAL
@@ -130,23 +134,26 @@ def write_text(path: str, text: str) -> None:
 
 
 def format_value(value: Any) -> str:
-    """One CSV cell: shortest round-trip form for floats, raw text for levels."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return repr(float(value))
-    return str(value)
+    """One CSV cell: shortest round-trip form for numbers, raw text for levels."""
+    return repr(float(value)) if isinstance(value, (float, int)) else str(value)
+
+
+def _csv(rows: Sequence[Sequence[str]]) -> str:
+    """CSV text of ``rows``, each cell quoted only when it needs it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def emit_points_csv(
     xs: Sequence[Any], ys: Sequence[float], x_names: Sequence[str]
 ) -> str:
-    lines = [",".join(list(x_names) + ["y"])]
+    rows = [[*x_names, "y"]]
     for x, y in zip(xs, ys):
         cells = list(x) if isinstance(x, (tuple, list)) else [x]
-        lines.append(",".join(format_value(c) for c in cells) + "," + format_value(float(y)))
-    return "\n".join(lines) + "\n"
+        rows.append([format_value(c) for c in [*cells, float(y)]])
+    return _csv(rows)
 
 
 def emit_score_csv(method: str, feature: str, score: float) -> str:
-    return "method,feature,score\n" + f"{method},{feature},{format_value(float(score))}\n"
+    return _csv([["method", "feature", "score"], [method, feature, format_value(float(score))]])

@@ -23,7 +23,7 @@ from .core import (
     finite_difference,
     make_rng,
 )
-from .data import CATEGORICAL, CONTINUOUS, Dataset, _integer, encode
+from .data import CATEGORICAL, CONTINUOUS, Dataset, _integer, _real, _reals, encode
 from .errors import DegenerateBinningError, InvalidArgumentError, SingularFitError
 from .trace import StageTrace
 
@@ -45,9 +45,7 @@ class Grid:
         if len(self.points) == 0:
             raise InvalidArgumentError("a grid needs at least one point")
         if self.kind == CONTINUOUS:
-            values = [float(v) for v in self.points]
-            if not all(np.isfinite(values)):
-                raise InvalidArgumentError("grid points must be finite")
+            values = _reals(self.points, f"grid of feature {self.feature}").tolist()
             if any(a > b for a, b in zip(values, values[1:])):
                 raise InvalidArgumentError("continuous grid points must be sorted ascending")
             object.__setattr__(self, "points", tuple(values))
@@ -384,9 +382,7 @@ def average_marginal_effect(
     j = data.continuous_index(feature, "a marginal effect")
     if h is None:
         h = default_step(data, j)
-    h = float(h)
-    if not (h > 0) or not np.isfinite(h):
-        raise InvalidArgumentError(f"step h must be positive and finite, got {h}")
+    h = _real(h, "step h", positive=True)
     cache = PredictionCache(threads)
     shifts = np.stack([_shifted_column(data, j, h), _shifted_column(data, j, -h)])[:, None]
     upper, lower = cache.substitute(predictor, data, [((j,), shifts)])
@@ -456,11 +452,7 @@ def lime_explain(
         raise SingularFitError(
             f"feature {meta.name!r} has zero sample sd; perturbed values would all coincide"
         )
-    if kernel_width is None:
-        kernel_width = 0.75 * sd
-    kernel_width = float(kernel_width)
-    if not (kernel_width > 0):
-        raise InvalidArgumentError(f"kernel width must be positive, got {kernel_width}")
+    kernel_width = 0.75 * sd if kernel_width is None else _real(kernel_width, "kernel width", positive=True)
 
     rng = make_rng(seed)
     perturbed = center + sd * rng.standard_normal(num_samples)

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import PredictorHandle
-from .data import CONTINUOUS, Dataset, FeatureMeta, _integer, _is_number, decode, encode
+from .data import CONTINUOUS, Dataset, FeatureMeta, _integer, _level_codes, _real, _reals, decode, encode
 from .dataio import write_text
 from .errors import DataFormatError, InvalidArgumentError, NumericRangeError, SingularFitError
 
@@ -26,41 +26,28 @@ MODEL_VERSION = 1
 BUDGET = 1 << 18  # bytes of one knn distance buffer or linear design; sets their block sizes
 
 
-def _finite(values: Any, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"{what} must be finite")
-    return arr
-
-
 class ReferenceModel(PredictorHandle):
     """Base for fitted reference predictors; adds a serializable schema.
 
     The schema holds each feature's name, kind and levels (no observed range).
-    Constructors check every parameter; fitting and loading both pass there.
+    Constructors check every parameter, each real one by the data layer's
+    real-number rule; fitting and loading both pass there.
     ``_predict(X, copies)`` reads a code matrix over the schema whose rows stack
     ``copies`` equal-length copies, in one call; knn and the stump are row-stable
     and ignore ``copies``.  A matrix of level
     strings, or codes over other levels, is decoded and encoded over the
     schema first; a value that is not a level raises
-    :class:`~boxprobe.errors.InvalidLevelError`.  The last tuple ``meta``
-    whose levels matched is remembered by identity, so a run that passes its
-    data's own schema on every call compares the levels once.
+    :class:`~boxprobe.errors.InvalidLevelError`.
     """
 
     kind = "reference"
 
     def __init__(self, schema: Sequence[FeatureMeta]):
         self.schema = tuple(FeatureMeta(m.name, m.kind, m.levels) for m in schema)
-        self._same_levels: Sequence[FeatureMeta] | None = None  # the last meta found to match
         super().__init__(self._predict, len(self.schema), name=self.kind)
 
     def _evaluate(self, matrix: np.ndarray, meta: Sequence[FeatureMeta] | None, copies: int) -> np.ndarray:
-        if meta is not None and (
-            meta is self._same_levels
-            or all(a.levels == b.levels for a, b in zip(meta, self.schema))
-        ):
-            self._same_levels = tuple(meta)  # a tuple is itself, so a list is never remembered
+        if meta is not None and all(a.levels == b.levels for a, b in zip(meta, self.schema)):
             return self._predict(matrix, copies)
         rows = matrix if meta is None else decode(matrix, meta)
         return self._predict(encode(rows.T, self.schema), copies)
@@ -122,8 +109,8 @@ class LinearModel(ReferenceModel):
         self, schema: Sequence[FeatureMeta], intercept: float, coefficients: Sequence[float]
     ):
         super().__init__(schema)
-        self.intercept = float(_finite(intercept, "intercept"))
-        self.coefficients = _finite(coefficients, "coefficients")
+        self.intercept = _real(intercept, "intercept")
+        self.coefficients = _reals(coefficients, "coefficient vector")
         self._columns = _design_columns(self.schema)
         width = len(self.schema) if self._columns is None else len(self._columns[0])
         if self.coefficients.shape != (width,):
@@ -184,17 +171,18 @@ class KNNModel(ReferenceModel):
         self, schema: Sequence[FeatureMeta], k: int, train: np.ndarray, target: Sequence[float]
     ):
         super().__init__(schema)
-        schema = self.schema
-        self.target = _finite(target, "knn targets")
+        self.target = _reals(target, "knn target vector")
         n = len(train)
         if self.target.shape != (n,):
             raise InvalidArgumentError(f"knn needs {n} targets, got {self.target.size}")
         self.k = _integer(k, "knn k", 1, n)
-        self.columns = encode(np.array(train, dtype=object).T, schema).T.copy()  # a row per feature
-        self.train = decode(self.columns.T, schema)  # floats and level strings, as saved
-        for m, col in zip(schema, self.columns):
-            if m.kind == CONTINUOUS:
-                _finite(col, f"training values of {m.name!r}")
+        # a row per feature, each checked by kind; a training row of another width raises
+        columns = train.T if isinstance(train, np.ndarray) else zip(*train, strict=True)
+        self.columns = np.array([
+            _reals(col, f"knn training column {m.name!r}") if m.kind == CONTINUOUS else _level_codes(col, m)
+            for col, m in zip(columns, self.schema, strict=True)
+        ])
+        self.train = decode(self.columns.T, self.schema)  # floats and level strings, as saved
 
     def _predict(self, X: np.ndarray, copies: int = 1) -> np.ndarray:
         n_rows, n_train = X.shape[0], len(self.target)
@@ -294,17 +282,14 @@ class StumpModel(ReferenceModel):
                 raise InvalidArgumentError(
                     f"a stump on {meta.kind} feature {meta.name!r} needs an {kind!r} split, got {split_kind!r}"
                 )
-            if kind == "le" and not (_is_number(threshold) and np.isfinite(threshold)):
-                raise InvalidArgumentError(
-                    f"an 'le' split needs a finite numeric threshold, got {threshold!r}"
-                )
             # x <= t, or x == the level's code; a threshold that is no level matches no row
-            self._code = float(threshold) if kind == "le" else meta.codes.get(threshold, np.nan)
+            threshold = _real(threshold, "an 'le' split's threshold") if kind == "le" else threshold
+            self._code = threshold if kind == "le" else meta.codes.get(threshold, np.nan)
         self.feature = feature
         self.split_kind = split_kind  # "le" (x <= t) or "eq" (x == level)
         self.threshold = threshold
-        self.left_value = float(_finite(left_value, "left value"))
-        self.right_value = float(_finite(right_value, "right value"))
+        self.left_value = _real(left_value, "left value")
+        self.right_value = _real(right_value, "right value")
 
     def _predict(self, X: np.ndarray, copies: int = 1) -> np.ndarray:
         if self.feature is None:

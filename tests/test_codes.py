@@ -120,8 +120,9 @@ def test_a_public_call_on_an_unregistered_level_raises(fit):
 
 @pytest.mark.parametrize("fit", [fit_linear, fit_stump])
 def test_a_remembered_schema_stands_for_itself_only(fit):
-    """A model remembers the last matching ``meta`` object; any other is still
-    decoded and encoded over the model's own levels, or rejected."""
+    """A ``meta`` whose levels match the model's is read as it is; any other,
+    passed once or again, is decoded and encoded over the model's own levels,
+    or rejected."""
     data = mixed_data()
     model = fit(data)
     assert model(data.codes(), data.meta).tobytes() == model(data.matrix()).tobytes()

@@ -152,6 +152,17 @@ def test_constructors_leave_caller_arrays_alone():
     assert data.column(0).tolist() == derived.column(0).tolist() == [1.0, 2.0]
 
 
+def test_one_frozen_code_matrix_stores_every_column():
+    data = columns_dataset(a=[1.0, 2.0, 3.0], b=["x", "y", "x"])
+    codes = data.codes()
+    assert codes.flags.c_contiguous and not codes.flags.writeable
+    assert np.shares_memory(data.column("a"), codes) and not data.column("a").flags.writeable
+    derived = data.replace_columns({0: [4.0, 5.0, 6.0]}, row_subset=np.array([2, 0]))
+    assert derived.codes().tolist() == [[6.0, 0.0], [4.0, 0.0]] and derived.target is None
+    assert derived.codes().flags.c_contiguous and not derived.codes().flags.writeable
+    assert codes.tolist() == [[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]
+
+
 def test_replace_columns_rejects_a_column_of_the_wrong_length():
     data = columns_dataset(a=[1.0, 2.0, 3.0], b=[4.0, 5.0, 6.0])
     with pytest.raises(InvalidArgumentError, match="column 'a' has 1 values, expected 3"):

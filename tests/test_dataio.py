@@ -1,10 +1,13 @@
 """CSV ingestion and deterministic emission."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from boxprobe import CATEGORICAL, CONTINUOUS, load_csv
+from boxprobe.cli import main
 from boxprobe.dataio import emit_json, emit_points_csv, emit_score_csv, format_value
 from boxprobe.errors import DataFormatError
 
@@ -129,6 +132,35 @@ def test_emit_points_csv():
 
 def test_emit_score_csv():
     assert emit_score_csv("pfi", "x1", 2.0) == "method,feature,score\npfi,x1,2.0\n"
+
+
+@pytest.mark.parametrize(
+    "cell", ["2021_02", "\u0661\u0662", "\uff11\uff12"], ids=["underscore", "arabic-indic", "fullwidth"]
+)
+def test_numbers_follow_the_ascii_dialect(tmp_path, cell):
+    """float() also reads PEP 515 underscores and non-ASCII digits; the dialect does not."""
+    data = load_csv(write(tmp_path, f"a,b\n1,x\n{cell},y\n"))
+    assert data.meta[0].kind == CATEGORICAL and data.column("a").tolist() == ["1", cell]
+    with pytest.raises(DataFormatError, match=f"column 'a' is declared continuous but line 3 holds '{cell}'"):
+        load_csv(write(tmp_path, f"a\n1\n{cell}\n"), kinds={"a": CONTINUOUS})
+
+
+def _cells(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+def test_csv_output_quotes_the_cells_that_need_it(tmp_path):
+    points = emit_points_csv([(0.5, "a,b"), (1.5, 'say "hi"')], [1.0, 2.0], ["x1", 'c"q'])
+    assert _cells(points) == [["x1", 'c"q', "y"], ["0.5", "a,b", "1.0"], ["1.5", 'say "hi"', "2.0"]]
+    assert _cells(emit_score_csv("pfi", 'c,"q', 2.0)) == [["method", "feature", "score"], ["pfi", 'c,"q', "2.0"]]
+    data, model, out = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "pd.csv"
+    data.write_text('x1,"c""q",y\n0,"a,b",1\n1,d,2\n2,"a,b",3.5\n3,d,4\n', encoding="utf-8")
+    assert main(["fit", "--data", str(data), "--target", "y", "--out", str(model)]) == 0
+    args = ["--feature", 'c"q', "--data", str(data), "--model", str(model), "--target", "y", "--format", "csv"]
+    assert main(["pd", *args, "--out", str(out)]) == 0
+    rows = _cells(out.read_text(encoding="utf-8"))
+    assert rows[0] == ['c"q', "y"] and [row[0] for row in rows[1:]] == ["a,b", "d"]
+    assert {len(row) for row in rows} == {2}
 
 
 def test_continuous_columns_skip_the_per_value_check(tmp_path, monkeypatch):

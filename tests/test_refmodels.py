@@ -518,6 +518,11 @@ _BROKEN = {
     "stump_threshold": ("stump", ("parameters", "threshold"), "abc"),
     "stump_le_on_categorical": ("stump", ("parameters", "feature"), 1),
     "stump_eq_on_continuous": ("stump", ("parameters", "split_kind"), "eq"),
+    "string_intercept": ("linear", ("parameters", "intercept"), "1.5"),
+    "bool_coefficient": ("linear", ("parameters", "coefficients", 0), True),
+    "string_stump_value": ("stump", ("parameters", "left_value"), "7"),
+    "string_knn_target": ("knn", ("parameters", "target", 0), "9"),
+    "bool_knn_training_value": ("knn", ("parameters", "train", 0, 0), True),
 }
 
 

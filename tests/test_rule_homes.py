@@ -1,9 +1,12 @@
 """Tooling guard: each input rule is checked in one place.
 
 - A missing target is rejected only by ``data.py`` (``Dataset.numeric_target``).
-- A value for a feature column is checked by ``Dataset.check_column``: in
-  ``data.py`` only it, ``_infer_meta`` (which picks a column's kind) and
-  ``_build_target`` ask whether a value is a number.
+- A real number (a feature value, a grid point, an observed range, a real
+  argument or a model parameter) is checked by the real-number rule,
+  ``data._real`` and its vectorized form ``data._reals``, which
+  ``Dataset.check_column`` calls: in every module only they,
+  ``_infer_meta`` (which picks a column's kind) and ``_build_target`` ask
+  whether a value is a number, and no other module imports ``_is_number``.
 - A categorical feature where a continuous one is needed is rejected only by
   ``data.py`` (``Dataset.continuous_index``, ``Dataset.check_column``);
   ``core.finite_difference`` asks the dataset it builds from its raw vector.
@@ -76,12 +79,21 @@ def test_only_data_rejects_a_missing_target():
     assert {module for module, _ in _where(_raises, "MissingTargetError")} == {"data.py"}
 
 
+def _imports(path, name):
+    for function, node in _sites(path):
+        if isinstance(node, ast.ImportFrom) and name in {alias.name for alias in node.names}:
+            yield function
+
+
 def test_only_check_column_holds_the_value_rule():
-    assert {function for function, _ in _calls(SRC / "data.py", "_is_number")} == {
-        "check_column",
-        "_infer_meta",
-        "_build_target",
+    assert _where(_constructs, "_is_number") == {
+        ("data.py", "_real"),
+        ("data.py", "_reals"),
+        ("data.py", "_infer_meta"),
+        ("data.py", "_build_target"),
     }
+    assert ("data.py", "check_column") in _where(_constructs, "_reals")
+    assert _where(_imports, "_is_number") == set()
 
 
 def test_only_data_rejects_a_wrong_kind():
