@@ -258,14 +258,9 @@ def _run_predictor(
     return np.concatenate(parts)
 
 
-def predict_batch(
-    predictor: PredictorHandle,
-    data: Dataset,
-    cache: PredictionCache | None = None,
-) -> np.ndarray:
+def predict_batch(predictor: PredictorHandle, data: Dataset) -> np.ndarray:
     """Predict on a dataset as it is: the substitution kernel's one unchanged copy."""
-    cache = cache if cache is not None else PredictionCache()
-    (preds,) = cache.substitute(predictor, data, [((), np.empty((1, 0)))])
+    (preds,) = PredictionCache().substitute(predictor, data, [((), np.empty((1, 0)))])
     return preds
 
 
@@ -481,16 +476,10 @@ def finite_difference(
     return fd, quotient
 
 
-def estimate_generalization_error(
-    predictor: PredictorHandle,
-    data: Dataset,
-    loss: LossFunction,
-    cache: PredictionCache | None = None,
-) -> float:
+def estimate_generalization_error(predictor: PredictorHandle, data: Dataset, loss: LossFunction) -> float:
     """Average loss of the predictor on the dataset's observed targets."""
     target = loss.targets(data, "the generalization error")
-    preds = predict_batch(predictor, data, cache=cache)
-    value = float(np.mean(loss(preds, target)))
+    value = float(np.mean(loss(predict_batch(predictor, data), target)))
     if not np.isfinite(value):
         raise InvalidArgumentError(f"the generalization error must be finite, got {value}")
     return value

@@ -8,6 +8,7 @@ mutated; sampling and interventions return new instances.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -65,11 +66,13 @@ class FeatureMeta:
                     f"continuous feature {self.name!r} cannot carry levels"
                 )
             if self.observed_range is not None:
-                lo, hi = _reals(self.observed_range, f"observed range of {self.name!r}").tolist()
+                what = f"observed range of {self.name!r}"
+                pair = _reals(self.observed_range, what) if np.iterable(self.observed_range) else None
+                if pair is None or pair.shape != (2,):
+                    raise InvalidArgumentError(f"{what} must be a (min, max) pair, got {self.observed_range!r}")
+                lo, hi = pair.tolist()
                 if lo > hi:
-                    raise InvalidArgumentError(
-                        f"observed range of {self.name!r} has min > max"
-                    )
+                    raise InvalidArgumentError(f"{what} has min > max")
                 object.__setattr__(self, "observed_range", (lo, hi))
 
     @functools.cached_property
@@ -89,7 +92,8 @@ def _real(value: Any, what: str, positive: bool = False) -> float:
     """The real-number rule for one argument: ``value`` as a Python float if it is a Python or numpy
     real, not a bool or a string, finite and, with ``positive``, above 0, else :class:`InvalidArgumentError`."""
     if _is_number(value) and -np.inf < value < np.inf and (value > 0 or not positive):
-        return float(value)
+        with contextlib.suppress(OverflowError):  # an integer past the float64 range
+            return float(value)
     need = "positive, finite and real" if positive else "finite and real"
     raise InvalidArgumentError(f"{what} must be {need}, got {value!r}")
 
@@ -105,7 +109,10 @@ def _reals(values: Any, what: str) -> np.ndarray:
             for v in values:
                 if not _is_number(v):
                     raise UnsupportedKindError(f"{what} is continuous; got non-numeric {v!r}")
-        col = np.fromiter(values, float, len(values))  # each value a scalar: twice np.array's speed
+        try:
+            col = np.fromiter(values, float, len(values))  # each value a scalar: twice np.array's speed
+        except OverflowError:
+            raise InvalidArgumentError(f"{what} holds an integer past the float64 range") from None
     if col.ndim != 1:
         raise InvalidArgumentError(f"{what} is not one-dimensional")
     finite = np.isfinite(col)

@@ -261,9 +261,11 @@ def pd_curve(
 def _ale_bins(column: np.ndarray, num_intervals: int) -> tuple[np.ndarray, np.ndarray]:
     """Quantile interval edges plus per-observation interval assignment.
 
-    Duplicate quantile edges collapse; an interval left empty by the
-    interpolated quantiles is merged with its left neighbour (the leftmost
-    merges right) until every interval holds at least one observation.
+    Duplicate quantile edges collapse.  An interval left empty by the
+    interpolated quantiles merges into its left neighbour (the leftmost
+    into its right), in one pass: the first and the last edge stay, and an
+    interior edge stays only when the interval it opens and some interval
+    before it both hold an observation, so every interval holds one.
     """
     edges = np.unique(np.quantile(column, np.linspace(0.0, 1.0, num_intervals + 1)))
     if len(edges) < 2:
@@ -274,18 +276,9 @@ def _ale_bins(column: np.ndarray, num_intervals: int) -> tuple[np.ndarray, np.nd
     def assign(e: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(e, column, side="left") - 1, 0, len(e) - 2)
 
-    idx = assign(edges)
-    for _ in range(len(edges)):
-        counts = np.bincount(idx, minlength=len(edges) - 1)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
-            return edges, idx
-        k = int(empty[0])
-        edges = np.delete(edges, k if k > 0 else 1)
-        if len(edges) < 2:
-            raise DegenerateBinningError("interval merging collapsed to a single edge")
-        idx = assign(edges)
-    raise DegenerateBinningError("interval still empty after merging")
+    counts = np.bincount(assign(edges), minlength=len(edges) - 1)
+    edges = edges[np.concatenate(([True], (counts[1:] > 0) & (np.cumsum(counts)[:-1] > 0), [True]))]
+    return edges, assign(edges)
 
 
 def ale_first_order(
@@ -313,12 +306,11 @@ def ale_first_order(
     n_int = len(edges) - 1
 
     cache = PredictionCache(threads)
+    counts = np.bincount(idx, minlength=n_int)
+    members = np.split(np.argsort(idx, kind="stable"), np.cumsum(counts)[:-1])  # row order per interval
     local_effects = np.empty(n_int)
-    counts = np.empty(n_int, dtype=int)
-    for k in range(n_int):
-        members = np.flatnonzero(idx == k)
-        counts[k] = members.size
-        upper, lower = cache.substitute(predictor, data, [((j,), edges[[k + 1, k], None])], rows=members)
+    for k, rows in enumerate(members):
+        upper, lower = cache.substitute(predictor, data, [((j,), edges[[k + 1, k], None])], rows=rows)
         local_effects[k] = np.mean(upper - lower)
 
     accumulated = np.cumsum(local_effects)

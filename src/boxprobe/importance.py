@@ -330,7 +330,6 @@ def pfi_payout(
     loss: LossFunction,
     mode: str = PERTURB_EXHAUSTIVE,
     seed: int | None = None,
-    cache: PredictionCache | None = None,
 ) -> float:
     """Loss-based coalition payout for the Shapley importance.
 
@@ -343,7 +342,7 @@ def pfi_payout(
     members = frozenset(data.feature_index(k) for k in coalition)
     if not members:
         return 0.0
-    cache = cache if cache is not None else PredictionCache()
+    cache = PredictionCache()
     everything = frozenset(range(data.n_features))
     kept_out = everything - members
     ge_known = _perturbed_ge(predictor, data, kept_out, loss, mode, seed, cache)

@@ -364,8 +364,8 @@ def load_model(path: str) -> ReferenceModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"model file {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise DataFormatError(f"model file {path!r} cannot be read as JSON: {exc}") from exc
     except OSError as exc:
         raise DataFormatError(f"cannot read model file {path!r}: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:

@@ -93,7 +93,6 @@ def pd_payout(
     data: Dataset,
     x: Sequence[Any],
     coalition: Iterable[int],
-    cache: PredictionCache | None = None,
 ) -> float:
     """Coalition payout: partial dependence at ``x_K`` minus the mean prediction.
 
@@ -103,8 +102,7 @@ def pd_payout(
     members = frozenset(data.feature_index(k) for k in coalition)
     if not members:
         return 0.0
-    cache = cache if cache is not None else PredictionCache()
-    return _pd_payouts(predictor, data, x, [members], cache)[0]
+    return _pd_payouts(predictor, data, x, [members], PredictionCache())[0]
 
 
 def _pd_payouts(

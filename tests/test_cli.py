@@ -211,6 +211,20 @@ def test_usage_errors_exit_1(workspace):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["pd", "--feature", "x1,x2", "--grid-points", "3"], "--grid-points applies to single-feature runs"),
+        (["pd", "--feature", "x1", "--kind", "x1"], "--kind expects NAME=KIND, got 'x1'"),
+    ],
+    ids=["grid-points-on-a-set", "kind-without-equals"],
+)
+def test_a_flag_the_run_cannot_use_exits_1(workspace, capsys, args, message):
+    code, out = run_to_file(workspace, "x.json", *args)
+    assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["pfi", "--feature", "x1"],

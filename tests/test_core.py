@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from boxprobe import (
+    LossFunction,
     PredictionCache,
     fit_linear,
     estimate_generalization_error,
@@ -190,6 +191,11 @@ def test_predict_shape_mismatch(sum_predictor):
     data = columns_dataset(a=[1.0], b=[2.0], c=[3.0])
     with pytest.raises(ShapeError, match="expects 2"):
         predict_batch(sum_predictor, data)
+    predictor = linear_predictor([1.0, 1.0])
+    with pytest.raises(ShapeError, match=r"^expected a 2-D feature matrix, got ndim=1$"):
+        predictor(np.zeros(2))
+    with pytest.raises(ShapeError, match=r"^predictor 'linear' expects 2 features, got 3$"):
+        predictor(np.zeros((1, 3)))
 
 
 def test_batch_equals_row_wise_predictions():
@@ -416,7 +422,7 @@ def test_repeated_unchanged_data_is_predicted_once_per_call():
     first, patched, again = cache.substitute(predictor, data, [([], [[]]), (["b"], [[1.0]]), ([], [[]])])
     assert first.tolist() == again.tolist() == [1.0, 3.0, 3.0] and patched.tolist() == [2.0, 3.0, 4.0]
     assert seen == [3, 3] and (cache.batches, cache.rows) == (3, 9)
-    predict_batch(predictor, data, cache=cache)  # a new call predicts the data anew
+    cache.substitute(predictor, data, [([], [[]])])  # a new call predicts the data anew
     assert seen == [3, 3, 3]
 
 
@@ -496,6 +502,11 @@ def test_fd_rejects_bad_h(sum_predictor):
         finite_difference(sum_predictor, [1.0, 2.0], 0, -1.0)
 
 
+def test_fd_rejects_a_vector_of_the_wrong_length(sum_predictor):
+    with pytest.raises(ShapeError, match=r"^feature vector has 1 entries, predictor expects 2$"):
+        finite_difference(sum_predictor, [1.0], 0, 0.1)
+
+
 def test_fd_rejects_categorical_coordinate():
     predictor = handle(lambda X: np.ones(np.asarray(X).shape[0]), 2)
     with pytest.raises(UnsupportedKindError):
@@ -571,6 +582,9 @@ def test_losses():
     with pytest.raises(InvalidArgumentError):
         loss_by_name("huber")
     assert loss_by_name("zero_one", threshold=0.9).tag == "zero_one"
+    signed = LossFunction("signed", lambda p, y: p - y)
+    with pytest.raises(InvalidArgumentError, match=r"^loss 'signed' produced negative values$"):
+        signed(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
 # -- stage traces ------------------------------------------------------------

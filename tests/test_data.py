@@ -67,6 +67,16 @@ def test_duplicate_feature_names_rejected():
         Dataset([[1.0, 2.0]], meta=meta)
 
 
+def test_one_schema_entry_per_column():
+    with pytest.raises(InvalidArgumentError, match=r"^got 1 feature metadata entries for 2 columns$"):
+        Dataset([[1.0, 2.0]], meta=[FeatureMeta("a", CONTINUOUS)])
+
+
+def test_a_kind_override_names_a_column():
+    with pytest.raises(InvalidArgumentError, match=r"^kind overrides for unknown columns: \['b'\]$"):
+        Dataset.from_columns({"a": [1.0]}, kinds={"b": CONTINUOUS})
+
+
 def test_target_length_checked():
     with pytest.raises(InvalidArgumentError, match="target"):
         columns_dataset(a=[1.0, 2.0], target=[1.0])
@@ -83,6 +93,15 @@ def test_meta_validation():
         FeatureMeta("a", CONTINUOUS, observed_range=(2.0, 1.0))
     with pytest.raises(InvalidArgumentError):
         FeatureMeta("a", CONTINUOUS, levels=("x",))
+    with pytest.raises(InvalidArgumentError, match=r"^categorical feature 'c' cannot carry an observed range$"):
+        FeatureMeta("c", CATEGORICAL, levels=("x", "y"), observed_range=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [(1.0,), (1.0, 2.0, 3.0), 1.0], ids=["1-tuple", "3-tuple", "scalar"])
+def test_an_observed_range_is_a_pair(bad):
+    """Not a bare ValueError from unpacking, or a TypeError from iterating."""
+    with pytest.raises(InvalidArgumentError, match=r"^observed range of 'a' must be a \(min, max\) pair, got "):
+        FeatureMeta("a", CONTINUOUS, observed_range=bad)
 
 
 def test_dataset_is_immutable():

@@ -60,11 +60,15 @@ def test_load_empty_and_header_only(tmp_path):
 def test_load_duplicate_headers(tmp_path):
     with pytest.raises(DataFormatError, match="duplicate"):
         load_csv(write(tmp_path, "a,a\n1,2\n"))
+    with pytest.raises(DataFormatError, match=r"^header row contains an empty column name \(line 1\)$"):
+        load_csv(write(tmp_path, "a,,y\n1,2,3\n"))
 
 
 def test_load_unknown_target(tmp_path):
     with pytest.raises(DataFormatError, match="unknown target"):
         load_csv(write(tmp_path, "a\n1\n"), target="y")
+    with pytest.raises(DataFormatError, match=r"^no feature columns remain after splitting the target$"):
+        load_csv(write(tmp_path, "y\n1\n"), target="y")
 
 
 def test_load_unreadable_path(tmp_path):
@@ -91,6 +95,8 @@ def test_kind_overrides(tmp_path):
     assert data.meta[1].kind == CONTINUOUS
     with pytest.raises(DataFormatError, match="unknown column"):
         load_csv(path, kinds={"zz": CONTINUOUS})
+    with pytest.raises(DataFormatError, match=r"^unknown kind 'ordinal' for column 'a'$"):
+        load_csv(path, kinds={"a": "ordinal"})
     with pytest.raises(DataFormatError, match="line 2"):
         load_csv(write(tmp_path, "a\nx\n", name="c.csv"), kinds={"a": CONTINUOUS})
 

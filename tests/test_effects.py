@@ -18,7 +18,7 @@ from boxprobe import (
     pd_curve,
     sample_observations,
 )
-from boxprobe.effects import Grid
+from boxprobe.effects import Grid, _ale_bins
 from boxprobe.errors import (
     DegenerateBinningError,
     InvalidArgumentError,
@@ -83,6 +83,8 @@ def test_effect_curve_validation():
         EffectCurve("pd", 0, (2.0, 1.0), (1.0, 2.0), trace)
     with pytest.raises(InvalidArgumentError):
         EffectCurve("pd", 0, (1.0,), (float("nan"),), trace)
+    with pytest.raises(InvalidArgumentError, match=r"^curve needs at least one point$"):
+        EffectCurve("pd", 0, (), (), trace)
 
 
 def test_effect_curve_normalizes_python_and_numpy_reals():
@@ -212,6 +214,10 @@ def test_pd_feature_set_cartesian_grid(sum_predictor):
     assert curve.xs == ((0.0, 10.0), (0.0, 20.0), (1.0, 10.0), (1.0, 20.0))
     # S covers every feature: nothing to marginalize, values are f itself
     assert list(curve.ys) == [10.0, 20.0, 11.0, 21.0]
+    given = pd_curve(sum_predictor, data, [0, 1], grid=[observed_grid(data, 0), observed_grid(data, 1)])
+    assert (given.xs, given.ys) == (curve.xs, curve.ys)
+    with pytest.raises(InvalidArgumentError, match=r"^feature set must not be empty$"):
+        pd_curve(sum_predictor, data, [])
 
 
 def test_pd_carries_sampling_provenance(two_feature_data, sum_predictor):
@@ -262,6 +268,45 @@ def test_ale_merges_sparse_intervals():
     curve = ale_first_order(linear_predictor([1.0, 0.0]), data, 0, 7)
     assert len(curve.xs) <= 8
     assert curve.xs[0] == 0.0 and curve.xs[-1] == 2.0
+
+
+def _ale_bins_by_merging(column, num_intervals):
+    """The loop that ``_ale_bins`` replaced: merge the first empty interval into
+    its left neighbour (the leftmost into its right), reassign, repeat."""
+    edges = np.unique(np.quantile(column, np.linspace(0.0, 1.0, num_intervals + 1)))
+
+    def assign(e):
+        return np.clip(np.searchsorted(e, column, side="left") - 1, 0, len(e) - 2)
+
+    idx = assign(edges)
+    while (counts := np.bincount(idx, minlength=len(edges) - 1)).min() == 0:
+        k = int(np.flatnonzero(counts == 0)[0])
+        edges = np.delete(edges, k if k > 0 else 1)
+        idx = assign(edges)
+    return edges, idx
+
+
+def test_ale_bins_merge_as_the_merging_loop_did():
+    """Tied columns leave empty quantile intervals; one pass merges them as the loop did."""
+    rng = np.random.default_rng(2020)
+    compared = merged = 0
+    for i in range(2400):
+        n = int(rng.integers(2, 60))
+        column = [
+            rng.integers(0, rng.integers(2, 6), n).astype(float),  # 2 to 5 values
+            np.round(rng.exponential(size=n), 1),
+            np.where(rng.random(n) < 0.6, 0.0, np.round(rng.normal(size=n), 2)),  # zero-inflated
+        ][i % 3]
+        num_intervals = int(rng.integers(1, 25))
+        if np.unique(column).size < 2:
+            continue
+        edges, idx = _ale_bins(column, num_intervals)
+        want_edges, want_idx = _ale_bins_by_merging(column, num_intervals)
+        assert edges.tobytes() == want_edges.tobytes() and idx.tolist() == want_idx.tolist()
+        assert (np.bincount(idx) > 0).all()
+        compared += 1
+        merged += len(edges) < np.unique(np.quantile(column, np.linspace(0, 1, num_intervals + 1))).size
+    assert compared >= 2000 and merged >= 500
 
 
 def test_ale_errors():
@@ -402,6 +447,12 @@ def test_lime_errors(two_feature_data, sum_predictor):
     flat = columns_dataset(x1=[2.0, 2.0], x2=[0.0, 1.0])
     with pytest.raises(SingularFitError):
         lime_explain(sum_predictor, flat, (2.0, 0.0), 0)
+    # Far from the column, a perturbation of one sample sd is below one ulp.
+    with pytest.raises(SingularFitError, match=r"^all perturbed values coincide; surrogate line is undetermined$"):
+        lime_explain(constant_predictor(1.0, 2), two_feature_data, (1e300, 2.0), 0)
+    # A kernel this narrow weighs every perturbed point at exactly 0.
+    with pytest.raises(SingularFitError, match=r"^weighted design is rank deficient$"):
+        lime_explain(constant_predictor(1.0, 2), two_feature_data, (1.0, 2.0), 0, kernel_width=1e-150)
     cat = columns_dataset(c=["a", "b"], x=[0.0, 1.0])
     with pytest.raises(UnsupportedKindError):
         lime_explain(constant_predictor(1.0, 2), cat, ("a", 0.0), 0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from boxprobe import (
+    ImportanceScore,
+    StageTrace,
     ces_curve,
     firm,
     fit_linear,
@@ -50,6 +52,11 @@ def level_stepper():
 
 
 # -- pd_importance -------------------------------------------------------------
+
+
+def test_a_variance_based_score_is_not_negative():
+    with pytest.raises(InvalidArgumentError, match=r"^variance-based importance cannot be negative$"):
+        ImportanceScore("pd_sd", 0, -1.0, StageTrace())
 
 
 def test_pd_importance_constant_predictor_zero(two_feature_data):

@@ -30,16 +30,46 @@ Rows reach the black box as one float64 code matrix, whatever the column
 kinds, so neither the estimators nor the kernel (with the rows
 ``finite_difference`` composes) pick a matrix dtype: no ``dtype=object``,
 no ``<matrix>.dtype`` and no ``float if numeric else object``.
+
+Each method makes a fixed number of kernel calls per run, most of them one;
+``KERNEL_RUNS`` gives the count of each, with the reason for each that is
+not one.  Each run builds its own ``PredictionCache``, so the only public
+functions that take one are ``finite_difference`` and ``marginal_effect``.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from boxprobe import shapley_exact
+import boxprobe
+from boxprobe import (
+    ale_first_order,
+    average_marginal_effect,
+    ces_curve,
+    estimate_generalization_error,
+    firm,
+    ice_curves,
+    ici_curve,
+    lime_explain,
+    marginal_effect,
+    pd_curve,
+    pd_importance,
+    pfi_exhaustive,
+    pfi_payout,
+    pfi_permutation,
+    pi_curve,
+    predict_batch,
+    sfimp,
+    shapley_exact,
+    shapley_mc,
+    squared_loss,
+)
+from boxprobe.effects import _ice_row
 
-from conftest import columns_dataset, handle, kernel_calls
+from conftest import columns_dataset, handle, kernel_calls, linear_predictor
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boxprobe"
 ESTIMATORS = ("effects.py", "importance.py", "shapley.py")
@@ -203,3 +233,58 @@ def test_exact_shapley_is_one_kernel_call(monkeypatch):
     assert calls == ["substitute"]
     assert record.parameters["batches"] == 2 * (2**p - 1)
     assert predicted == [data.n_rows] * 2**p  # every coalition but the empty one, then the data once
+
+
+# How many kernel calls one run makes: one, unless the comment says why not.
+P = 3
+GUARD = columns_dataset(
+    x1=[0.0, 1.0, 2.0, 3.0, 4.0], x2=[1.0, 0.0, 2.0, 2.0, 5.0], x3=[3.0, 1.0, 1.0, 0.0, 2.0],
+    target=[4.0, 2.0, 5.0, 4.0, 12.0],
+)
+X, LOSS = GUARD.row(2), squared_loss()
+KERNEL_RUNS = {
+    "ice_curves": (lambda f: ice_curves(f, GUARD, 0), 1),
+    "_ice_row": (lambda f: _ice_row(f, GUARD, 0, None, 1, 2), 1),
+    "pd_curve feature": (lambda f: pd_curve(f, GUARD, 0), 1),
+    "pd_curve set": (lambda f: pd_curve(f, GUARD, [0, 1]), 1),
+    "pd_importance": (lambda f: pd_importance(f, GUARD, 0), 1),
+    "ces_curve": (lambda f: ces_curve(f, GUARD, 0), 1),
+    "firm": (lambda f: firm(f, GUARD, 0), 1),
+    "ici_curve": (lambda f: ici_curve(f, GUARD, 1, 0, LOSS), 1),
+    "average_marginal_effect": (lambda f: average_marginal_effect(f, GUARD, 0), 1),
+    "pfi_permutation": (lambda f: pfi_permutation(f, GUARD, 0, LOSS, repeats=3), 1),
+    "shapley_exact": (lambda f: shapley_exact(f, GUARD, X, 0), 1),
+    "predict_batch": (lambda f: predict_batch(f, GUARD), 1),
+    "estimate_generalization_error": (lambda f: estimate_generalization_error(f, GUARD, LOSS), 1),
+    "shapley_mc": (lambda f: shapley_mc(f, GUARD, X, 0, 4, 0), 1),
+    # The base losses come first: the loss change of each copy is a reducer on them.
+    "pi_curve": (lambda f: pi_curve(f, GUARD, 0, LOSS), 2),
+    "pfi_exhaustive": (lambda f: pfi_exhaustive(f, GUARD, 0, LOSS), 2),
+    # One per interval (x2's tied quantiles leave 3 of 4): the trace counts 2 batches per interval.
+    "ale_first_order": (lambda f: ale_first_order(f, GUARD, 1, 4), 3),
+    # One per coalition block, 2^p: one plan would hold p * 2^(p-1) * n donor values.
+    "sfimp": (lambda f: sfimp(f, GUARD, 0, LOSS), 2**P),
+    # The known coalition's error, then the all-perturbed baseline.
+    "pfi_payout": (lambda f: pfi_payout(f, GUARD, [0], LOSS), 2),
+    # Rows they compose themselves go to PredictionCache.predict, not the kernel.
+    "lime_explain": (lambda f: lime_explain(f, GUARD, X, 0), 0),
+    "marginal_effect": (lambda f: marginal_effect(f, X, 0, 0.5), 0),
+}
+
+
+@pytest.mark.parametrize("method", sorted(KERNEL_RUNS))
+def test_each_method_makes_its_count_of_kernel_calls(monkeypatch, method):
+    run, expected = KERNEL_RUNS[method]
+    calls = kernel_calls(monkeypatch)
+    run(linear_predictor([1.0, 2.0, -1.0]))
+    assert calls.count("substitute") == expected
+
+
+def test_only_the_me_path_takes_a_cache():
+    """Each run builds its own cache; the CLI's ``me`` passes one to read its trace."""
+    public = [getattr(boxprobe, name) for name in boxprobe.__all__]
+    functions = [f for f in public if inspect.isfunction(f)]
+    assert {f.__name__ for f in functions if "cache" in inspect.signature(f).parameters} == {
+        "finite_difference",
+        "marginal_effect",
+    }

@@ -29,6 +29,7 @@ from boxprobe import (
     zero_one_loss,
 )
 from boxprobe.cli import main
+from boxprobe.data import _reals
 from boxprobe.errors import InvalidArgumentError, UnsupportedKindError
 
 from conftest import columns_dataset
@@ -63,7 +64,8 @@ POSITIVE_CASES = {
     "lime_explain kernel_width": (lambda v: lime_explain(MODEL, DATA, X, 0, kernel_width=v), 2.0),
 }
 ALL_CASES = {**CASES, **POSITIVE_CASES}
-NOT_REALS = [True, np.bool_(False), "0.5", None, float("nan"), float("inf"), -float("inf")]
+HUGE = 10**400  # an integer past the float64 range, which float() cannot convert
+NOT_REALS = [True, np.bool_(False), "0.5", None, float("nan"), float("inf"), -float("inf"), HUGE]
 DEFAULTS_TO_NONE = {"average_marginal_effect h", "lime_explain kernel_width"}  # None asks for the default
 
 
@@ -80,11 +82,16 @@ def _bits(result):
     "case, value",
     [(c, v) for c in sorted(ALL_CASES) for v in NOT_REALS if not (v is None and c in DEFAULTS_TO_NONE)]
     + [(c, v) for c in sorted(POSITIVE_CASES) for v in (0.0, -1.0)],
-    ids=lambda p: p if isinstance(p, str) else repr(p),
+    ids=lambda p: p if isinstance(p, str) else "10**400" if p is HUGE else repr(p),
 )
 def test_each_real_argument_rejects_what_is_not_a_finite_real(case, value):
     with pytest.raises((InvalidArgumentError, UnsupportedKindError)):
         ALL_CASES[case][0](value)
+
+
+def test_the_vectorized_rule_takes_one_dimension():
+    with pytest.raises(InvalidArgumentError, match=r"^grid is not one-dimensional$"):
+        _reals(np.zeros((2, 2)), "grid")
 
 
 @pytest.mark.parametrize("kind", [np.float64, np.float32, int])

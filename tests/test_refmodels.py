@@ -480,6 +480,9 @@ def test_load_model_rejects_garbage(tmp_path):
     )
     with pytest.raises(DataFormatError):
         load_model(str(path))
+    path.write_text('{"format": "boxprobe-model", "version": 2, "kind": "linear"}')
+    with pytest.raises(DataFormatError, match=r"^unsupported model version 2$"):
+        load_model(str(path))
 
 
 # -- model invariants, checked on load -------------------------------------------
@@ -523,6 +526,9 @@ _BROKEN = {
     "string_stump_value": ("stump", ("parameters", "left_value"), "7"),
     "string_knn_target": ("knn", ("parameters", "target", 0), "9"),
     "bool_knn_training_value": ("knn", ("parameters", "train", 0, 0), True),
+    "huge_intercept": ("linear", ("parameters", "intercept"), 10**400),
+    "huge_coefficient": ("linear", ("parameters", "coefficients", 0), 10**400),
+    "huge_knn_target": ("knn", ("parameters", "target", 0), 10**400),
 }
 
 
@@ -560,6 +566,18 @@ def test_missing_model_file_exits_2(tmp_path, capsys):
     assert _run_pd(tmp_path, missing) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nope.json" in err
+
+
+def test_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """``json`` will not read an integer of more than 4300 digits; a ValueError, not bad JSON syntax."""
+    path = tmp_path / "linear.json"
+    _model_file(tmp_path, "linear", ("parameters", "intercept"), "huge")
+    path.write_text(path.read_text(encoding="utf-8").replace('"huge"', "9" * 5000), encoding="utf-8")
+    with pytest.raises(DataFormatError, match="Exceeds the limit"):
+        load_model(str(path))
+    assert _run_pd(tmp_path, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", sorted(_VALID))
