@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, FeatureMeta, _indices, _integer, _real, decode
+from .data import Dataset, FeatureMeta, _indices, _integer, _real, decode, encode
 from .errors import InvalidArgumentError, ShapeError
 from .trace import INTERVENTION, SAMPLING, STAGES, StageRecord, StageTrace, assemble_trace
 
@@ -205,8 +205,7 @@ class PredictionCache:
             for g in range(bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)):
                 (js, codes), a, b = groups[g], max(starts[g], lo), min(starts[g + 1], hi)
                 if js and a < b:  # the group's distinct copies in this block, in one assignment
-                    values = codes[first[a:b] - offsets[g]]
-                    block[a - lo : b - lo, :, js] = values[:, None] if values.ndim == 2 else values.transpose(0, 2, 1)
+                    block[a - lo : b - lo, :, js] = codes[first[a:b] - offsets[g]]
             for start in range(0, m, ROW_BUDGET):  # one call per block unless m > ROW_BUDGET, and then k = 1
                 flat = block[:, start : start + ROW_BUDGET].reshape(-1, p)
                 preds[:, start : start + ROW_BUDGET] = _run_predictor(
@@ -231,13 +230,13 @@ class PredictionCache:
         return assemble_trace(data.provenance, records)
 
 
-def _worker_count(threads: int, rows: int) -> int:
-    """Pool size for one batch: at most one thread per usable CPU and per two rows."""
+def _worker_count(threads: int) -> int:
+    """Pool size for one batch: at most one thread per usable CPU."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    return max(1, min(threads, cpus, rows // 2))
+    return min(threads, cpus)
 
 
 def _run_predictor(
@@ -247,13 +246,13 @@ def _run_predictor(
     m = matrix.shape[0] // copies
     if threads <= 1 or m < 2 * threads:
         return predictor(matrix, meta, copies)
-    # Contiguous chunks, concatenated in order: identical to one full call
-    # for row-wise predictors, regardless of thread count.
+    # Contiguous chunks, none empty as m >= 2 * threads, concatenated in order:
+    # identical to one full call for row-wise predictors, regardless of thread count.
     bounds = np.linspace(0, m, threads + 1).astype(int)
     parts = []
     for copy in np.split(matrix, copies):
-        chunks = [copy[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=_worker_count(threads, m)) as pool:
+        chunks = [copy[a:b] for a, b in zip(bounds, bounds[1:])]
+        with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
             parts += pool.map(predictor, chunks, [meta] * len(chunks))
     return np.concatenate(parts)
 
@@ -355,7 +354,7 @@ def sample_observations(data: Dataset, m: int, seed: int) -> Dataset:
         "uniform subsample without replacement",
         {"m": m, "n": n, "seed": int(seed)},
     )
-    return data.replace_columns({}, record=record, row_subset=idx)
+    return data.replace_columns(((), np.empty((1, 0))), record=record, row_subset=idx)
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +372,15 @@ def intervene_replace(data: Dataset, values: Mapping[int | str, Any]) -> Dataset
         return data
     js = data.feature_indices(values)
     resolved = {j: data.check_value(j, value) for j, value in zip(js, values.values())}
-    new_cols = {j: np.full(data.n_rows, v, dtype=object) for j, v in resolved.items()}
+    features = sorted(resolved)
+    shown = [resolved[j] for j in features]
     record = StageRecord(
         INTERVENTION,
         "replace feature columns with fixed values",
-        {
-            "features": [data.meta[j].name for j in sorted(resolved)],
-            "values": [resolved[j] for j in sorted(resolved)],
-        },
+        {"features": [data.meta[j].name for j in features], "values": shown},
     )
-    return data.replace_columns(new_cols, record=record)
+    group = (features, encode([[v] for v in shown], [data.meta[j] for j in features]))
+    return data.replace_columns(group, record=record)
 
 
 def intervene_permute(data: Dataset, feature: int | str, seed: int) -> Dataset:
@@ -394,7 +392,7 @@ def intervene_permute(data: Dataset, feature: int | str, seed: int) -> Dataset:
         "permute feature column",
         {"feature": data.meta[j].name, "seed": int(seed)},
     )
-    return data.replace_columns({j: data.column(j)[perm]}, record=record)
+    return data.replace_columns(((j,), data.codes()[perm, j][None, None]), record=record)
 
 
 def intervene_shift(data: Dataset, feature: int | str, delta: float) -> Dataset:
@@ -410,7 +408,7 @@ def intervene_shift(data: Dataset, feature: int | str, delta: float) -> Dataset:
         "shift feature column",
         {"feature": data.meta[j].name, "delta": delta},
     )
-    return data.replace_columns({j: _shifted_column(data, j, delta)}, record=record)
+    return data.replace_columns(((j,), _shifted_column(data, j, delta)[None, None]), record=record)
 
 
 def _shifted_column(data: Dataset, j: int, delta: float) -> np.ndarray:

@@ -88,6 +88,14 @@ def _is_number(value: Any) -> bool:
     )
 
 
+def _shown(value: Any) -> str:
+    """``repr(value)``, or the sign and bit length of an integer past Python's 4300-digit print limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def _real(value: Any, what: str, positive: bool = False) -> float:
     """The real-number rule for one argument: ``value`` as a Python float if it is a Python or numpy
     real, not a bool or a string, finite and, with ``positive``, above 0, else :class:`InvalidArgumentError`."""
@@ -95,7 +103,7 @@ def _real(value: Any, what: str, positive: bool = False) -> float:
         with contextlib.suppress(OverflowError):  # an integer past the float64 range
             return float(value)
     need = "positive, finite and real" if positive else "finite and real"
-    raise InvalidArgumentError(f"{what} must be {need}, got {value!r}")
+    raise InvalidArgumentError(f"{what} must be {need}, got {_shown(value)}")
 
 
 def _reals(values: Any, what: str) -> np.ndarray:
@@ -131,9 +139,9 @@ def _integer(value: Any, what: str, low: int = 0, high: int | None = None) -> in
         if high is None or value <= high:
             return int(value)
     if high is not None:
-        raise InvalidArgumentError(f"{what} out of range: {value!r} is not an integer from {low} to {high}")
+        raise InvalidArgumentError(f"{what} out of range: {_shown(value)} is not an integer from {low} to {high}")
     need = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
-    raise InvalidArgumentError(f"{what} must be {need}, got {value!r}")
+    raise InvalidArgumentError(f"{what} must be {need}, got {_shown(value)}")
 
 
 def _indices(values: Any, what: str, n: int) -> np.ndarray:
@@ -146,19 +154,13 @@ def _indices(values: Any, what: str, n: int) -> np.ndarray:
     raise InvalidArgumentError(f"{what} must be integers from 0 to {n - 1}, got {indices!r}")
 
 
-def _unregistered(value: str, meta: FeatureMeta) -> InvalidLevelError:
-    """The error for a value that is not among a categorical feature's levels."""
-    return InvalidLevelError(
-        f"value {value!r} is not a registered level of feature {meta.name!r} "
-        f"(levels: {list(meta.levels)})"
-    )
-
-
 def _level_codes(values: Sequence[Any], meta: FeatureMeta) -> np.ndarray:
     try:
         return np.array([meta.codes[str(v)] for v in values], dtype=float)
     except KeyError as exc:
-        raise _unregistered(exc.args[0], meta) from None
+        raise InvalidLevelError(
+            f"value {exc.args[0]!r} is not a registered level of feature {meta.name!r} (levels: {list(meta.levels)})"
+        ) from None
 
 
 def _levels(codes: np.ndarray, meta: FeatureMeta) -> np.ndarray:
@@ -388,23 +390,20 @@ class Dataset:
 
     def replace_columns(
         self,
-        new_columns: Mapping[int, np.ndarray],
+        group: Any,
         record: StageRecord | None = None,
         row_subset: np.ndarray | None = None,
     ) -> "Dataset":
-        """Internal constructor for derived datasets (interventions, sampling).
-
-        Column replacements are validated against the existing metadata; the
-        metadata itself (including observed ranges) is carried over unchanged.
-        """
-        codes = self._codes.copy() if new_columns else self._codes
-        for j, values in new_columns.items():
-            col = self.check_column(j, values)
-            if len(col) != self.n_rows:
-                raise InvalidArgumentError(
-                    f"column {self._meta[j].name!r} has {len(col)} values, expected {self.n_rows}"
-                )
-            codes[:, j] = col
+        """Internal constructor for derived datasets (interventions, sampling): the data with one copy
+        of a plan group (:meth:`check_codes`), of shape (1, q) or (1, q, n), written as the kernel writes
+        a copy, then only the rows ``row_subset``.  The metadata, observed ranges included, is unchanged."""
+        js, copy = self.check_codes(group, self.n_rows)
+        if len(copy) != 1:
+            raise InvalidArgumentError(f"a derived dataset takes one copy of a plan group, got {len(copy)}")
+        codes = self._codes
+        if js:
+            codes = codes.copy()
+            codes[:, js] = copy[0]
         target = self._target
         if row_subset is not None:
             codes = codes[row_subset]
@@ -432,12 +431,12 @@ class Dataset:
         return _level_codes(values, m) if m.kind == CATEGORICAL else _reals(values, f"feature {m.name!r}")
 
     def check_codes(self, group: Any, m: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Validate one group ``(features, codes)`` of a substitution plan: q
-        ``features`` (:meth:`feature_indices`) and their codes, of shape (G, q), one per
-        feature in every row of a copy, or (G, q, m), one per row.  Returns the sorted
-        column indices and the codes, float64 in that order.  A continuous code is its value,
-        checked by :meth:`check_column` as one flat array; a categorical code is a level index,
-        an integral real number from 0 to L - 1.  A list's values are checked as given, unpromoted."""
+        """Validate one group ``(features, codes)`` of a substitution plan: q ``features``
+        (:meth:`feature_indices`) and their codes, of shape (G, q), one per feature in every row of a copy,
+        or (G, q, m), one per row.  Returns the sorted column indices ``js`` and the float64 codes as rows,
+        (G, 1, q) or (G, m, q), for ``copies[..., js] = codes`` to write into a (G, m, p) stack.  A continuous
+        code is its value, checked by :meth:`check_column` as one flat array; a categorical code is a level
+        index, an integral real number from 0 to L - 1.  A list's values are checked as given, unpromoted."""
         try:  # a mapping, a lone value or a ragged array is no group
             features, codes = () if isinstance(group, Mapping) else group
             np.asarray(codes)  # raises for a ragged list; a list's values are then kept as objects
@@ -449,7 +448,7 @@ class Dataset:
             raise InvalidArgumentError(f"codes of shape {codes.shape} for {len(js)} features")
         if codes.ndim == 3 and codes.shape[2] != m:
             raise InvalidArgumentError(f"a copy of {codes.shape[2]} values for {m} rows")
-        out = np.empty(codes.shape)
+        out = np.empty((len(codes), m if codes.ndim == 3 else 1, len(js)))
         for k, j in enumerate(sorted(js)):
             shown, meta = codes[:, js.index(j)].reshape(-1), self._meta[j]
             if meta.kind == CONTINUOUS:
@@ -461,7 +460,7 @@ class Dataset:
                 if not valid.all():
                     raise InvalidArgumentError(f"feature {meta.name!r} takes level codes, integers from 0 to "
                                                f"{len(meta.levels) - 1}; got {shown[~valid].tolist()[0]!r}")
-            out[:, k] = col.reshape(out[:, k].shape)
+            out[..., k] = col.reshape(out.shape[:2])
         return tuple(sorted(js)), out
 
     def check_vector(self, x: Sequence[Any]) -> tuple[Any, ...]:

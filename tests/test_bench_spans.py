@@ -1,7 +1,8 @@
 """The benchmark tracer's wrap targets still exist in the package.
 
 ``bench/layers.py`` swaps the attributes named in its ``SPANS`` table, plus
-``Dataset.__init__`` and ``core.ThreadPoolExecutor``.  Renaming one of them
+``Dataset.__init__`` and ``core.ThreadPoolExecutor``, and reads the
+``Dataset._matrix`` memo slot.  Renaming one of them
 breaks the traced benchmark; this test makes such a rename fail here too.
 """
 
@@ -36,4 +37,5 @@ def test_tracer_patch_points_exist():
     data = importlib.import_module("boxprobe.data")
     core = importlib.import_module("boxprobe.core")
     assert "__init__" in vars(data.Dataset)
+    assert "_matrix" in data.Dataset.__slots__
     assert isinstance(core.ThreadPoolExecutor, type)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import click
 import pytest
 
 import boxprobe.cli
@@ -572,6 +573,16 @@ def test_each_error_type_exits_with_its_status(
         args += ["--feature", "x1", "--model", workspace["model"]]
     assert main([method, *args]) == status
     assert capsys.readouterr().err == f"error: {error.__name__} while loading\n"
+
+
+def test_a_click_error_that_is_no_usage_error_exits_1(workspace, monkeypatch, capsys):
+    def failing_load(*args, **kwargs):
+        raise click.FileError("data.csv", hint="locked")
+
+    monkeypatch.setattr(boxprobe.cli, "load_csv", failing_load)
+    args = ["fit", "--data", workspace["data"], "--target", "y", "--out", str(workspace["dir"] / "o")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "Error: Could not open file 'data.csv': locked\n"
 
 
 @pytest.mark.parametrize("method", ["pd", "fit"])

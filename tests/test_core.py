@@ -204,7 +204,7 @@ def test_batch_equals_row_wise_predictions():
     predictor = linear_predictor([2.0, -1.0], 0.5)
     batch = predict_batch(predictor, data)
     for i in range(data.n_rows):
-        single = data.replace_columns({}, row_subset=np.array([i]))
+        single = data.replace_columns(((), np.empty((1, 0))), row_subset=np.array([i]))
         assert predict_batch(predictor, single)[0] == batch[i]
 
 
@@ -268,7 +268,7 @@ def test_a_non_finite_substituted_value_names_the_feature_and_the_value(value):
 
     ways = {
         "intervene_replace": lambda: intervene_replace(data, {"a": value}),
-        "replace_columns": lambda: data.replace_columns({0: [1.0, value]}),
+        "replace_columns": lambda: data.replace_columns((["a"], [[[1.0, value]]])),
         "scalar code": copy(value),
         "per-row codes": copy(np.array([1.0, value])),
     }
@@ -303,7 +303,7 @@ def test_a_continuous_value_follows_one_rule_however_it_arrives(value):
         "check_value": lambda: data.check_value(0, value),
         "check_column": lambda: data.check_column(0, [1.0, value]),
         "intervene_replace": lambda: intervene_replace(data, {"a": value}),
-        "replace_columns": lambda: data.replace_columns({0: [value, 1.0]}),
+        "replace_columns": lambda: data.replace_columns((["a"], [[[value, 1.0]]])),
         "scalar code": copy(value),
         "object per-row codes": copy(np.array([1.0, value], dtype=object)),
         "typed per-row codes": copy(np.array([value, value])),
@@ -449,16 +449,22 @@ def test_threaded_prediction_matches_sequential():
 
 
 def test_worker_count_is_bounded_by_cpus_and_rows(monkeypatch):
+    """A pool has at most one worker per usable CPU, and starts only for a copy of at least two rows per thread."""
     from boxprobe import core
 
     monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert core._worker_count(10**9, 10**9) == 4
-    assert core._worker_count(3, 10**9) == 3
-    assert core._worker_count(10**9, 7) == 3
-    assert core._worker_count(10**9, 1) == 1
+    assert core._worker_count(10**9) == 4
+    assert core._worker_count(3) == 3
+    pools = []
+    executor = core.ThreadPoolExecutor
+    monkeypatch.setattr(core, "ThreadPoolExecutor", lambda max_workers: pools.append(max_workers) or executor(max_workers))
+    predictor = linear_predictor([1.0])
+    for threads in (4, 3):  # 7 rows: below 2 * 4, then enough for 3 threads
+        assert core._run_predictor(predictor, np.arange(7.0)[:, None], threads, None).tolist() == list(range(7))
+    assert pools == [3]
     monkeypatch.delattr(core.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(core.os, "cpu_count", lambda: None)
-    assert core._worker_count(10**9, 10**9) == 1
+    assert core._worker_count(10**9) == 1
 
 
 def test_predictor_output_validation():
@@ -653,6 +659,7 @@ def test_assemble_trace_groups_provenance_by_stage():
     trace = assemble_trace(records, (StageRecord("prediction", "p"),))
     assert trace.stages() == ("sampling", "intervention", "intervention", "prediction")
     assert [r.description for r in trace][1:3] == ["first", "second"]
+    assert len(trace) == 4 and len(StageTrace()) == 0
 
 
 def test_interventions_accumulate_provenance(two_feature_data):

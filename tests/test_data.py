@@ -165,7 +165,7 @@ def test_from_columns_needs_an_observation_and_a_feature():
 def test_constructors_leave_caller_arrays_alone():
     values = np.array([1.0, 2.0])
     data = Dataset.from_columns({"a": values})
-    derived = data.replace_columns({0: values})
+    derived = data.replace_columns(([0], values[None, None]))
     assert values.flags.writeable
     values[0] = 7.0
     assert data.column(0).tolist() == derived.column(0).tolist() == [1.0, 2.0]
@@ -176,7 +176,7 @@ def test_one_frozen_code_matrix_stores_every_column():
     codes = data.codes()
     assert codes.flags.c_contiguous and not codes.flags.writeable
     assert np.shares_memory(data.column("a"), codes) and not data.column("a").flags.writeable
-    derived = data.replace_columns({0: [4.0, 5.0, 6.0]}, row_subset=np.array([2, 0]))
+    derived = data.replace_columns(([0], [[[4.0, 5.0, 6.0]]]), row_subset=np.array([2, 0]))
     assert derived.codes().tolist() == [[6.0, 0.0], [4.0, 0.0]] and derived.target is None
     assert derived.codes().flags.c_contiguous and not derived.codes().flags.writeable
     assert codes.tolist() == [[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]
@@ -184,8 +184,25 @@ def test_one_frozen_code_matrix_stores_every_column():
 
 def test_replace_columns_rejects_a_column_of_the_wrong_length():
     data = columns_dataset(a=[1.0, 2.0, 3.0], b=[4.0, 5.0, 6.0])
-    with pytest.raises(InvalidArgumentError, match="column 'a' has 1 values, expected 3"):
-        data.replace_columns({0: [1.0]})
+    with pytest.raises(InvalidArgumentError, match="a copy of 1 values for 3 rows"):
+        data.replace_columns(([0], [[[1.0]]]))
+
+
+def test_replace_columns_takes_one_copy_of_a_plan_group():
+    data = columns_dataset(a=[1.0, 2.0, 3.0], b=["x", "y", "x"])
+    assert data.replace_columns((["b", "a"], [[1, 7.0]])).codes().tolist() == [[7.0, 1.0]] * 3
+    with pytest.raises(InvalidArgumentError, match="takes one copy of a plan group, got 2"):
+        data.replace_columns(([0], [[1.0], [2.0]]))
+    with pytest.raises(InvalidArgumentError, match="a plan group is"):
+        data.replace_columns({0: [1.0, 2.0, 3.0]})
+
+
+@pytest.mark.parametrize("codes", [np.zeros((1, 2)), np.zeros(1), np.zeros((1, 2, 3))], ids=lambda c: str(c.shape))
+def test_check_codes_needs_one_code_per_feature(codes):
+    data = columns_dataset(a=[1.0, 2.0, 3.0], b=[4.0, 5.0, 6.0])
+    with pytest.raises(InvalidArgumentError) as raised:
+        data.check_codes(([0], codes), 3)
+    assert str(raised.value) == f"codes of shape {codes.shape} for 1 features"
 
 
 def test_continuous_index_names_the_purpose():

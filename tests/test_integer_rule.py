@@ -30,6 +30,7 @@ from boxprobe import (
     shapley_mc,
     squared_loss,
 )
+from boxprobe.data import _integer
 from boxprobe.effects import _ice_row
 from boxprobe.errors import InvalidArgumentError
 
@@ -118,3 +119,19 @@ def test_a_feature_set_is_a_sequence_and_a_scalar_is_one_feature():
     assert pd_curve(MODEL, DATA, [np.int64(1), "x1"]).feature == (1, 0)
     with pytest.raises(InvalidArgumentError, match="names a feature twice"):
         pd_curve(MODEL, DATA, [1, "x2"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _integer(10**5000, "observation index", 0, 5),
+         "observation index out of range: an integer of 16610 bits is not an integer from 0 to 5"),
+        (lambda: _integer(-(10**5000), "seed"), "seed must be a non-negative integer, got a negative integer of 16610 bits"),
+    ],
+    ids=["10**5000 row", "-10**5000 seed"],
+)
+def test_an_integer_too_long_to_print_is_named_by_its_size(call, message):
+    """Past Python's 4300-digit limit ``repr`` itself raises, so the message shows the bit length."""
+    with pytest.raises(InvalidArgumentError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -29,7 +29,7 @@ from boxprobe import (
     zero_one_loss,
 )
 from boxprobe.cli import main
-from boxprobe.data import _reals
+from boxprobe.data import _real, _reals
 from boxprobe.errors import InvalidArgumentError, UnsupportedKindError
 
 from conftest import columns_dataset
@@ -47,7 +47,7 @@ CASES = {
     "intervene_shift delta": (lambda v: intervene_shift(DATA, 0, v), 1.0),
     "Grid point": (lambda v: pd_curve(MODEL, DATA, 0, Grid(0, (v, 4.0), CONTINUOUS, "custom")), 2.0),
     "FeatureMeta observed_range": (lambda v: FeatureMeta("a", CONTINUOUS, observed_range=(v, 3.0)), 1.0),
-    "replace_columns value": (lambda v: DATA.replace_columns({0: [v] * DATA.n_rows}), 1.0),
+    "replace_columns value": (lambda v: DATA.replace_columns(([0], [[[v] * DATA.n_rows]])), 1.0),
     "LinearModel intercept": (lambda v: LinearModel(DATA.meta, v, [1.0, 2.0]).to_json_obj(), 1.0),
     "LinearModel coefficient": (lambda v: LinearModel(DATA.meta, 0.0, [v, 2.0]).to_json_obj(), 1.0),
     "KNNModel target": (lambda v: KNNModel(DATA.meta, 2, TRAIN, [v, *DATA.target[1:]]).to_json_obj(), 1.0),
@@ -108,6 +108,11 @@ def test_an_argument_message_names_the_argument_and_the_value():
         zero_one_loss(True)
     with pytest.raises(UnsupportedKindError, match=r"^grid of feature 0 is continuous; got non-numeric True$"):
         Grid(0, (True, "2.5"), CONTINUOUS, "custom")
+
+
+def test_an_integer_too_long_to_print_is_named_by_its_size():
+    with pytest.raises(InvalidArgumentError, match=r"^step h must be finite and real, got an integer of 16610 bits$"):
+        _real(10**5000, "step h")
 
 
 @pytest.mark.parametrize(

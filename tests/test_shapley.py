@@ -203,6 +203,11 @@ def test_mc_rejects_zero_iterations(two_feature_data, sum_predictor):
         shapley_mc(sum_predictor, two_feature_data, (1.0, 2.0), 0, iterations=0, seed=1)
 
 
+def test_mc_with_one_iteration_reports_no_standard_error(two_feature_data, sum_predictor):
+    result = shapley_mc(sum_predictor, two_feature_data, (1.0, 2.0), 0, iterations=1, seed=1)
+    assert result.iterations == 1 and result.standard_error is None
+
+
 def test_mc_trace_records_sampling_seed(two_feature_data, sum_predictor):
     result = shapley_mc(sum_predictor, two_feature_data, (1.0, 2.0), 0, iterations=10, seed=3)
     assert result.trace.stages() == ("sampling", "intervention", "prediction", "aggregation")

@@ -86,7 +86,7 @@ def reference_pi(predictor, data, j, loss=LOSS):
 
 
 def reference_ici(predictor, data, i, j):
-    single = data.replace_columns({}, row_subset=np.array([i]))
+    single = data.replace_columns(((), np.empty((1, 0))), row_subset=np.array([i]))
     y_i = data.target[i : i + 1]
     base = float(LOSS(predictor(single.matrix()), y_i)[0])
     values = np.sort(data.column(j), kind="stable")
@@ -157,7 +157,7 @@ def reference_ale(predictor, data, j, intervals):
     effects, counts = [], []
     for k in range(len(edges) - 1):
         members = np.flatnonzero(idx == k)
-        subset = data.replace_columns({}, row_subset=members)
+        subset = data.replace_columns(((), np.empty((1, 0))), row_subset=members)
         upper = predictor(intervene_replace(subset, {j: edges[k + 1]}).matrix())
         lower = predictor(intervene_replace(subset, {j: edges[k]}).matrix())
         effects.append(np.mean(upper - lower))
