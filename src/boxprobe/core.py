@@ -371,16 +371,15 @@ def intervene_replace(data: Dataset, values: Mapping[int | str, Any]) -> Dataset
     if not values:
         return data
     js = data.feature_indices(values)
-    resolved = {j: data.check_value(j, value) for j, value in zip(js, values.values())}
-    features = sorted(resolved)
-    shown = [resolved[j] for j in features]
+    meta = [data.meta[j] for j in js]
+    codes = encode([[v] for v in values.values()], meta)  # checked in the mapping's order
+    order = np.argsort(js)
     record = StageRecord(
         INTERVENTION,
         "replace feature columns with fixed values",
-        {"features": [data.meta[j].name for j in features], "values": shown},
+        {"features": [meta[k].name for k in order], "values": decode(codes, meta)[0, order].tolist()},
     )
-    group = (features, encode([[v] for v in shown], [data.meta[j] for j in features]))
-    return data.replace_columns(group, record=record)
+    return data.replace_columns((js, codes), record=record)
 
 
 def intervene_permute(data: Dataset, feature: int | str, seed: int) -> Dataset:

@@ -89,11 +89,14 @@ def _is_number(value: Any) -> bool:
 
 
 def _shown(value: Any) -> str:
-    """``repr(value)``, or the sign and bit length of an integer past Python's 4300-digit print limit."""
+    """``repr(value)``, with an integer past Python's 4300-digit print limit, alone or in a
+    sequence, shown as its sign and bit length."""
     try:
         return repr(value)
     except ValueError:
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"[{', '.join(map(_shown, value))}]"
 
 
 def _real(value: Any, what: str, positive: bool = False) -> float:
@@ -151,16 +154,26 @@ def _indices(values: Any, what: str, n: int) -> np.ndarray:
     kind = indices.dtype.kind if indices.size else "i"  # numpy reads [] as float64
     if indices.ndim == 1 and kind in "iu" and ((0 <= indices) & (indices < n)).all():
         return indices.astype(np.intp, copy=False)
-    raise InvalidArgumentError(f"{what} must be integers from 0 to {n - 1}, got {indices!r}")
+    raise InvalidArgumentError(f"{what} must be integers from 0 to {n - 1}, got {_shown(indices)}")
 
 
 def _level_codes(values: Sequence[Any], meta: FeatureMeta) -> np.ndarray:
-    try:
-        return np.array([meta.codes[str(v)] for v in values], dtype=float)
-    except KeyError as exc:
-        raise InvalidLevelError(
-            f"value {exc.args[0]!r} is not a registered level of feature {meta.name!r} (levels: {list(meta.levels)})"
-        ) from None
+    codes = []
+    for v in values:
+        try:
+            codes.append(meta.codes[str(v)])
+        except (KeyError, ValueError):  # str raises ValueError for an integer past the 4300-digit limit
+            shown = _shown(v) if isinstance(v, int) else repr(str(v))
+            raise InvalidLevelError(
+                f"value {shown} is not a registered level of feature {meta.name!r} (levels: {list(meta.levels)})"
+            ) from None
+    return np.array(codes, dtype=float)
+
+
+def _codes(values: Sequence[Any], meta: FeatureMeta) -> np.ndarray:
+    """The one rule for user values of a feature, as a new array of its codes: the real-number
+    rule (:func:`_reals`) for a continuous feature, a registered level for a categorical one."""
+    return _level_codes(values, meta) if meta.kind == CATEGORICAL else _reals(values, f"feature {meta.name!r}")
 
 
 def _levels(codes: np.ndarray, meta: FeatureMeta) -> np.ndarray:
@@ -169,11 +182,8 @@ def _levels(codes: np.ndarray, meta: FeatureMeta) -> np.ndarray:
 
 def encode(columns: Sequence[Sequence[Any]], meta: Sequence[FeatureMeta]) -> np.ndarray:
     """The C-contiguous float64 code matrix of ``columns``, one per feature of
-    ``meta`` (``matrix.T`` for a matrix); a value that is not a level raises."""
-    return np.column_stack([
-        np.asarray(col, dtype=float) if m.kind == CONTINUOUS else _level_codes(col, m)
-        for col, m in zip(columns, meta, strict=True)
-    ])
+    ``meta`` (``matrix.T`` for a matrix), each checked by :func:`_codes`."""
+    return np.column_stack([_codes(col, m) for col, m in zip(columns, meta, strict=True)])
 
 
 def decode(codes: np.ndarray, meta: Sequence[FeatureMeta]) -> np.ndarray:
@@ -254,10 +264,9 @@ class Dataset:
         n = max(len(raw) for raw in raw_columns)
         if n == 0:
             raise InvalidArgumentError("a dataset needs at least one observation")
-        self._set(_meta=tuple(meta))  # the schema check_column reads
         columns: list[np.ndarray] = []
         fixed_meta: list[FeatureMeta] = []
-        for j, (raw, m) in enumerate(zip(raw_columns, meta)):
+        for raw, m in zip(raw_columns, meta):
             if len(raw) != n:
                 raise InvalidArgumentError(f"column {m.name!r} has {len(raw)} values, expected {n}")
             if m.kind == CONTINUOUS:  # a missing value keeps the construction message
@@ -267,7 +276,7 @@ class Dataset:
                         f"column {m.name!r} contains missing or non-finite values; "
                         "missing data is rejected at construction"
                     )
-            col = self.check_column(j, raw)
+            col = _codes(raw, m)
             if m.kind == CONTINUOUS and m.observed_range is None:
                 m = FeatureMeta(m.name, CONTINUOUS, observed_range=(col.min(), col.max()))
             columns.append(col)
@@ -415,27 +424,18 @@ class Dataset:
         return out
 
     def check_value(self, j: int, value: Any) -> Any:
-        """Validate one prospective value for column ``j`` (:meth:`check_column`'s
-        rule); returns it as a float or a level string."""
-        code = float(self.check_column(j, [value])[0])
+        """Validate one prospective value for column ``j`` (:func:`_codes`' rule);
+        returns it as a float or a level string."""
         m = self._meta[j]
+        code = float(_codes([value], m)[0])
         return code if m.kind == CONTINUOUS else m.levels[int(code)]
-
-    def check_column(self, j: int, values: Sequence[Any]) -> np.ndarray:
-        """Validate prospective values for column ``j``; returns them as codes, a new array.
-
-        The one rule for a value: the real-number rule (:func:`_reals`) for a
-        continuous feature; a registered level for a categorical one.
-        """
-        m = self._meta[j]
-        return _level_codes(values, m) if m.kind == CATEGORICAL else _reals(values, f"feature {m.name!r}")
 
     def check_codes(self, group: Any, m: int) -> tuple[tuple[int, ...], np.ndarray]:
         """Validate one group ``(features, codes)`` of a substitution plan: q ``features``
         (:meth:`feature_indices`) and their codes, of shape (G, q), one per feature in every row of a copy,
         or (G, q, m), one per row.  Returns the sorted column indices ``js`` and the float64 codes as rows,
         (G, 1, q) or (G, m, q), for ``copies[..., js] = codes`` to write into a (G, m, p) stack.  A continuous
-        code is its value, checked by :meth:`check_column` as one flat array; a categorical code is a level
+        code is its value, checked by :func:`_codes` as one flat array; a categorical code is a level
         index, an integral real number from 0 to L - 1.  A list's values are checked as given, unpromoted."""
         try:  # a mapping, a lone value or a ragged array is no group
             features, codes = () if isinstance(group, Mapping) else group
@@ -452,14 +452,14 @@ class Dataset:
         for k, j in enumerate(sorted(js)):
             shown, meta = codes[:, js.index(j)].reshape(-1), self._meta[j]
             if meta.kind == CONTINUOUS:
-                col = self.check_column(j, shown)
+                col = _codes(shown, meta)
             else:  # each object's own dtype, not the one numpy would promote to, must be real
                 col = shown if shown.dtype != object else np.array(
                     [v if np.asarray(v).dtype.kind in "iuf" else np.nan for v in shown], dtype=float)
                 valid = np.isin(col, range(len(meta.levels))) if col.dtype.kind in "iuf" else np.zeros(col.shape, bool)
                 if not valid.all():
                     raise InvalidArgumentError(f"feature {meta.name!r} takes level codes, integers from 0 to "
-                                               f"{len(meta.levels) - 1}; got {shown[~valid].tolist()[0]!r}")
+                                               f"{len(meta.levels) - 1}; got {_shown(shown[~valid].tolist()[0])}")
             out[..., k] = col.reshape(out.shape[:2])
         return tuple(sorted(js)), out
 

@@ -23,7 +23,7 @@ from .core import (
     finite_difference,
     make_rng,
 )
-from .data import CATEGORICAL, CONTINUOUS, Dataset, _integer, _real, _reals, encode
+from .data import CATEGORICAL, CONTINUOUS, Dataset, _codes, _integer, _real, _reals, encode
 from .errors import DegenerateBinningError, InvalidArgumentError, SingularFitError
 from .trace import StageTrace
 
@@ -169,7 +169,7 @@ def _substitute_grid(
     """
     feature_list, grids = _resolve_feature_set(data, features, grid)
     points = list(itertools.product(*(g.points for g in grids)))
-    codes = np.array(list(itertools.product(*(data.check_column(g.feature, g.points) for g in grids))))
+    codes = np.array(list(itertools.product(*(_codes(g.points, data.meta[g.feature]) for g in grids))))
     cache = PredictionCache(threads)
     preds = cache.substitute(predictor, data, [(feature_list, codes)], reduce=reduce)
     intervention = (

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import PredictorHandle
-from .data import CONTINUOUS, Dataset, FeatureMeta, _integer, _level_codes, _real, _reals, decode, encode
+from .data import CONTINUOUS, Dataset, FeatureMeta, _integer, _real, _reals, decode, encode
 from .dataio import write_text
 from .errors import DataFormatError, InvalidArgumentError, NumericRangeError, SingularFitError
 
@@ -36,8 +36,8 @@ class ReferenceModel(PredictorHandle):
     ``copies`` equal-length copies, in one call; knn and the stump are row-stable
     and ignore ``copies``.  A matrix of level
     strings, or codes over other levels, is decoded and encoded over the
-    schema first; a value that is not a level raises
-    :class:`~boxprobe.errors.InvalidLevelError`.
+    schema first, so each value passes the one value rule
+    (:func:`~boxprobe.data.encode`).
     """
 
     kind = "reference"
@@ -178,10 +178,7 @@ class KNNModel(ReferenceModel):
         self.k = _integer(k, "knn k", 1, n)
         # a row per feature, each checked by kind; a training row of another width raises
         columns = train.T if isinstance(train, np.ndarray) else zip(*train, strict=True)
-        self.columns = np.array([
-            _reals(col, f"knn training column {m.name!r}") if m.kind == CONTINUOUS else _level_codes(col, m)
-            for col, m in zip(columns, self.schema, strict=True)
-        ])
+        self.columns = np.ascontiguousarray(encode(columns, self.schema).T)
         self.train = decode(self.columns.T, self.schema)  # floats and level strings, as saved
 
     def _predict(self, X: np.ndarray, copies: int = 1) -> np.ndarray:

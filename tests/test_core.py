@@ -8,6 +8,7 @@ import pytest
 from boxprobe import (
     LossFunction,
     PredictionCache,
+    fit_knn,
     fit_linear,
     estimate_generalization_error,
     finite_difference,
@@ -34,6 +35,7 @@ from boxprobe.errors import (
     UnsupportedKindError,
 )
 from boxprobe.core import spawn_seeds
+from boxprobe.data import encode
 from boxprobe.trace import StageTrace, StageRecord, assemble_trace
 
 from conftest import columns_dataset, constant_predictor, handle, linear_predictor
@@ -258,6 +260,13 @@ def test_the_kernels_rows_follow_the_integer_rule(rows):
     assert no_rows.shape == (2, 0) and seen == []
 
 
+def _user_matrix(kind, value):
+    """A fitted reference model called on a user matrix whose continuous 'a' is ``value``."""
+    data = columns_dataset(a=[1.0, 2.0, 3.0], b=["u", "v", "u"], target=[1.0, 2.0, 0.0])
+    model = fit_knn(data, 1) if kind == "knn" else fit_linear(data)
+    return lambda: model(np.array([[value, "u"]], dtype=object))
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=repr)
 def test_a_non_finite_substituted_value_names_the_feature_and_the_value(value):
     data = columns_dataset(a=[1.0, 2.0], b=[0.5, 1.0])
@@ -271,6 +280,8 @@ def test_a_non_finite_substituted_value_names_the_feature_and_the_value(value):
         "replace_columns": lambda: data.replace_columns((["a"], [[[1.0, value]]])),
         "scalar code": copy(value),
         "per-row codes": copy(np.array([1.0, value])),
+        "knn model on a user matrix": _user_matrix("knn", value),
+        "linear model on a user matrix": _user_matrix("linear", value),
     }
     for way, attempt in ways.items():
         with pytest.raises(InvalidArgumentError) as raised:
@@ -301,12 +312,14 @@ def test_a_continuous_value_follows_one_rule_however_it_arrives(value):
 
     ways = {
         "check_value": lambda: data.check_value(0, value),
-        "check_column": lambda: data.check_column(0, [1.0, value]),
+        "encode": lambda: encode([[1.0, value]], data.meta[:1]),
         "intervene_replace": lambda: intervene_replace(data, {"a": value}),
         "replace_columns": lambda: data.replace_columns((["a"], [[[value, 1.0]]])),
         "scalar code": copy(value),
         "object per-row codes": copy(np.array([1.0, value], dtype=object)),
         "typed per-row codes": copy(np.array([value, value])),
+        "knn model on a user matrix": _user_matrix("knn", value),
+        "linear model on a user matrix": _user_matrix("linear", value),
     }
     assert {way: _rejects(attempt) for way, attempt in ways.items()} == dict.fromkeys(ways, True)
 

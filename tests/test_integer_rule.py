@@ -32,7 +32,7 @@ from boxprobe import (
 )
 from boxprobe.data import _integer
 from boxprobe.effects import _ice_row
-from boxprobe.errors import InvalidArgumentError
+from boxprobe.errors import InvalidArgumentError, InvalidLevelError
 
 from conftest import columns_dataset
 
@@ -121,17 +121,28 @@ def test_a_feature_set_is_a_sequence_and_a_scalar_is_one_feature():
         pd_curve(MODEL, DATA, [1, "x2"])
 
 
+CATEGORICAL = columns_dataset(x1=[0.0, 1.0, 2.0], x2=["a", "b", "a"])
+NOT_A_LEVEL = "value an integer of 16610 bits is not a registered level of feature 'x2' (levels: ['a', 'b'])"
+
+
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        (lambda: _integer(10**5000, "observation index", 0, 5),
+        (lambda: _integer(10**5000, "observation index", 0, 5), InvalidArgumentError,
          "observation index out of range: an integer of 16610 bits is not an integer from 0 to 5"),
-        (lambda: _integer(-(10**5000), "seed"), "seed must be a non-negative integer, got a negative integer of 16610 bits"),
+        (lambda: _integer(-(10**5000), "seed"), InvalidArgumentError,
+         "seed must be a non-negative integer, got a negative integer of 16610 bits"),
+        (lambda: PredictionCache().substitute(MODEL, DATA, [([], [[]])], rows=[10**5000]), InvalidArgumentError,
+         "rows must be integers from 0 to 5, got [an integer of 16610 bits]"),
+        (lambda: CATEGORICAL.check_codes((["x2"], [[10**5000]]), 3), InvalidArgumentError,
+         "feature 'x2' takes level codes, integers from 0 to 1; got an integer of 16610 bits"),
+        (lambda: CATEGORICAL.check_value(1, 10**5000), InvalidLevelError, NOT_A_LEVEL),
+        (lambda: intervene_replace(CATEGORICAL, {1: 10**5000}), InvalidLevelError, NOT_A_LEVEL),
     ],
-    ids=["10**5000 row", "-10**5000 seed"],
+    ids=["10**5000 row", "-10**5000 seed", "kernel rows", "level code", "check_value", "intervene_replace"],
 )
-def test_an_integer_too_long_to_print_is_named_by_its_size(call, message):
-    """Past Python's 4300-digit limit ``repr`` itself raises, so the message shows the bit length."""
-    with pytest.raises(InvalidArgumentError) as raised:
+def test_an_integer_too_long_to_print_is_named_by_its_size(call, error, message):
+    """Past Python's 4300-digit limit ``repr`` and ``str`` themselves raise, so the message shows the bit length."""
+    with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message

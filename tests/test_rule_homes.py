@@ -1,14 +1,18 @@
 """Tooling guard: each input rule is checked in one place.
 
 - A missing target is rejected only by ``data.py`` (``Dataset.numeric_target``).
-- A real number (a feature value, a grid point, an observed range, a real
-  argument or a model parameter) is checked by the real-number rule,
-  ``data._real`` and its vectorized form ``data._reals``, which
-  ``Dataset.check_column`` calls: in every module only they,
+- A feature value (a data column, a grid point, a replacement value, an
+  explained point, a training or user matrix) passes one rule,
+  ``data._codes``: the real-number rule for a continuous feature, a
+  registered level (``data._level_codes``, called nowhere else and imported
+  by no other module) for a categorical one.
+- A real number (a feature value, an observed range, a real argument or a
+  model parameter) is checked by the real-number rule, ``data._real`` and
+  its vectorized form ``data._reals``: in every module only they,
   ``_infer_meta`` (which picks a column's kind) and ``_build_target`` ask
   whether a value is a number, and no other module imports ``_is_number``.
 - A categorical feature where a continuous one is needed is rejected only by
-  ``data.py`` (``Dataset.continuous_index``, ``Dataset.check_column``);
+  ``data.py`` (``Dataset.continuous_index``, ``data._codes``);
   ``core.finite_difference`` asks the dataset it builds from its raw vector.
 - An integer (a feature index, a row, a count or a seed) is checked only by
   ``data._integer``: no other function names ``numbers.Integral``.
@@ -85,15 +89,16 @@ def _imports(path, name):
             yield function
 
 
-def test_only_check_column_holds_the_value_rule():
+def test_only_codes_holds_the_value_rule():
     assert _where(_constructs, "_is_number") == {
         ("data.py", "_real"),
         ("data.py", "_reals"),
         ("data.py", "_infer_meta"),
         ("data.py", "_build_target"),
     }
-    assert ("data.py", "check_column") in _where(_constructs, "_reals")
-    assert _where(_imports, "_is_number") == set()
+    assert ("data.py", "_codes") in _where(_constructs, "_reals")
+    assert _where(_constructs, "_level_codes") == {("data.py", "_codes")}
+    assert _where(_imports, "_is_number") == _where(_imports, "_level_codes") == set()
 
 
 def test_only_data_rejects_a_wrong_kind():
