@@ -12,7 +12,7 @@
   ``_infer_meta`` (which picks a column's kind) and ``_build_target`` ask
   whether a value is a number, and no other module imports ``_is_number``.
 - A categorical feature where a continuous one is needed is rejected only by
-  ``data.py`` (``Dataset.continuous_index``, ``data._codes``);
+  ``data.py`` (``Dataset.continuous_index``, ``data._reals``);
   ``core.finite_difference`` asks the dataset it builds from its raw vector.
 - An integer (a feature index, a row, a count or a seed) is checked only by
   ``data._integer``: no other function names ``numbers.Integral``.
