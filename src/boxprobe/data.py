@@ -269,13 +269,6 @@ class Dataset:
         for raw, m in zip(raw_columns, meta):
             if len(raw) != n:
                 raise InvalidArgumentError(f"column {m.name!r} has {len(raw)} values, expected {n}")
-            if m.kind == CONTINUOUS:  # a missing value keeps the construction message
-                values = np.asarray(raw)
-                if values.dtype.kind == "f" and not np.isfinite(values).all():
-                    raise InvalidArgumentError(
-                        f"column {m.name!r} contains missing or non-finite values; "
-                        "missing data is rejected at construction"
-                    )
             col = _codes(raw, m)
             if m.kind == CONTINUOUS and m.observed_range is None:
                 m = FeatureMeta(m.name, CONTINUOUS, observed_range=(col.min(), col.max()))
@@ -489,7 +482,4 @@ def _build_target(target: Sequence[Any] | None, n: int) -> np.ndarray | None:
         raise InvalidArgumentError(f"target has {len(values)} entries for {n} observations")
     if not all(_is_number(v) for v in values):
         return _freeze(np.array([str(v) for v in values], dtype=object))
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError("target contains missing or non-finite values")
-    return _freeze(arr)
+    return _freeze(_reals(values, "target"))

@@ -351,13 +351,17 @@ def fit_stump(data: Dataset) -> StumpModel:
 # ---------------------------------------------------------------------------
 
 
+_MODELS = {cls.kind: cls for cls in (LinearModel, KNNModel, StumpModel)}
+
+
 def save_model(model: ReferenceModel, path: str) -> None:
     """Write a model as self-describing JSON text (floats round-trip exactly)."""
     write_text(path, json.dumps(model.to_json_obj(), indent=2) + "\n")
 
 
 def load_model(path: str) -> ReferenceModel:
-    """Restore a model written by :func:`save_model`."""
+    """Restore a model written by :func:`save_model`: its kind's constructor (``_MODELS``) called with
+    the schema and the file's parameters, so a missing or an unknown parameter is a :class:`DataFormatError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -369,26 +373,13 @@ def load_model(path: str) -> ReferenceModel:
         raise DataFormatError(f"model file {path!r} is not a {MODEL_FORMAT} document")
     if obj.get("version") != MODEL_VERSION:
         raise DataFormatError(f"unsupported model version {obj.get('version')!r}")
+    if obj.get("kind") not in list(_MODELS):  # a list: a kind may be any JSON value, unhashable too
+        raise DataFormatError(f"unknown model kind {obj.get('kind')!r}")
     try:
         schema = [
             FeatureMeta(str(entry["name"]), str(entry["kind"]), entry.get("levels") or None)
             for entry in obj["features"]
         ]
-        params = obj["parameters"]
-        kind = obj["kind"]
-        if kind == "linear":
-            return LinearModel(schema, params["intercept"], params["coefficients"])
-        if kind == "knn":
-            return KNNModel(schema, params["k"], params["train"], params["target"])
-        if kind == "stump":
-            return StumpModel(
-                schema,
-                params["feature"],
-                params["split_kind"],
-                params["threshold"],
-                params["left_value"],
-                params["right_value"],
-            )
+        return _MODELS[obj["kind"]](schema, **obj["parameters"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"model file {path!r} is malformed: {exc}") from exc
-    raise DataFormatError(f"unknown model kind {obj.get('kind')!r}")

@@ -80,6 +80,8 @@ def exact_shapley_value(
     of :func:`_coalitions` not containing the feature.  Shared by the
     effect-based and the performance-based (loss payout) Shapley computations.
     """
+    n_features = _integer(n_features, "n_features", 1)
+    feature = _integer(feature, "feature", 0, n_features - 1)
     total = 0.0
     for coalition in _coalitions(n_features):
         if feature not in coalition:

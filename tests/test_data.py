@@ -39,9 +39,9 @@ def test_empty_dataset_rejected():
 
 
 def test_missing_values_rejected():
-    with pytest.raises(InvalidArgumentError, match="missing or non-finite"):
+    with pytest.raises(InvalidArgumentError, match=r"^feature 'a' got the non-finite value nan; its values must be finite$"):
         columns_dataset(a=[1.0, float("nan")])
-    with pytest.raises(InvalidArgumentError, match="missing or non-finite"):
+    with pytest.raises(InvalidArgumentError, match=r"^target got the non-finite value inf; its values must be finite$"):
         columns_dataset(a=[1.0, 2.0], target=[1.0, float("inf")])
 
 

@@ -110,6 +110,12 @@ def test_an_argument_message_names_the_argument_and_the_value():
         Grid(0, (True, "2.5"), CONTINUOUS, "custom")
 
 
+def test_a_numeric_target_passes_the_real_number_rule():
+    """An integer target past the float64 range is a typed error, not numpy's bare ``OverflowError``."""
+    with pytest.raises(InvalidArgumentError, match=r"^target holds an integer past the float64 range$"):
+        Dataset([[1.0], [2.0]], target=[HUGE, 1.0])
+
+
 def test_an_integer_too_long_to_print_is_named_by_its_size():
     with pytest.raises(InvalidArgumentError, match=r"^step h must be finite and real, got an integer of 16610 bits$"):
         _real(10**5000, "step h")

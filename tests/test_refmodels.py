@@ -529,6 +529,10 @@ _BROKEN = {
     "huge_intercept": ("linear", ("parameters", "intercept"), 10**400),
     "huge_coefficient": ("linear", ("parameters", "coefficients", 0), 10**400),
     "huge_knn_target": ("knn", ("parameters", "target", 0), 10**400),
+    # a file's parameters are its kind's constructor arguments, no more
+    "linear_unknown_parameter": ("linear", ("parameters", "scale"), 2.0),
+    "knn_unknown_parameter": ("knn", ("parameters", "scale"), 2.0),
+    "stump_unknown_parameter": ("stump", ("parameters", "scale"), 2.0),
 }
 
 
@@ -598,3 +602,9 @@ def test_cli_exits_2_on_broken_model(tmp_path, capsys, case):
     assert _run_pd(tmp_path, _model_file(tmp_path, *_BROKEN[case])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_the_model_table_holds_every_kind():
+    """``load_model`` finds a kind only in ``_MODELS``, so a new model class must be added there."""
+    kinds = {cls.kind for cls in refmodels.ReferenceModel.__subclasses__()}
+    assert set(refmodels._MODELS) == kinds == set(_VALID)

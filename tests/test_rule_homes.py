@@ -5,7 +5,9 @@
   explained point, a training or user matrix) passes one rule,
   ``data._codes``: the real-number rule for a continuous feature, a
   registered level (``data._level_codes``, called nowhere else and imported
-  by no other module) for a categorical one.
+  by no other module) for a categorical one.  A dataset's columns and its
+  numeric target pass only that rule and the real-number rule: neither
+  ``Dataset._build`` nor ``_build_target`` holds a finite check of its own.
 - A real number (a feature value, an observed range, a real argument or a
   model parameter) is checked by the real-number rule, ``data._real`` and
   its vectorized form ``data._reals``: in every module only they,
@@ -99,6 +101,13 @@ def test_only_codes_holds_the_value_rule():
     assert ("data.py", "_codes") in _where(_constructs, "_reals")
     assert _where(_constructs, "_level_codes") == {("data.py", "_codes")}
     assert _where(_imports, "_is_number") == _where(_imports, "_level_codes") == set()
+
+
+def test_a_dataset_checks_its_columns_and_target_only_by_the_value_rule():
+    builders = {("data.py", "_build"), ("data.py", "_build_target")}
+    assert not builders & _where(_constructs, "isfinite")
+    assert ("data.py", "_build") in _where(_constructs, "_codes")
+    assert ("data.py", "_build_target") in _where(_constructs, "_reals")
 
 
 def test_only_data_rejects_a_wrong_kind():

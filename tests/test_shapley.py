@@ -172,6 +172,25 @@ def test_exact_enumeration_over_the_cap_predicts_nothing(two_feature_data, monke
     assert calls == [] and kernel == []
 
 
+@pytest.mark.parametrize(
+    "n_features, feature, message",
+    [
+        (3, 5, "feature out of range: 5 is not an integer from 0 to 2"),
+        (3, -1, "feature out of range: -1 is not an integer from 0 to 2"),
+        (2.5, 0, "n_features must be an integer of at least 1, got 2.5"),
+        (-1, 0, "n_features must be an integer of at least 1, got -1"),
+        (True, 0, "n_features must be an integer of at least 1, got True"),
+    ],
+    ids=["feature past the end", "negative feature", "fractional count", "negative count", "bool count"],
+)
+def test_exact_shapley_value_applies_the_integer_rule(n_features, feature, message):
+    """Neither ``math.factorial``'s bare error nor a silent 0.0 from an empty enumeration."""
+    payouts = []
+    with pytest.raises(InvalidArgumentError) as raised:
+        shapley.exact_shapley_value(lambda k: payouts.append(k) or 1.0, n_features, feature)
+    assert str(raised.value) == message and payouts == []
+
+
 # -- Monte Carlo -------------------------------------------------------------------
 
 
