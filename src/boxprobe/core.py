@@ -55,7 +55,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Derive ``count`` independent child seeds from one master seed."""
+    """Derive ``count`` (an integer within numpy's index range) independent child seeds from one master seed."""
+    count = _integer(count, "count", 0, np.iinfo(np.intp).max)
     state = _seed_sequence(seed).generate_state(count, dtype=np.uint32)
     return [int(s) for s in state]
 

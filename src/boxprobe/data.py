@@ -88,6 +88,11 @@ def _is_number(value: Any) -> bool:
     )
 
 
+def _all_numbers(values: Any) -> bool:
+    """Whether each of ``values`` is a number (:func:`_is_number`); an integer or float array is, unscanned."""
+    return (isinstance(values, np.ndarray) and values.dtype.kind in "iuf") or all(_is_number(v) for v in values)
+
+
 def _shown(value: Any) -> str:
     """``repr(value)``, with an integer past Python's 4300-digit print limit, alone or in a
     sequence, shown as its sign and bit length."""
@@ -469,7 +474,7 @@ class Dataset:
 def _infer_meta(name: str, values: Sequence[Any], kind: str | None = None) -> FeatureMeta:
     """Schema for one column of the given kind, inferred when ``kind`` is None."""
     if kind is None:
-        kind = CONTINUOUS if all(_is_number(v) for v in values) else CATEGORICAL
+        kind = CONTINUOUS if _all_numbers(values) else CATEGORICAL
     levels = tuple(sorted({str(v) for v in values})) if kind == CATEGORICAL else None
     return FeatureMeta(name, kind, levels=levels)
 
@@ -477,9 +482,9 @@ def _infer_meta(name: str, values: Sequence[Any], kind: str | None = None) -> Fe
 def _build_target(target: Sequence[Any] | None, n: int) -> np.ndarray | None:
     if target is None:
         return None
-    values = list(target)
+    values = target if isinstance(target, np.ndarray) else list(target)
     if len(values) != n:
         raise InvalidArgumentError(f"target has {len(values)} entries for {n} observations")
-    if not all(_is_number(v) for v in values):
+    if not _all_numbers(values):
         return _freeze(np.array([str(v) for v in values], dtype=object))
     return _freeze(_reals(values, "target"))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -22,12 +21,16 @@ from .data import CATEGORICAL, CONTINUOUS, Dataset
 from .errors import DataFormatError
 
 
-def _parse_float(cell: str) -> float | None:
+def _floats(cells: Sequence[str]) -> np.ndarray | None:
+    """The cells as one float64 array if each is a finite number in the dialect, else None."""
+    text = "".join(cells)  # float() also reads "1_0" and non-ASCII digits; the dialect does not
+    if not text.isascii() or "_" in text:
+        return None
     try:
-        value = float(cell)
+        col = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         return None
-    return value if math.isfinite(value) else None
+    return col if np.isfinite(col).all() else None
 
 
 def load_csv(
@@ -37,9 +40,10 @@ def load_csv(
 ) -> Dataset:
     """Read a CSV file into a dataset.
 
-    Columns whose every entry parses as a finite number become continuous,
-    everything else categorical; ``kinds`` overrides win.  ``target`` names
-    the column split out as the target vector.  Missing cells, ragged rows,
+    The reader only parses: a column of finite numbers reaches the dataset
+    as one float64 array, any other as its text, and the dataset's own rule
+    decides each kind, ``kinds`` overrides included.  ``target`` names the
+    column split out as the target vector.  Missing cells, ragged rows,
     duplicate headers, and unparseable overridden columns are errors.
     """
     kinds = dict(kinds or {})
@@ -86,32 +90,19 @@ def load_csv(
             raise DataFormatError(f"unknown kind {kind!r} for column {name!r}")
 
     columns: dict[str, Sequence[Any]] = {}
-    explicit_kinds: dict[str, str] = {}
-    target_values: Sequence[Any] | None = None
     for name, raw in zip(header, zip(*body)):
-        text = "".join(raw)  # float() also reads "1_0" and non-ASCII digits; the dialect does not
-        plain = text.isascii() and "_" not in text
-        parsed = [_parse_float(c) if plain or c.isascii() and "_" not in c else None for c in raw]
-        wants = kinds.get(name)
-        if wants == CATEGORICAL or (wants is None and None in parsed):
-            values, kind = raw, CATEGORICAL
-        elif None in parsed:
-            bad = parsed.index(None)
+        col = None if kinds.get(name) == CATEGORICAL else _floats(raw)
+        if col is None and kinds.get(name) == CONTINUOUS:
+            bad = next(i for i, cell in enumerate(raw) if _floats([cell]) is None)
             raise DataFormatError(
                 f"column {name!r} is declared continuous but line {bad + 2} "
                 f"holds {raw[bad]!r}"
             )
-        else:
-            values, kind = np.array(parsed), CONTINUOUS  # float64: no per-value check
-        if name == target:
-            target_values = values
-        else:
-            columns[name] = values
-            explicit_kinds[name] = kind
-
+        columns[name] = raw if col is None else col
+    target_values = None if target is None else columns.pop(target)
     if not columns:
         raise DataFormatError("no feature columns remain after splitting the target")
-    return Dataset.from_columns(columns, target=target_values, kinds=explicit_kinds)
+    return Dataset.from_columns(columns, target=target_values, kinds=kinds)
 
 
 # ---------------------------------------------------------------------------

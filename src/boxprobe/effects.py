@@ -68,7 +68,7 @@ def observed_grid(data: Dataset, feature: int | str) -> Grid:
 def equidistant_grid(data: Dataset, feature: int | str, k: int) -> Grid:
     """``k`` (an integer of at least 2) equally spaced points spanning the observed range."""
     j = data.continuous_index(feature, "an equidistant grid")
-    k = _integer(k, "an equidistant grid's k", 2)
+    k = _integer(k, "an equidistant grid's k", 2, np.iinfo(np.intp).max)
     lo, hi = data.meta[j].observed_range
     return Grid(j, tuple(np.linspace(lo, hi, k)), CONTINUOUS, EQUIDISTANT)
 
@@ -302,7 +302,7 @@ def ale_first_order(
     """
     j = data.continuous_index(feature, "ALE")
     column = data.column(j)
-    edges, idx = _ale_bins(column, _integer(num_intervals, "num_intervals", 1))
+    edges, idx = _ale_bins(column, _integer(num_intervals, "num_intervals", 1, np.iinfo(np.intp).max))
     n_int = len(edges) - 1
 
     cache = PredictionCache(threads)
@@ -434,7 +434,7 @@ def lime_explain(
     """
     j = data.continuous_index(feature, "the linear surrogate")
     meta = data.meta[j]
-    num_samples = _integer(num_samples, "num_samples", 3)
+    num_samples = _integer(num_samples, "num_samples", 3, np.iinfo(np.intp).max)
     x = data.check_vector(x)
     center = float(x[j])
 

@@ -249,7 +249,7 @@ def pfi_permutation(
     """
     target = loss.targets(data, "permutation importance")
     j = data.feature_index(feature)
-    repeats = _integer(repeats, "repeats", 1)
+    repeats = _integer(repeats, "repeats", 1, np.iinfo(np.intp).max)
     child_seeds = spawn_seeds(seed, repeats)
     cache = PredictionCache(threads)
     column = data.codes()[:, j]

@@ -182,7 +182,7 @@ def shapley_mc(
     the mean contribution over all ``iterations``, an integer of at least 1;
     with at least two its sampling standard error is reported alongside.
     """
-    iterations = _integer(iterations, "iterations", 1)
+    iterations = _integer(iterations, "iterations", 1, np.iinfo(np.intp).max)
     j = data.feature_index(feature)
     x = data.check_vector(x)
     p = data.n_features

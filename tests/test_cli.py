@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import click
+import numpy as np
 import pytest
 
 import boxprobe.cli
@@ -499,6 +500,31 @@ def test_a_result_past_the_float_range_prints_only_the_error_line(tmp_path, tabl
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
     assert "must be finite" in result.stderr
+
+
+PAST_THE_INDEX_RANGE = "1000000000000000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "method, count",
+    [
+        (["pfi", "--repeats"], "repeats out of range: {} is not an integer from 1"),
+        (["ale", "--intervals"], "num_intervals out of range: {} is not an integer from 1"),
+        (["pd", "--grid-points"], "an equidistant grid's k out of range: {} is not an integer from 2"),
+        (["shapley", "--row", "0", "--samples"], "iterations out of range: {} is not an integer from 1"),
+        (["lime", "--row", "0", "--samples"], "num_samples out of range: {} is not an integer from 3"),
+    ],
+    ids=["pfi", "ale", "pd", "shapley", "lime"],
+)
+def test_a_count_past_the_index_range_prints_only_the_error_line(workspace, method, count):
+    """numpy refuses such a count before it allocates; the integer rule names it first."""
+    args = ["--feature", "x1", "--data", workspace["data"], "--model", workspace["model"], "--target", "y"]
+    result = subprocess.run(
+        [sys.executable, "-m", "boxprobe", *method, PAST_THE_INDEX_RANGE, *args], capture_output=True, text=True
+    )
+    assert result.returncode == 1 and result.stdout == "" and "Traceback" not in result.stderr
+    expected = count.format(PAST_THE_INDEX_RANGE) + f" to {np.iinfo(np.intp).max}"
+    assert result.stderr == f"error: {expected}\n"
 
 
 def test_knn_predicts_beside_a_training_value_1e308_away(tmp_path):

@@ -99,6 +99,8 @@ def test_kind_overrides(tmp_path):
         load_csv(path, kinds={"a": "ordinal"})
     with pytest.raises(DataFormatError, match="line 2"):
         load_csv(write(tmp_path, "a\nx\n", name="c.csv"), kinds={"a": CONTINUOUS})
+    with pytest.raises(DataFormatError, match=r"^column 'a' is declared continuous but line 3 holds 'x'$"):
+        load_csv(write(tmp_path, "a\n1\nx\n2_0\n", name="c.csv"), kinds={"a": CONTINUOUS})
 
 
 def test_override_on_target_rejected(tmp_path):
@@ -169,16 +171,29 @@ def test_csv_output_quotes_the_cells_that_need_it(tmp_path):
     assert {len(row) for row in rows} == {2}
 
 
-def test_continuous_columns_skip_the_per_value_check(tmp_path, monkeypatch):
-    """A parsed column reaches the dataset as a float64 array, which needs no
-    per-value kind check; a non-finite cell keeps the CSV's own message."""
+@pytest.fixture
+def asked(monkeypatch):
+    """Every value the dataset asks ``_is_number`` about."""
     from boxprobe import data as data_module
 
     asked = []
     is_number = data_module._is_number
     monkeypatch.setattr(data_module, "_is_number", lambda v: asked.append(v) or is_number(v))
+    return asked
+
+
+def test_continuous_columns_skip_the_per_value_check(tmp_path, asked):
+    """A parsed column reaches the dataset as a float64 array, which needs no
+    per-value kind check: only the text column's first cell is looked at.  A
+    non-finite cell keeps the CSV's own message."""
     data = load_csv(write(tmp_path, "a,b,c\n1,2,x\n3,4.5,y\n"))
-    assert asked == []
+    assert asked == ["x"]
     assert data.column("b").tolist() == [2.0, 4.5]
     with pytest.raises(DataFormatError, match="column 'a' is declared continuous but line 3 holds 'inf'"):
         load_csv(write(tmp_path, "a\n1\ninf\n"), kinds={"a": CONTINUOUS})
+
+
+def test_a_numeric_target_skips_the_per_value_check(tmp_path, asked):
+    data = load_csv(write(tmp_path, "a,y\n1,2\n3,4.5\n"), target="y")
+    assert asked == []
+    assert data.target.tolist() == [2.0, 4.5]

@@ -30,6 +30,7 @@ from boxprobe import (
     shapley_mc,
     squared_loss,
 )
+from boxprobe.core import spawn_seeds
 from boxprobe.data import _integer
 from boxprobe.effects import _ice_row
 from boxprobe.errors import InvalidArgumentError, InvalidLevelError
@@ -65,6 +66,7 @@ CASES = {
     "pfi_permutation repeats": (lambda v: pfi_permutation(MODEL, DATA, 0, LOSS, repeats=v), 2),
     "shapley_mc iterations": (lambda v: shapley_mc(MODEL, DATA, X, 0, v, 0), 3),
     "KNNModel k": (lambda v: KNNModel(DATA.meta, v, DATA.matrix(), DATA.target).to_json_obj(), 2),
+    "spawn_seeds count": (lambda v: spawn_seeds(0, v), 2),
     "StumpModel feature": (lambda v: StumpModel(DATA.meta, v, "le", 1.5, 0.0, 1.0).to_json_obj(), 1),
 }
 NOT_INTEGERS = [0.7, True, None, np.float64(2.0)]
@@ -105,6 +107,8 @@ PAST_THE_ENDS = {
     "ici row 6 of 6": lambda: ici_curve(MODEL, DATA, 6, 0, LOSS),
     "knn k 7 of 6": lambda: KNNModel(DATA.meta, 7, DATA.matrix(), DATA.target),
     "stump feature 2 of 2": lambda: StumpModel(DATA.meta, 2, "le", 1.5, 0.0, 1.0),
+    "spawn_seeds count -1": lambda: spawn_seeds(0, -1),
+    "spawn_seeds count past the index range": lambda: spawn_seeds(0, 10**30),
 }
 
 

@@ -111,9 +111,12 @@ def test_an_argument_message_names_the_argument_and_the_value():
 
 
 def test_a_numeric_target_passes_the_real_number_rule():
-    """An integer target past the float64 range is a typed error, not numpy's bare ``OverflowError``."""
+    """An integer target past the float64 range is a typed error, not numpy's bare ``OverflowError``,
+    and a 2-D numeric target is rejected, not read as labels of printed rows."""
     with pytest.raises(InvalidArgumentError, match=r"^target holds an integer past the float64 range$"):
         Dataset([[1.0], [2.0]], target=[HUGE, 1.0])
+    with pytest.raises(InvalidArgumentError, match=r"^target is not one-dimensional$"):
+        Dataset.from_columns({"a": [1.0, 2.0]}, target=np.array([[1.0], [2.0]]))
 
 
 def test_an_integer_too_long_to_print_is_named_by_its_size():

@@ -10,9 +10,11 @@
   ``Dataset._build`` nor ``_build_target`` holds a finite check of its own.
 - A real number (a feature value, an observed range, a real argument or a
   model parameter) is checked by the real-number rule, ``data._real`` and
-  its vectorized form ``data._reals``: in every module only they,
-  ``_infer_meta`` (which picks a column's kind) and ``_build_target`` ask
-  whether a value is a number, and no other module imports ``_is_number``.
+  its vectorized form ``data._reals``: in every module only they and
+  ``data._all_numbers`` ask whether a value is a number, and no other
+  module imports ``_is_number``.  ``_all_numbers`` answers for a whole
+  column, for ``_infer_meta`` (the one place a column's kind is picked)
+  and ``_build_target``.
 - A categorical feature where a continuous one is needed is rejected only by
   ``data.py`` (``Dataset.continuous_index``, ``data._reals``);
   ``core.finite_difference`` asks the dataset it builds from its raw vector.
@@ -95,9 +97,9 @@ def test_only_codes_holds_the_value_rule():
     assert _where(_constructs, "_is_number") == {
         ("data.py", "_real"),
         ("data.py", "_reals"),
-        ("data.py", "_infer_meta"),
-        ("data.py", "_build_target"),
+        ("data.py", "_all_numbers"),
     }
+    assert _where(_constructs, "_all_numbers") == {("data.py", "_infer_meta"), ("data.py", "_build_target")}
     assert ("data.py", "_codes") in _where(_constructs, "_reals")
     assert _where(_constructs, "_level_codes") == {("data.py", "_codes")}
     assert _where(_imports, "_is_number") == _where(_imports, "_level_codes") == set()
